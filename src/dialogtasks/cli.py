@@ -12,7 +12,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composer import RuleFormatError, compose_corpus, load_rules, naive_corpus
 from .evaluate import ConstraintSpec, score_corpus
@@ -129,31 +129,95 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_jsonl(path: str) -> List[Dict[str, Any]]:
-    records = []
-    for line_number, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+def read_jsonl(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield the JSON objects of a JSONL file, each with its 1-based line number.
+
+    Blank lines are skipped. Raises ParseError for a line that is not UTF-8
+    JSON and SchemaError for one that is JSON but not an object.
+    """
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ParseError(line_number, str(exc)) from exc
+            if not isinstance(record, dict):
+                raise SchemaError("(record)", line_number)
+            yield line_number, record
+
+
+def _string_field(record: Dict[str, Any], key: str, line_number: int) -> str:
+    value = record.get(key)
+    if not isinstance(value, str):
+        raise SchemaError(key, line_number)
+    return value
+
+
+def join_outputs(
+    constraint_rows: Iterable[Tuple[int, Dict[str, Any]]],
+    output_rows: Iterable[Tuple[int, Dict[str, Any]]],
+) -> Tuple[List[Tuple[ConstraintSpec, str]], Dict[str, int]]:
+    """Pair every constraint row with the model output of the same id.
+
+    Returns the examples to score and the join's counts:
+
+    - ``n_duplicate_outputs``: output rows repeating an earlier row's id and
+      output. The same id with a different output is ambiguous and raises
+      SchemaError naming the id.
+    - ``n_unknown_outputs``: output ids that no constraint row has; they are
+      not scored.
+    - ``n_missing_outputs``: constraint rows without an output; they are
+      scored against the empty string.
+
+    ``id``, ``output`` and the constraint fields must be present and of the
+    right type; otherwise SchemaError names the line and the field path.
+    """
+    outputs: Dict[str, str] = {}
+    duplicates = 0
+    for line_number, record in output_rows:
+        example_id = _string_field(record, "id", line_number)
+        output = _string_field(record, "output", line_number)
+        first = outputs.get(example_id)
+        if first is None:
+            outputs[example_id] = output
+        elif first == output:
+            duplicates += 1
+        else:
+            raise SchemaError(
+                "output", line_number,
+                f"id {example_id!r} already has a different output on an earlier line",
+            )
+
+    examples = []
+    known = set()
+    missing = 0
+    for line_number, record in constraint_rows:
+        example_id = _string_field(record, "id", line_number)
+        constraints = record.get("constraints")
+        if not isinstance(constraints, list):
+            raise SchemaError("constraints", line_number)
         try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_number, str(exc)) from exc
-    return records
+            spec = ConstraintSpec.from_dicts(constraints)
+        except SchemaError as exc:
+            raise SchemaError(exc.field_path, line_number) from exc
+        known.add(example_id)
+        if example_id not in outputs:
+            missing += 1
+        examples.append((spec, outputs.get(example_id, "")))
+    counts = {
+        "n_duplicate_outputs": duplicates,
+        "n_missing_outputs": missing,
+        "n_unknown_outputs": sum(1 for example_id in outputs if example_id not in known),
+    }
+    return examples, counts
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    constraint_rows = _read_jsonl(args.constraints)
-    output_rows = _read_jsonl(args.outputs)
-    outputs = {str(row["id"]): str(row.get("output", "")) for row in output_rows}
-    examples = []
-    missing = 0
-    for row in constraint_rows:
-        spec = ConstraintSpec.from_dicts(row["constraints"])
-        if str(row["id"]) not in outputs:
-            missing += 1
-        examples.append((spec, outputs.get(str(row["id"]), "")))
-    report = score_corpus(examples)
-    data = {"n_missing_outputs": missing, **report.to_dict()}
+    examples, counts = join_outputs(read_jsonl(args.constraints), read_jsonl(args.outputs))
+    data = {**counts, **score_corpus(examples).to_dict()}
     if args.report:
         Path(args.report).write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -12,8 +12,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
+from .ingest import SchemaError
 from .model import ComponentKind, TaskInstance
-from .textutil import length_class, normalize, normalize_tokens, tokenize
+from .textutil import length_class, normalize, normalize_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -67,35 +68,39 @@ _CONSTRAINT_TYPES = {
 
 _TYPE_NAMES = {cls: name for name, cls in _CONSTRAINT_TYPES.items()}
 
+# The one string field of every constraint type except contains_keywords.
+_TEXT_FIELDS = {
+    "begins_with": "phrase",
+    "ends_with": "phrase",
+    "length_class": "label",
+    "exact_match": "value",
+    "reference_overlap": "reference",
+}
+
 
 def constraint_to_dict(constraint: Constraint) -> Dict[str, Any]:
     name = _TYPE_NAMES[type(constraint)]
-    if isinstance(constraint, (BeginsWith, EndsWith)):
-        return {"type": name, "phrase": constraint.phrase}
     if isinstance(constraint, ContainsKeywords):
         return {"type": name, "keywords": list(constraint.keywords)}
-    if isinstance(constraint, LengthClass):
-        return {"type": name, "label": constraint.label}
-    if isinstance(constraint, ExactMatch):
-        return {"type": name, "value": constraint.value}
-    return {"type": name, "reference": constraint.reference}
+    field = _TEXT_FIELDS[name]
+    return {"type": name, field: getattr(constraint, field)}
 
 
 def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
-    kind = data["type"]
-    if kind not in _CONSTRAINT_TYPES:
-        raise ValueError(f"unknown constraint type: {kind!r}")
-    if kind == "begins_with":
-        return BeginsWith(str(data["phrase"]))
-    if kind == "ends_with":
-        return EndsWith(str(data["phrase"]))
+    """Parse one constraint; a missing or mistyped field raises SchemaError naming it."""
+    kind = data.get("type")
+    if not isinstance(kind, str) or kind not in _CONSTRAINT_TYPES:
+        raise SchemaError("type")
     if kind == "contains_keywords":
-        return ContainsKeywords(tuple(str(k) for k in data["keywords"]))
-    if kind == "length_class":
-        return LengthClass(str(data["label"]))
-    if kind == "exact_match":
-        return ExactMatch(str(data["value"]))
-    return ReferenceOverlap(str(data["reference"]))
+        keywords = data.get("keywords")
+        if not isinstance(keywords, (list, tuple)) or not all(isinstance(k, str) for k in keywords):
+            raise SchemaError("keywords")
+        return ContainsKeywords(tuple(keywords))
+    field = _TEXT_FIELDS[kind]
+    value = data.get(field)
+    if not isinstance(value, str):
+        raise SchemaError(field)
+    return _CONSTRAINT_TYPES[kind](value)
 
 
 @dataclass(frozen=True)
@@ -116,7 +121,16 @@ class ConstraintSpec:
 
     @classmethod
     def from_dicts(cls, data: Iterable[Dict[str, Any]]) -> "ConstraintSpec":
-        return cls(frozenset(constraint_from_dict(d) for d in data))
+        """Parse a constraint list; SchemaError paths read ``constraints[i].field``."""
+        constraints = []
+        for index, item in enumerate(data):
+            if not isinstance(item, dict):
+                raise SchemaError(f"constraints[{index}]")
+            try:
+                constraints.append(constraint_from_dict(item))
+            except SchemaError as exc:
+                raise SchemaError(f"constraints[{index}].{exc.field_path}") from exc
+        return cls(frozenset(constraints))
 
     def union(self, other: "ConstraintSpec") -> "ConstraintSpec":
         return ConstraintSpec(self.constraints | other.constraints)
@@ -155,20 +169,6 @@ def extract_constraints(inst: TaskInstance) -> ConstraintSpec:
 # Boolean checks
 # ---------------------------------------------------------------------------
 
-def check_begins_with(output: str, phrase: str) -> bool:
-    out = normalize_tokens(output)
-    pre = normalize_tokens(phrase)
-    return out[: len(pre)] == pre
-
-
-def check_ends_with(output: str, phrase: str) -> bool:
-    out = normalize_tokens(output)
-    suf = normalize_tokens(phrase)
-    if not suf:
-        return True
-    return out[-len(suf):] == suf
-
-
 def _contains_sequence(haystack: List[str], needle: List[str]) -> bool:
     if not needle:
         return True
@@ -176,64 +176,78 @@ def _contains_sequence(haystack: List[str], needle: List[str]) -> bool:
     return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
 
 
+def check_constraint(constraint: Constraint, output: Union[str, List[str]]) -> Optional[bool]:
+    """Boolean verdict for boolean constraints; None for overlap constraints.
+
+    ``output`` is text, or its token list as normalize_tokens splits it;
+    score_corpus passes the list so that each output is tokenized once.
+    """
+    if isinstance(constraint, ReferenceOverlap):
+        return None
+    out = normalize_tokens(output) if isinstance(output, str) else output
+    if isinstance(constraint, BeginsWith):
+        prefix = normalize_tokens(constraint.phrase)
+        return out[: len(prefix)] == prefix
+    if isinstance(constraint, EndsWith):
+        suffix = normalize_tokens(constraint.phrase)
+        return not suffix or out[-len(suffix):] == suffix
+    if isinstance(constraint, ContainsKeywords):
+        return all(_contains_sequence(out, normalize_tokens(k)) for k in constraint.keywords)
+    if isinstance(constraint, LengthClass):
+        return length_class(len(out)) == constraint.label
+    return " ".join(out) == normalize(constraint.value)
+
+
+def check_begins_with(output: str, phrase: str) -> bool:
+    return check_constraint(BeginsWith(phrase), output)
+
+
+def check_ends_with(output: str, phrase: str) -> bool:
+    return check_constraint(EndsWith(phrase), output)
+
+
 def check_keywords(output: str, keywords: Sequence[str]) -> bool:
     """True iff every keyword occurs as a token (or contiguous token run)."""
-    out = normalize_tokens(output)
-    return all(_contains_sequence(out, normalize_tokens(k)) for k in keywords)
+    return check_constraint(ContainsKeywords(tuple(keywords)), output)
 
 
 def check_length_class(output: str, label: str) -> bool:
-    return length_class(len(tokenize(output))) == label
+    return check_constraint(LengthClass(label), output)
 
 
 def check_exact_match(output: str, value: str) -> bool:
-    return normalize(output) == normalize(value)
-
-
-def check_constraint(constraint: Constraint, output: str) -> Optional[bool]:
-    """Boolean verdict for boolean constraints; None for overlap constraints."""
-    if isinstance(constraint, BeginsWith):
-        return check_begins_with(output, constraint.phrase)
-    if isinstance(constraint, EndsWith):
-        return check_ends_with(output, constraint.phrase)
-    if isinstance(constraint, ContainsKeywords):
-        return check_keywords(output, constraint.keywords)
-    if isinstance(constraint, LengthClass):
-        return check_length_class(output, constraint.label)
-    if isinstance(constraint, ExactMatch):
-        return check_exact_match(output, constraint.value)
-    return None
+    return check_constraint(ExactMatch(value), output)
 
 
 # ---------------------------------------------------------------------------
 # Overlap metrics
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(tokens: List[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _bleu2_token_counts(
+    cand: List[str], refs: Sequence[List[str]]
+) -> Tuple[int, int, int, int, int, int]:
+    """Clipped n-gram match/total counts plus candidate/effective-reference lengths.
+
+    Clipping takes each n-gram's highest count in any one reference, which is
+    the Counter union; matches are the Counter intersection with that.
+    """
+    if not refs:
+        raise ValueError("bleu2 needs at least one reference")
+    ref_unigrams = Counter(refs[0])
+    ref_bigrams = Counter(zip(refs[0], refs[0][1:]))
+    for ref in refs[1:]:
+        ref_unigrams |= Counter(ref)
+        ref_bigrams |= Counter(zip(ref, ref[1:]))
+    cand_len = len(cand)
+    m1 = sum((Counter(cand) & ref_unigrams).values())
+    m2 = sum((Counter(zip(cand, cand[1:])) & ref_bigrams).values())
+    # Effective reference length: the closest to the candidate, shorter on ties.
+    ref_len = min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
+    return m1, cand_len, m2, max(cand_len - 1, 0), cand_len, ref_len
 
 
 def _bleu2_counts(candidate: str, references: Sequence[str]) -> Tuple[int, int, int, int, int, int]:
-    """Clipped n-gram match/total counts plus candidate/effective-reference lengths."""
-    cand = normalize_tokens(candidate)
-    refs = [normalize_tokens(r) for r in references]
-    if not refs:
-        raise ValueError("bleu2 needs at least one reference")
-    counts = []
-    for n in (1, 2):
-        cand_ngrams = _ngram_counts(cand, n)
-        max_ref: Counter = Counter()
-        for ref in refs:
-            for gram, count in _ngram_counts(ref, n).items():
-                if count > max_ref[gram]:
-                    max_ref[gram] = count
-        matched = sum(min(count, max_ref[gram]) for gram, count in cand_ngrams.items())
-        total = sum(cand_ngrams.values())
-        counts.extend([matched, total])
-    cand_len = len(cand)
-    # Effective reference length: the closest to the candidate, shorter on ties.
-    ref_len = min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
-    return counts[0], counts[1], counts[2], counts[3], cand_len, ref_len
+    return _bleu2_token_counts(normalize_tokens(candidate), [normalize_tokens(r) for r in references])
 
 
 def _bleu2_from_counts(m1: int, t1: int, m2: int, t2: int, cand_len: int, ref_len: int) -> float:
@@ -257,38 +271,56 @@ def bleu2(candidate: str, references: Sequence[str]) -> float:
     return _bleu2_from_counts(*_bleu2_counts(candidate, references))
 
 
+def _add_counts(totals: List[int], counts: Tuple[int, ...]) -> None:
+    for i, value in enumerate(counts):
+        totals[i] += value
+
+
 def corpus_bleu2(pairs: Sequence[Tuple[str, Sequence[str]]]) -> float:
     """Corpus-level BLEU-2: counts are pooled across pairs before combining."""
     totals = [0, 0, 0, 0, 0, 0]
     for candidate, references in pairs:
-        for i, value in enumerate(_bleu2_counts(candidate, references)):
-            totals[i] += value
+        _add_counts(totals, _bleu2_counts(candidate, references))
     return _bleu2_from_counts(*totals)
 
 
-def _lcs_length(a: List[str], b: List[str]) -> int:
-    if not a or not b:
+def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
+    """Length of the longest common subsequence, bit-parallel.
+
+    Allison & Dix (IPL 1986), in the form of Hyyrö (2004): bit i of ``v``
+    stands for position i of the longer sequence, and each token of the
+    shorter one updates all of them in a few operations on one Python int.
+    The zero bits of ``v`` count the LCS, the same integer the O(n*m)
+    dynamic program gives.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
         return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        current = [0]
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                current.append(prev[j - 1] + 1)
-            else:
-                current.append(max(prev[j], current[-1]))
-        prev = current
-    return prev[-1]
+    masks: Dict[str, int] = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    v = full
+    for token in b:
+        match = masks.get(token)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
-def rouge_l(candidate: str, reference: str, beta: float = 1.0) -> float:
+def rouge_l(
+    candidate: Union[str, List[str]], reference: Union[str, List[str]], beta: float = 1.0
+) -> float:
     """Rouge-L F-score: (1 + b^2) * lcs / (len(candidate) + b^2 * len(reference)).
 
     The closed form avoids intermediate precision/recall rounding, so e.g.
     candidate "a b c" against reference "a c" is exactly 0.8 at beta=1.
+    Either side is text or its token list as normalize_tokens splits it.
     """
-    cand = normalize_tokens(candidate)
-    ref = normalize_tokens(reference)
+    cand = normalize_tokens(candidate) if isinstance(candidate, str) else candidate
+    ref = normalize_tokens(reference) if isinstance(reference, str) else reference
     lcs = _lcs_length(cand, ref)
     if lcs == 0:
         return 0.0
@@ -331,33 +363,34 @@ class MetricReport:
 
 
 def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport:
-    """Score model outputs against their constraint specs.
+    """Score model outputs against their constraint specs, in one pass.
 
     Boolean constraints produce per-kind accuracies plus the conjunctive
     compositional accuracy; ReferenceOverlap constraints produce corpus
-    BLEU-2 and mean Rouge-L.
+    BLEU-2 and mean Rouge-L. Each output and each reference is tokenized
+    once; BLEU counts are pooled as the loop goes.
     """
     n = len(examples)
     kind_pass: Dict[str, int] = {}
     kind_present: Dict[str, int] = {}
     all_pass = 0
-    overlap_pairs: List[Tuple[str, Sequence[str]]] = []
+    bleu_totals = [0, 0, 0, 0, 0, 0]
     rouge_scores: List[float] = []
 
     for spec, output in examples:
+        out = normalize_tokens(output)
         example_ok = True
         present_kinds = set()
         failed_kinds = set()
         for constraint in spec.constraints:
-            verdict = check_constraint(constraint, output)
-            if verdict is None:
-                reference = constraint.reference  # type: ignore[union-attr]
-                overlap_pairs.append((output, [reference]))
-                rouge_scores.append(rouge_l(output, reference))
+            if isinstance(constraint, ReferenceOverlap):
+                ref = normalize_tokens(constraint.reference)
+                _add_counts(bleu_totals, _bleu2_token_counts(out, [ref]))
+                rouge_scores.append(rouge_l(out, ref))
                 continue
             kind = _TYPE_NAMES[type(constraint)]
             present_kinds.add(kind)
-            if not verdict:
+            if not check_constraint(constraint, out):
                 failed_kinds.add(kind)
                 example_ok = False
         for kind in present_kinds:
@@ -378,6 +411,6 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport
         per_constraint_accuracy=per_kind,
         constraint_counts={k: v for k, v in sorted(kind_present.items())},
         compositional_accuracy=(all_pass / n) if n else 1.0,
-        bleu2=corpus_bleu2(overlap_pairs) if overlap_pairs else None,
+        bleu2=_bleu2_from_counts(*bleu_totals) if rouge_scores else None,
         rouge_l=(sum(rouge_scores) / len(rouge_scores)) if rouge_scores else None,
     )

@@ -30,13 +30,18 @@ class ParseError(ValueError):
 
 
 class SchemaError(ValueError):
-    """A record missing or mistyping a required field; names the field path."""
+    """A record missing or mistyping a required field; names the field path.
 
-    def __init__(self, field_path: str, line_number: Optional[int] = None):
+    ``problem`` replaces the default "missing or invalid field <path>" text
+    when the field is well-formed but conflicts with another record.
+    """
+
+    def __init__(self, field_path: str, line_number: Optional[int] = None,
+                 problem: Optional[str] = None):
         self.field_path = field_path
         self.line_number = line_number
         where = f"line {line_number}: " if line_number is not None else ""
-        super().__init__(f"{where}missing or invalid field {field_path}")
+        super().__init__(f"{where}{problem or f'missing or invalid field {field_path}'}")
 
 
 class EmptyCorpus(ValueError):

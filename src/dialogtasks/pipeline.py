@@ -146,8 +146,17 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
         ),
         emit_constraints=config.emit_constraints,
     )
+    # The manifest names files, never paths, so its bytes do not depend on
+    # where the run happens: the input and rule table by file name (the
+    # input's checksum is under "corpus"), and no out_dir, which is the
+    # manifest's own directory.
+    config_data = config.to_dict()
+    del config_data["out_dir"]
+    for key in ("input_path", "rules_path"):
+        if config_data[key]:
+            config_data[key] = Path(config_data[key]).name
     manifest = {
-        "config": config.to_dict(),
+        "config": config_data,
         "corpus": corpus_manifest.to_dict(),
         "rejections": dict(sorted(rejections.items())),
         "export": export_manifest,

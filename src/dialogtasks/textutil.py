@@ -56,7 +56,13 @@ def split_token(token: str) -> list[str]:
 
 def tokenize(text: str) -> list[str]:
     """Whitespace tokenization with leading/trailing punctuation split out."""
-    return [piece for token in text.split() for piece in split_token(token)]
+    tokens: list[str] = []
+    for token in text.split():
+        if token[0] in PUNCTUATION or token[-1] in PUNCTUATION:
+            tokens.extend(split_token(token))
+        else:
+            tokens.append(token)
+    return tokens
 
 
 def normalize_tokens(text: str) -> list[str]:

@@ -1,0 +1,249 @@
+"""eval: joining model outputs to constraint rows, and rejecting malformed input."""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dialogtasks import cli
+from dialogtasks.ingest import ParseError, SchemaError
+
+CONSTRAINT_ROWS = [
+    {
+        "id": "a",
+        "constraints": [
+            {"type": "begins_with", "phrase": "the flat"},
+            {"type": "reference_overlap", "reference": "the flat came furnished ."},
+        ],
+    },
+    {
+        "id": "b",
+        "constraints": [
+            {"type": "contains_keywords", "keywords": ["garden"]},
+            {"type": "length_class", "label": "short"},
+        ],
+    },
+    {"id": "c", "constraints": [{"type": "exact_match", "value": "inform"}]},
+]
+
+OUTPUT_ROWS = [
+    {"id": "a", "output": "the flat came with a garden"},
+    {"id": "b", "output": "a garden"},
+    {"id": "c", "output": "inform"},
+]
+
+
+def _write(path, rows):
+    """One line per row: JSON values are dumped, strings are written raw."""
+    lines = [row if isinstance(row, str) else json.dumps(row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _eval(directory, constraint_rows, output_rows):
+    constraints = Path(directory) / "constraints.jsonl"
+    outputs = Path(directory) / "outputs.jsonl"
+    _write(constraints, constraint_rows)
+    _write(outputs, output_rows)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--constraints", str(constraints), "--outputs", str(outputs)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_eval_reports_join_counts(tmp_path):
+    code, out, _ = _eval(tmp_path, CONSTRAINT_ROWS, OUTPUT_ROWS)
+    assert code == cli.EXIT_OK
+    clean = json.loads(out)
+    assert clean["n_duplicate_outputs"] == clean["n_unknown_outputs"] == clean["n_missing_outputs"] == 0
+
+    noisy_outputs = [
+        OUTPUT_ROWS[0],
+        {"id": "zz", "output": "nobody asked"},
+        OUTPUT_ROWS[0],
+        OUTPUT_ROWS[1],
+        {"id": "zz", "output": "nobody asked"},
+        {"id": "yy", "output": ""},
+        OUTPUT_ROWS[2],
+    ]
+    code, out, _ = _eval(tmp_path, CONSTRAINT_ROWS, noisy_outputs)
+    assert code == cli.EXIT_OK
+    noisy = json.loads(out)
+    assert noisy["n_duplicate_outputs"] == 2
+    assert noisy["n_unknown_outputs"] == 2
+    assert noisy["n_missing_outputs"] == 0
+    # Repeated and unknown rows change the counts, never the scores.
+    for key in ("n_duplicate_outputs", "n_unknown_outputs"):
+        del clean[key], noisy[key]
+    assert noisy == clean
+
+
+def test_eval_counts_missing_outputs(tmp_path):
+    code, out, _ = _eval(tmp_path, CONSTRAINT_ROWS, OUTPUT_ROWS[:1])
+    assert code == cli.EXIT_OK
+    report = json.loads(out)
+    assert report["n_missing_outputs"] == 2
+    assert report["n_examples"] == 3
+
+
+def test_eval_refuses_two_different_outputs_for_one_id(tmp_path):
+    outputs = OUTPUT_ROWS + [{"id": "b", "output": "a different answer"}]
+    code, out, err = _eval(tmp_path, CONSTRAINT_ROWS, outputs)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "line 4" in err and "'b'" in err
+
+
+def test_eval_non_utf8_line_exits_two_with_line_number(tmp_path):
+    _write(tmp_path / "constraints.jsonl", CONSTRAINT_ROWS)
+    (tmp_path / "outputs.jsonl").write_bytes(b'{"id": "a", "output": "x"}\n{"id": "b", "output": "caf\xe9"}\n')
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([
+            "eval", "--constraints", str(tmp_path / "constraints.jsonl"),
+            "--outputs", str(tmp_path / "outputs.jsonl"),
+        ])
+    assert code == cli.EXIT_IO
+    assert err.getvalue().startswith("error: line 2: ")
+
+
+@pytest.mark.parametrize(
+    "constraint_rows, output_rows, message",
+    [
+        ([{"constraints": []}], OUTPUT_ROWS, "line 1: missing or invalid field id"),
+        (
+            [CONSTRAINT_ROWS[0], {"id": "b", "constraints": [{"type": "contains_keywords", "keywords": 5}]}],
+            OUTPUT_ROWS,
+            "line 2: missing or invalid field constraints[0].keywords",
+        ),
+        (CONSTRAINT_ROWS, [[1]], "line 1: missing or invalid field (record)"),
+        (CONSTRAINT_ROWS, [OUTPUT_ROWS[0], "{"], "line 2: "),
+        (CONSTRAINT_ROWS, [{"id": "a", "output": 5}], "line 1: missing or invalid field output"),
+        (CONSTRAINT_ROWS, [{"id": ["a"], "output": "x"}], "line 1: missing or invalid field id"),
+        ([{"id": "a", "constraints": "begins_with"}], OUTPUT_ROWS, "field constraints"),
+        ([{"id": "a", "constraints": ["begins_with"]}], OUTPUT_ROWS, "field constraints[0]"),
+        ([{"id": "a", "constraints": [{"type": "mystery"}]}], OUTPUT_ROWS, "field constraints[0].type"),
+        ([{"id": "a", "constraints": [{"type": ["x"]}]}], OUTPUT_ROWS, "field constraints[0].type"),
+        (
+            [{"id": "a", "constraints": [{"type": "length_class", "label": "short"}, {"type": "begins_with"}]}],
+            OUTPUT_ROWS,
+            "line 1: missing or invalid field constraints[1].phrase",
+        ),
+    ],
+)
+def test_eval_malformed_input_exits_two_with_line_and_field(
+    tmp_path, constraint_rows, output_rows, message
+):
+    code, out, err = _eval(tmp_path, constraint_rows, output_rows)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+# --- fuzz ----------------------------------------------------------------------
+
+_SCALAR = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
+_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), st.text(max_size=4),
+    st.lists(_SCALAR, max_size=3), st.dictionaries(st.text(max_size=4), _SCALAR, max_size=3),
+)
+_TEXT = st.text(max_size=12)
+_FIELD_VALUES = {
+    "begins_with": ("phrase", _TEXT),
+    "ends_with": ("phrase", _TEXT),
+    "contains_keywords": ("keywords", st.lists(_TEXT, max_size=3)),
+    "length_class": ("label", st.sampled_from(["short", "medium", "long"])),
+    "exact_match": ("value", _TEXT),
+    "reference_overlap": ("reference", _TEXT),
+}
+_IDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+@st.composite
+def _spoiled(draw, valid):
+    """A well-formed record, half the time with one field dropped or replaced by any JSON."""
+    data = draw(valid)
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(data)))
+        if draw(st.booleans()):
+            del data[key]
+        else:
+            data[key] = draw(_JSON)
+    return data
+
+
+def _well_formed_constraint(kind):
+    field, values = _FIELD_VALUES[kind]
+    return st.fixed_dictionaries({"type": st.just(kind), field: values})
+
+
+_CONSTRAINT = _spoiled(st.one_of([_well_formed_constraint(kind) for kind in sorted(_FIELD_VALUES)]))
+_CONSTRAINT_ROW = _spoiled(st.fixed_dictionaries({"id": _IDS, "constraints": st.lists(_CONSTRAINT, max_size=3)}))
+_OUTPUT_ROW = _spoiled(st.fixed_dictionaries({"id": _IDS, "output": st.sampled_from(["x", "the flat"]) | _TEXT}))
+_RAW_LINE = st.sampled_from(["{", "not json", "[1,", '"text"', "", "  "])
+
+
+def _lines(row):
+    return st.lists(row, max_size=5) | st.lists(row | _JSON | _RAW_LINE, max_size=5)
+
+
+def _assert_only_parse_and_schema_errors(constraint_rows, output_rows):
+    with tempfile.TemporaryDirectory() as directory:
+        code, _, err = _eval(directory, constraint_rows, output_rows)
+        try:
+            cli.join_outputs(
+                cli.read_jsonl(str(Path(directory) / "constraints.jsonl")),
+                cli.read_jsonl(str(Path(directory) / "outputs.jsonl")),
+            )
+            expected = cli.EXIT_OK
+        except (ParseError, SchemaError):
+            expected = cli.EXIT_IO
+    assert code == expected
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_rows=_lines(_CONSTRAINT_ROW))
+def test_eval_fuzz_constraint_rows(constraint_rows):
+    _assert_only_parse_and_schema_errors(constraint_rows, OUTPUT_ROWS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(output_rows=_lines(_OUTPUT_ROW))
+def test_eval_fuzz_output_rows(output_rows):
+    _assert_only_parse_and_schema_errors(CONSTRAINT_ROWS, output_rows)
+
+
+_WRONG_TYPES = (
+    st.none() | st.booleans() | st.integers() | st.lists(st.integers(), min_size=1, max_size=2) | st.just({})
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    row=st.integers(0, len(CONSTRAINT_ROWS) + len(OUTPUT_ROWS) - 1),
+    field=st.integers(0, 3),
+    value=_WRONG_TYPES,
+)
+def test_eval_fuzz_one_mistyped_field_exits_two(row, field, value):
+    constraint_rows = json.loads(json.dumps(CONSTRAINT_ROWS))
+    output_rows = json.loads(json.dumps(OUTPUT_ROWS))
+    if row < len(constraint_rows):
+        record = constraint_rows[row]
+        paths = [(record, "id"), (record, "constraints")]
+        paths += [(c, key) for c in record["constraints"] for key in c]
+    else:
+        record = output_rows[row - len(constraint_rows)]
+        paths = [(record, "id"), (record, "output")]
+    target, key = paths[field % len(paths)]
+    target[key] = value
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, err = _eval(directory, constraint_rows, output_rows)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "line " in err and "Traceback" not in err

@@ -1,7 +1,8 @@
-"""Sampling quotas, JSONL round trips, corpus stats, directory export."""
+"""Sampling quotas, JSONL round trips, corpus stats, directory export, run manifest."""
 
 import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
@@ -18,7 +19,8 @@ from dialogtasks.export import (
     write_instances,
     write_jsonl,
 )
-from dialogtasks.ingest import ParseError, SchemaError, synth_corpus
+from dialogtasks.ingest import ParseError, SchemaError, synth_corpus, write_corpus
+from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import derive_corpus
 
 
@@ -201,3 +203,29 @@ def test_export_corpus_is_byte_identical_across_runs(tmp_path):
     for name, info in first["files"].items():
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
         assert info["sha256"] == second["files"][name]["sha256"]
+
+
+def test_pipeline_manifest_is_independent_of_run_directory(tmp_path):
+    rules = (resources.files("dialogtasks") / "data" / "rules.csv").read_text(encoding="utf-8")
+    manifests = []
+    for where in ("one", "two/deeper"):
+        base = tmp_path / where
+        base.mkdir(parents=True)
+        write_corpus(synth_corpus(5, 6), base / "dialogs.jsonl")
+        (base / "rules.csv").write_text(rules, encoding="utf-8")
+        config = PipelineConfig(
+            seed=5,
+            input_path=str(base / "dialogs.jsonl"),
+            rules_path=str(base / "rules.csv"),
+            atomic_quota=20,
+            composite_quota=10,
+            out_dir=str(base / "out"),
+        )
+        run_pipeline(config)
+        manifests.append((base / "out" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    config = json.loads(manifests[0])["config"]
+    assert config["input_path"] == "dialogs.jsonl"
+    assert config["rules_path"] == "rules.csv"
+    assert "out_dir" not in config
+    assert str(tmp_path) not in manifests[0].decode("utf-8")
