@@ -1,0 +1,60 @@
+"""Golden checksums: the exact bytes of one small fixed run.
+
+Determinism is otherwise only checked run-to-run, which a refactor that
+changes outputs consistently still passes. These sha256 values pin the
+files themselves: the pipeline's exports for synth_corpus(7, 30) with
+cot=random-1, and the instance files of its atomic, composite and naive
+corpora. A change that alters any of them on purpose must say so and
+re-pin them here.
+"""
+
+import hashlib
+
+from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
+from dialogtasks.export import write_instances
+from dialogtasks.ingest import synth_corpus
+from dialogtasks.pipeline import PipelineConfig, run_pipeline
+from dialogtasks.registry import derive_corpus
+
+SEED = 7
+N_DIALOGS = 30
+
+PIPELINE_FILES = {
+    "constraints-dev.jsonl": "18dad89d6392b801c81c2a70d9969d05b5580cb40497d3cc03dd01f93b69e42e",
+    "constraints-test.jsonl": "52544b35dfb265fde52c750679cdc80807a5fe2c4f016bb92e6107efe3a7b26f",
+    "constraints-train.jsonl": "93debd935d15f6357793548a23f2caaf7fb16173411fcfbb8eff5f3116afbdc8",
+    "dev.jsonl": "c54680b0f77d32dbc969ba2a8b748e9428abb88492a6ec51e119df57b02225d4",
+    "dialogs.jsonl": "9271172546c3d0d551335e109616fc690b389bf3621ea3624d48e26855a128f7",
+    "manifest.json": "d40358dad70ea903ceb4acd22227c6f703118b5619c0a5f3063ee8ab58a0a782",
+    "stats.json": "e2bb6b2f344b5794bd348f20ea41d409b291d4c58abf43e6ef4826829117931a",
+    "test.jsonl": "8ba345511636e0b8126b7bf8da829a49ad18ba3a0d76f8876895bb189c2c7879",
+    "train.jsonl": "7c84327f4812c35204063445eefb6f2c347de9d48c729f88c121d1956d35666d",
+}
+
+INSTANCE_FILES = {
+    "atomic": (2350, "4282f04a9b6bf22d314ab5de81eeed1b6a92991cb06ef758e1e48198ec999056"),
+    "composite": (4380, "6770a79ca737f1979188f9cad740c55053e638bb4c39dd7ea55ff17737110500"),
+    "naive": (4380, "26f3ef36e8fec1ddf889e415658b49269cd1107b7b555c23fc60d94cc1bfbb8f"),
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pipeline_exports_match_golden_checksums(tmp_path):
+    out = tmp_path / "out"
+    run_pipeline(PipelineConfig(seed=SEED, synth_dialogs=N_DIALOGS, cot="random-1", out_dir=str(out)))
+    assert {p.name: _sha256(p) for p in out.iterdir()} == PIPELINE_FILES
+
+
+def test_instance_files_match_golden_checksums(tmp_path):
+    atomic = derive_corpus(synth_corpus(SEED, N_DIALOGS), SEED)
+    rules = load_rules()
+    composites, _ = compose_corpus(atomic, rules)
+    corpora = {"atomic": atomic, "composite": composites, "naive": naive_corpus(atomic, rules)}
+    got = {}
+    for name, instances in corpora.items():
+        manifest = write_instances(instances, tmp_path / f"{name}.jsonl")
+        got[name] = (manifest.count, _sha256(tmp_path / f"{name}.jsonl"))
+    assert got == INSTANCE_FILES
