@@ -12,19 +12,21 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from .composer import RuleFormatError, compose_corpus, load_rules, naive_corpus
+from .composer import compose_corpus, load_rules, naive_corpus
 from .evaluate import ConstraintSpec, score_corpus
-from .export import (
-    SamplingPlan,
-    corpus_stats,
-    export_corpus,
-    read_instances,
-    write_instances,
+from .export import SamplingPlan, corpus_stats, export_corpus, read_instances, write_instances
+from .ingest import (
+    ADAPTERS,
+    SchemaError,
+    SynthConfig,
+    load_corpus,
+    read_jsonl,
+    synth_corpus,
+    write_corpus,
     write_jsonl,
 )
-from .ingest import ADAPTERS, EmptyCorpus, ParseError, SchemaError, SynthConfig, load_corpus, synth_corpus, write_corpus
 from .model import validate_instance
 from .pipeline import CONFIG_TEMPLATE, PipelineConfig, run_pipeline
 from .prompts import RenderOptions, apply_cot, render_corpus
@@ -91,10 +93,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         block_shuffle=args.block_shuffle == "on", generic_fallback=args.generic_fallback
     )
     rendered, errors = render_corpus(instances, _seed(args), options)
-    manifest = write_jsonl(
-        ({**example.to_record(), "id": example.provenance.key()} for example in rendered),
-        args.out,
-    )
+    manifest = write_jsonl((example.to_record() for example in rendered), args.out)
     _print_json({"file": manifest.to_dict(), "errors": errors})
     if errors:
         print(f"{len(errors)} instance(s) failed to render", file=sys.stderr)
@@ -127,26 +126,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     )
     _print_json(manifest)
     return EXIT_OK
-
-
-def read_jsonl(path: str) -> Iterator[Tuple[int, Dict[str, Any]]]:
-    """Yield the JSON objects of a JSONL file, each with its 1-based line number.
-
-    Blank lines are skipped. Raises ParseError for a line that is not UTF-8
-    JSON and SchemaError for one that is JSON but not an object.
-    """
-    with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ParseError(line_number, str(exc)) from exc
-            if not isinstance(record, dict):
-                raise SchemaError("(record)", line_number)
-            yield line_number, record
 
 
 def _string_field(record: Dict[str, Any], key: str, line_number: int) -> str:
@@ -340,10 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("run requires --config (or --print-config)")
     try:
         return args.func(args)
-    except (OSError, ParseError, SchemaError, EmptyCorpus, RuleFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import importlib.resources
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     ComponentKind,
@@ -76,15 +77,6 @@ class Rejection:
     reason: str
     first_task: str = ""
     second_task: str = ""
-
-
-@dataclass(frozen=True)
-class CompositionCandidate:
-    """One enumerated pair and its outcome."""
-
-    first: TaskInstance
-    second: TaskInstance
-    result: Union[TaskInstance, Rejection]
 
 
 def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
@@ -218,6 +210,21 @@ def _dedup_key(inst: TaskInstance) -> Tuple[str, Tuple[Tuple[str, str, str, int]
     return (inst.task_name, tuple(sorted(_item_keys(inst))))
 
 
+def _positions(instances: Iterable[TaskInstance]) -> Iterator[List[TaskInstance]]:
+    """Each dialog position's atomic, standard, non-cot members, in canonical order.
+
+    Positions come in sorted (dataset, dialog id, target turn) order; these
+    are the only instances that pair with each other.
+    """
+    groups: Dict[Tuple[str, str, int], List[TaskInstance]] = {}
+    for inst in instances:
+        if inst.signature.is_atomic and inst.style == "standard" and not inst.cot_items:
+            key = (inst.provenance.dataset, inst.provenance.dialog_id, inst.provenance.target_turn_index)
+            groups.setdefault(key, []).append(inst)
+    for key in sorted(groups):
+        yield sorted(groups[key], key=instance_sort_key)
+
+
 def compose_corpus(
     instances: Iterable[TaskInstance],
     rules: Sequence[CompositionRule],
@@ -232,52 +239,29 @@ def compose_corpus(
     """
     if max_dim < 2:
         raise ValueError("max_dim must be >= 2")
-    pool = [
-        inst
-        for inst in instances
-        if inst.signature.is_atomic and inst.style == "standard" and not inst.cot_items
-    ]
-    groups: Dict[Tuple[str, str, int], List[TaskInstance]] = {}
-    for inst in pool:
-        key = (inst.provenance.dataset, inst.provenance.dialog_id, inst.provenance.target_turn_index)
-        groups.setdefault(key, []).append(inst)
-
     reasons: Counter = Counter()
-    seen: Dict[Tuple[str, str, int], set] = {}
     composites: List[TaskInstance] = []
 
-    def attempt(x: TaskInstance, y: TaskInstance, key: Tuple[str, str, int]) -> Optional[TaskInstance]:
-        result = compose(x, y, rules)
-        if isinstance(result, Rejection):
-            reasons[result.reason] += 1
-            return None
-        dedup = _dedup_key(result)
-        bucket = seen.setdefault(key, set())
-        if dedup in bucket:
-            return None
-        bucket.add(dedup)
-        return result
+    def accepted(pairs: Iterable[Tuple[TaskInstance, TaskInstance]], seen: set) -> List[TaskInstance]:
+        made = []
+        for x, y in pairs:
+            result = compose(x, y, rules)
+            if isinstance(result, Rejection):
+                reasons[result.reason] += 1
+                continue
+            key = _dedup_key(result)
+            if key not in seen:
+                seen.add(key)
+                made.append(result)
+        return made
 
-    for key in sorted(groups):
-        members = sorted(groups[key], key=instance_sort_key)
-        frontier: List[TaskInstance] = []
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                made = attempt(members[i], members[j], key)
-                if made is not None:
-                    frontier.append(made)
+    for members in _positions(instances):
+        seen: set = set()
+        frontier = accepted(itertools.combinations(members, 2), seen)
         composites.extend(frontier)
-        dim = 3
-        while dim <= max_dim and frontier:
-            next_frontier: List[TaskInstance] = []
-            for composite in frontier:
-                for atom in members:
-                    made = attempt(composite, atom, key)
-                    if made is not None:
-                        next_frontier.append(made)
-            composites.extend(next_frontier)
-            frontier = next_frontier
-            dim += 1
+        for _ in range(3, max_dim + 1):
+            frontier = accepted(((composite, atom) for composite in frontier for atom in members), seen)
+            composites.extend(frontier)
     composites.sort(key=instance_sort_key)
     return composites, reasons
 
@@ -287,25 +271,15 @@ def naive_corpus(
 ) -> List[TaskInstance]:
     """Naive baseline composites for exactly the pairs the guard would accept.
 
-    Mirrors compose_corpus pair enumeration so the baseline stays comparable
+    Shares compose_corpus's pair enumeration so the baseline stays comparable
     instance-for-instance with rule-based composition.
     """
-    pool = [
-        inst
-        for inst in instances
-        if inst.signature.is_atomic and inst.style == "standard" and not inst.cot_items
+    composites = [
+        naive_compose(a, b)
+        for members in _positions(instances)
+        for a, b in itertools.combinations(members, 2)
+        if infeasibility_guard(a, b, rules) is None
     ]
-    groups: Dict[Tuple[str, str, int], List[TaskInstance]] = {}
-    for inst in pool:
-        key = (inst.provenance.dataset, inst.provenance.dialog_id, inst.provenance.target_turn_index)
-        groups.setdefault(key, []).append(inst)
-    composites: List[TaskInstance] = []
-    for key in sorted(groups):
-        members = sorted(groups[key], key=instance_sort_key)
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if infeasibility_guard(members[i], members[j], rules) is None:
-                    composites.append(naive_compose(members[i], members[j]))
     composites.sort(key=instance_sort_key)
     return composites
 

@@ -8,8 +8,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -17,9 +15,9 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .evaluate import extract_constraints
-from .ingest import ParseError, SchemaError
+from .ingest import ExportManifest, SchemaError, read_jsonl, write_jsonl
 from .model import TaskInstance, instance_sort_key
-from .prompts import RenderOptions, RenderedExample, render_corpus
+from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
 
 SPLIT_NAMES = ("train", "dev", "test")
@@ -39,18 +37,6 @@ class SamplingPlan:
 
     def to_dict(self) -> Dict[str, int]:
         return {"atomic_quota": self.atomic_quota, "composite_quota": self.composite_quota}
-
-
-@dataclass(frozen=True)
-class ExportManifest:
-    """One written file: name, record count, content checksum."""
-
-    name: str
-    count: int
-    sha256: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "count": self.count, "sha256": self.sha256}
 
 
 def _group_key(inst: TaskInstance) -> Tuple[str, ...]:
@@ -89,19 +75,6 @@ def assign_splits(instances: Iterable[TaskInstance]) -> Dict[str, List[TaskInsta
     return by_split
 
 
-def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> ExportManifest:
-    """Write records one JSON object per line, sorted keys, ASCII only."""
-    path = Path(path)
-    lines = [json.dumps(record, sort_keys=True, ensure_ascii=True) for record in records]
-    data = ("\n".join(lines) + "\n") if lines else ""
-    path.write_text(data, encoding="utf-8")
-    return ExportManifest(
-        name=path.name,
-        count=len(lines),
-        sha256=hashlib.sha256(data.encode("utf-8")).hexdigest(),
-    )
-
-
 def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> ExportManifest:
     return write_jsonl((inst.to_dict() for inst in instances), path)
 
@@ -109,17 +82,10 @@ def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> Expo
 def read_instances(path: str | Path) -> List[TaskInstance]:
     """Read an instance JSONL file written by write_instances."""
     instances: List[TaskInstance] = []
-    text = Path(path).read_text(encoding="utf-8")
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_number, str(exc)) from exc
+    for line_number, data in read_jsonl(path):
         try:
             instances.append(TaskInstance.from_dict(data))
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(str(exc), line_number) from exc
     return instances
 
@@ -227,10 +193,7 @@ def export_corpus(
         members = by_split[split]
         rendered, errors = render_corpus(members, seed, options)
         all_errors.extend(errors)
-        manifest = write_jsonl(
-            ({**example.to_record(), "id": example.provenance.key()} for example in rendered),
-            out_dir / f"{split}.jsonl",
-        )
+        manifest = write_jsonl((example.to_record() for example in rendered), out_dir / f"{split}.jsonl")
         files[manifest.name] = manifest.to_dict()
         if emit_constraints:
             manifest = write_jsonl(constraint_records(members), out_dir / f"constraints-{split}.jsonl")

@@ -1,4 +1,5 @@
-"""Corpus loading: canonical JSONL records, reference adapters, synthetic corpora.
+"""JSONL files and corpus loading: the one JSONL reader and writer, canonical
+records, reference adapters, synthetic corpora.
 
 Canonical record, one JSON object per line:
 {"dialog_id": str, "dataset": str, "split": "train"|"dev"|"test",
@@ -11,9 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import ComponentKind, Dialog, DialogItem, Turn
 from .seeding import stable_hash, subseed
@@ -48,6 +49,53 @@ class EmptyCorpus(ValueError):
     """A corpus file with zero records."""
 
 
+def read_jsonl(path: str | Path) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """Yield the JSON objects of a JSONL file, each with its 1-based line number.
+
+    Only "\n" ends a record, so U+2028 and other Unicode line breaks inside a
+    string stay in it. Blank lines are skipped. Raises ParseError for a line
+    that is not UTF-8 JSON and SchemaError for one that is JSON but not an
+    object.
+    """
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                record = json.loads(line)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise ParseError(line_number, str(exc)) from exc
+            if not isinstance(record, dict):
+                raise SchemaError("(record)", line_number)
+            yield line_number, record
+
+
+@dataclass(frozen=True)
+class ExportManifest:
+    """One written file: name, record count, content checksum."""
+
+    name: str
+    count: int
+    sha256: str
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"name": self.name, "count": self.count, "sha256": self.sha256}
+
+
+def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> ExportManifest:
+    """Write records one JSON object per line, sorted keys, ASCII only."""
+    path = Path(path)
+    lines = [json.dumps(record, sort_keys=True, ensure_ascii=True) for record in records]
+    data = ("\n".join(lines) + "\n") if lines else ""
+    path.write_text(data, encoding="utf-8")
+    return ExportManifest(
+        name=path.name,
+        count=len(lines),
+        sha256=hashlib.sha256(data.encode("utf-8")).hexdigest(),
+    )
+
+
 @dataclass(frozen=True)
 class CorpusManifest:
     """Summary of one loaded or written corpus file."""
@@ -64,6 +112,17 @@ class CorpusManifest:
             "split": self.split,
             "checksum": self.checksum,
         }
+
+
+def _corpus_manifest(dialogs: Sequence[Dialog], checksum: str) -> CorpusManifest:
+    datasets = {d.dataset for d in dialogs}
+    splits = {d.split for d in dialogs}
+    return CorpusManifest(
+        dataset=datasets.pop() if len(datasets) == 1 else "mixed",
+        count=len(dialogs),
+        split=splits.pop() if len(splits) == 1 else "mixed",
+        checksum=checksum,
+    )
 
 
 @dataclass(frozen=True)
@@ -87,6 +146,19 @@ def _require(record: Dict[str, Any], key: str, line_number: int, path: str = "")
     return record[key]
 
 
+def _require_turns(record: Dict[str, Any], line_number: int) -> List[Dict[str, Any]]:
+    """The record's non-empty turn list, every turn an object with a non-empty text."""
+    raw_turns = _require(record, "turns", line_number)
+    if not isinstance(raw_turns, list) or not raw_turns:
+        raise SchemaError("turns", line_number)
+    for t_index, raw_turn in enumerate(raw_turns):
+        if not isinstance(raw_turn, dict):
+            raise SchemaError(f"turns[{t_index}]", line_number)
+        if "text" not in raw_turn or not str(raw_turn["text"]):
+            raise SchemaError(f"turns[{t_index}].text", line_number)
+    return raw_turns
+
+
 def split_for(dialog_id: str, ratios: Tuple[int, int, int] = (90, 5, 5)) -> str:
     """Deterministic, seed-independent split assignment by dialog id."""
     bucket = stable_hash("split", dialog_id) % sum(ratios)
@@ -103,19 +175,17 @@ def _parse_canonical(record: Dict[str, Any], line_number: int) -> Dialog:
     split = str(_require(record, "split", line_number))
     if split not in SPLITS:
         raise SchemaError("split", line_number)
-    raw_turns = _require(record, "turns", line_number)
-    if not isinstance(raw_turns, list) or not raw_turns:
-        raise SchemaError("turns", line_number)
     turns: List[Turn] = []
-    for t_index, raw_turn in enumerate(raw_turns):
-        if not isinstance(raw_turn, dict):
-            raise SchemaError(f"turns[{t_index}]", line_number)
+    for t_index, raw_turn in enumerate(_require_turns(record, line_number)):
         if "speaker" not in raw_turn:
             raise SchemaError(f"turns[{t_index}].speaker", line_number)
-        if "text" not in raw_turn or not str(raw_turn["text"]):
-            raise SchemaError(f"turns[{t_index}].text", line_number)
+        raw_items = raw_turn.get("items", [])
+        if not isinstance(raw_items, list):
+            raise SchemaError(f"turns[{t_index}].items", line_number)
         items: List[DialogItem] = []
-        for i_index, raw_item in enumerate(raw_turn.get("items", [])):
+        for i_index, raw_item in enumerate(raw_items):
+            if not isinstance(raw_item, dict):
+                raise SchemaError(f"turns[{t_index}].items[{i_index}]", line_number)
             for key in ("component", "kind", "value"):
                 if key not in raw_item:
                     raise SchemaError(f"turns[{t_index}].items[{i_index}].{key}", line_number)
@@ -141,13 +211,8 @@ def _parse_act_emotion(record: Dict[str, Any], line_number: int) -> Dialog:
     """
     dialog_id = str(_require(record, "dialog_id", line_number))
     dataset = str(record.get("dataset", "act_emotion"))
-    raw_turns = _require(record, "turns", line_number)
-    if not isinstance(raw_turns, list) or not raw_turns:
-        raise SchemaError("turns", line_number)
     turns: List[Turn] = []
-    for t_index, raw_turn in enumerate(raw_turns):
-        if "text" not in raw_turn or not str(raw_turn["text"]):
-            raise SchemaError(f"turns[{t_index}].text", line_number)
+    for t_index, raw_turn in enumerate(_require_turns(record, line_number)):
         speaker = str(raw_turn.get("speaker", f"Speaker {t_index % 2 + 1}"))
         items: List[DialogItem] = []
         if raw_turn.get("act"):
@@ -168,14 +233,11 @@ def _parse_persona_list(record: Dict[str, Any], line_number: int) -> Dialog:
     dialog_id = str(_require(record, "dialog_id", line_number))
     dataset = str(record.get("dataset", "persona_list"))
     personas = record.get("personas", [])
-    raw_turns = _require(record, "turns", line_number)
-    if not isinstance(raw_turns, list) or not raw_turns:
-        raise SchemaError("turns", line_number)
+    if not isinstance(personas, list) or not all(isinstance(lines, list) for lines in personas):
+        raise SchemaError("personas", line_number)
     speakers: List[str] = []
     texts: List[str] = []
-    for t_index, raw_turn in enumerate(raw_turns):
-        if "text" not in raw_turn or not str(raw_turn["text"]):
-            raise SchemaError(f"turns[{t_index}].text", line_number)
+    for t_index, raw_turn in enumerate(_require_turns(record, line_number)):
         speakers.append(str(raw_turn.get("speaker", f"Speaker {t_index % 2 + 1}")))
         texts.append(str(raw_turn["text"]))
     first_turn_of: Dict[str, int] = {}
@@ -241,46 +303,15 @@ def load_corpus(path: str | Path, adapter: AdapterSpec | str = "canonical") -> T
         if adapter not in ADAPTERS:
             raise ValueError(f"unknown adapter: {adapter!r} (have: {', '.join(sorted(ADAPTERS))})")
         adapter = ADAPTERS[adapter]
-    path = Path(path)
-    raw = path.read_bytes()
-    dialogs: List[Dialog] = []
-    for line_number, line in enumerate(raw.decode("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_number, str(exc)) from exc
-        if not isinstance(record, dict):
-            raise SchemaError("(record)", line_number)
-        dialogs.append(adapter.parse(record, line_number))
+    dialogs = [adapter.parse(record, line_number) for line_number, record in read_jsonl(path)]
     if not dialogs:
         raise EmptyCorpus(f"no records in {path}")
-    datasets = {d.dataset for d in dialogs}
-    splits = {d.split for d in dialogs}
-    manifest = CorpusManifest(
-        dataset=datasets.pop() if len(datasets) == 1 else "mixed",
-        count=len(dialogs),
-        split=splits.pop() if len(splits) == 1 else "mixed",
-        checksum=hashlib.sha256(raw).hexdigest(),
-    )
-    return dialogs, manifest
+    return dialogs, _corpus_manifest(dialogs, hashlib.sha256(Path(path).read_bytes()).hexdigest())
 
 
 def write_corpus(dialogs: Sequence[Dialog], path: str | Path) -> CorpusManifest:
     """Write dialogs in the canonical record format; inverse of canonical load."""
-    path = Path(path)
-    lines = [json.dumps(d.to_dict(), ensure_ascii=True, sort_keys=True) for d in dialogs]
-    data = ("\n".join(lines) + "\n") if lines else ""
-    path.write_text(data, encoding="utf-8")
-    datasets = {d.dataset for d in dialogs}
-    splits = {d.split for d in dialogs}
-    return CorpusManifest(
-        dataset=datasets.pop() if len(datasets) == 1 else "mixed",
-        count=len(dialogs),
-        split=splits.pop() if len(splits) == 1 else "mixed",
-        checksum=hashlib.sha256(data.encode("utf-8")).hexdigest(),
-    )
+    return _corpus_manifest(dialogs, write_jsonl((d.to_dict() for d in dialogs), path).sha256)
 
 
 # ---------------------------------------------------------------------------

@@ -198,11 +198,6 @@ def parse_signature(text: str) -> TaskSignature:
     return signature_of(grounding, target)
 
 
-def dimension(sig: TaskSignature) -> int:
-    """Number of grounding items the signature declares."""
-    return sig.dimension()
-
-
 @dataclass(frozen=True)
 class TargetItem:
     """The single output the task expects: component, item family, gold value."""

@@ -80,6 +80,7 @@ class RenderedExample:
 
     def to_record(self) -> Dict[str, Any]:
         return {
+            "id": self.provenance.key(),
             "input": self.input_text,
             "output": self.output_text,
             "task": self.task_name,

@@ -142,6 +142,22 @@ def test_validate_flags_corrupted_instance(tmp_path, instances_path, capsys):
     assert f"{len(lines) - 1}/{len(lines)} instances valid" in out
 
 
+@pytest.mark.parametrize("bad_row", ["[1]", '{"grounding_items": 5}'])
+def test_malformed_instance_row_exits_two(tmp_path, instances_path, capsys, bad_row):
+    lines = instances_path.read_text(encoding="utf-8").splitlines()
+    if bad_row.startswith("{"):
+        bad_row = json.dumps({**json.loads(lines[0]), **json.loads(bad_row)})
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(lines[0] + "\n" + bad_row + "\n", encoding="utf-8")
+    for command in ("stats", "validate", "compose", "render", "export"):
+        argv = [command, "--in", str(broken)]
+        if command in ("compose", "render", "export"):
+            argv += ["--out", str(tmp_path / f"{command}.out")]
+        code, _, err = _run(capsys, *argv)
+        assert code == cli.EXIT_IO, command
+        assert err.startswith("error: line 2: "), command
+
+
 def test_export_then_eval_round_trip(tmp_path, instances_path, capsys):
     out_dir = tmp_path / "export"
     code, _, _ = _run(

@@ -106,6 +106,18 @@ def test_read_instances_error_reporting(tmp_path):
     only_garbage.write_text("not json\n", encoding="utf-8")
     with pytest.raises(ParseError):
         read_instances(only_garbage)
+    good = _corpus(2, seed=8)[0].to_dict()
+    not_an_object = tmp_path / "list.jsonl"
+    not_an_object.write_text(json.dumps(good) + "\n[1]\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read_instances(not_an_object)
+    assert err.value.line_number == 2
+    for field, value in (("grounding_items", 5), ("provenance", {**good["provenance"], "seed": float("inf")})):
+        mistyped = tmp_path / "mistyped.jsonl"
+        mistyped.write_text(json.dumps({**good, field: value}) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as err:
+            read_instances(mistyped)
+        assert err.value.line_number == 1, field
 
 
 def test_write_jsonl_is_byte_stable(tmp_path):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from dialogtasks import cli
 from dialogtasks.ingest import (
     ADAPTERS,
     EmptyCorpus,
@@ -112,6 +113,52 @@ def test_persona_list_adapter(tmp_path):
     assert second == [("persona", "i teach math .")]
     assert dialog.turns[2].items == ()
     assert all(i.component is ComponentKind.EVIDENCE for t in dialog.turns for i in t.items)
+
+
+def test_unicode_line_separator_inside_a_string_loads(tmp_path, capsys):
+    # U+2028 is a line break to str.splitlines() but not to JSONL: only "\n"
+    # ends a record. Written unescaped, it must stay inside the turn text.
+    record = synth_corpus(1, 1)[0].to_dict()
+    record["turns"][0]["text"] = "first half \u2028 second half ."
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    dialogs, manifest = load_corpus(path)
+    assert manifest.count == 1
+    assert dialogs[0].turns[0].text == "first half \u2028 second half ."
+    canonical = tmp_path / "dialogs.jsonl"
+    instances = tmp_path / "instances.jsonl"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(canonical)]) == cli.EXIT_OK
+    assert cli.main(["tasks", "--derive", "--corpus", str(canonical), "--out", str(instances)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["stats", "--in", str(instances)]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["n_instances"] > 0
+
+
+@pytest.mark.parametrize(
+    "adapter, record, field_path",
+    [
+        ("act_emotion", {"dialog_id": "d", "turns": ["text"]}, "turns[0]"),
+        ("act_emotion", {"dialog_id": "d", "turns": [{"text": "hi ."}, 5]}, "turns[1]"),
+        ("persona_list", {"dialog_id": "d", "turns": ["text"]}, "turns[0]"),
+        ("persona_list", {"dialog_id": "d", "personas": [5], "turns": [{"text": "hi ."}]}, "personas"),
+        ("canonical", {"dialog_id": "d", "dataset": "x", "split": "train",
+                       "turns": [{"speaker": "A", "text": "hi .", "items": ["persona"]}]},
+         "turns[0].items[0]"),
+        ("canonical", {"dialog_id": "d", "dataset": "x", "split": "train",
+                       "turns": [{"speaker": "A", "text": "hi .", "items": 5}]},
+         "turns[0].items"),
+    ],
+)
+def test_malformed_turns_and_items_are_schema_errors(tmp_path, capsys, adapter, record, field_path):
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_corpus(path, adapter)
+    assert err.value.field_path == field_path
+    assert err.value.line_number == 1
+    code = cli.main(["ingest", "--input", str(path), "--adapter", adapter, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_IO
+    assert f"line 1: missing or invalid field {field_path}" in capsys.readouterr().err
 
 
 def test_adapters_registry_shape():
