@@ -8,17 +8,19 @@ Exit codes: 0 success, 1 validation failure, 2 I/O or format error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composer import compose_corpus, load_rules, naive_corpus
 from .evaluate import ConstraintSpec, score_corpus
 from .export import SamplingPlan, corpus_stats, export_corpus, read_instances, write_instances
 from .ingest import (
     ADAPTERS,
+    ParseError,
     SchemaError,
     SynthConfig,
     load_corpus,
@@ -101,15 +103,23 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _read_plan(path: str) -> SamplingPlan:
+    """A sampling plan from a JSON object; absent quotas keep their defaults."""
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise SchemaError("(plan)", problem=f"plan file {path} does not hold a JSON object")
+    quotas = SamplingPlan().to_dict()
+    for key in quotas:
+        try:
+            quotas[key] = int(data.get(key, quotas[key]))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise SchemaError(key, problem=f"missing or invalid field {key} in plan file {path}") from exc
+    return SamplingPlan(**quotas)
+
+
 def cmd_export(args: argparse.Namespace) -> int:
     instances = read_instances(args.infile)
-    plan = SamplingPlan()
-    if args.plan:
-        data = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-        plan = SamplingPlan(
-            atomic_quota=int(data.get("atomic_quota", plan.atomic_quota)),
-            composite_quota=int(data.get("composite_quota", plan.composite_quota)),
-        )
+    plan = _read_plan(args.plan) if args.plan else SamplingPlan()
     if args.atomic_quota is not None:
         plan = SamplingPlan(args.atomic_quota, plan.composite_quota)
     if args.composite_quota is not None:
@@ -135,24 +145,13 @@ def _string_field(record: Dict[str, Any], key: str, line_number: int) -> str:
     return value
 
 
-def join_outputs(
-    constraint_rows: Iterable[Tuple[int, Dict[str, Any]]],
-    output_rows: Iterable[Tuple[int, Dict[str, Any]]],
-) -> Tuple[List[Tuple[ConstraintSpec, str]], Dict[str, int]]:
-    """Pair every constraint row with the model output of the same id.
+def collect_outputs(output_rows: Iterable[Tuple[int, Dict[str, Any]]]) -> Tuple[Dict[str, str], int]:
+    """Map each output row's id to its output; also count repeated rows.
 
-    Returns the examples to score and the join's counts:
-
-    - ``n_duplicate_outputs``: output rows repeating an earlier row's id and
-      output. The same id with a different output is ambiguous and raises
-      SchemaError naming the id.
-    - ``n_unknown_outputs``: output ids that no constraint row has; they are
-      not scored.
-    - ``n_missing_outputs``: constraint rows without an output; they are
-      scored against the empty string.
-
-    ``id``, ``output`` and the constraint fields must be present and of the
-    right type; otherwise SchemaError names the line and the field path.
+    A row repeating an earlier row's id and output is counted. The same id
+    with a different output is ambiguous and raises SchemaError naming the
+    id; a missing or non-string ``id`` or ``output`` raises SchemaError
+    naming the line and the field.
     """
     outputs: Dict[str, str] = {}
     duplicates = 0
@@ -169,7 +168,20 @@ def join_outputs(
                 "output", line_number,
                 f"id {example_id!r} already has a different output on an earlier line",
             )
+    return outputs, duplicates
 
+
+def join_constraints(
+    constraint_rows: Iterable[Tuple[int, Dict[str, Any]]], outputs: Dict[str, str]
+) -> Tuple[List[Tuple[ConstraintSpec, str]], Dict[str, int]]:
+    """Pair every constraint row with its output from collect_outputs.
+
+    Returns the examples to score and the counts ``n_missing_outputs``
+    (constraint rows without an output, scored against the empty string)
+    and ``n_unknown_outputs`` (output ids no constraint row has, not scored).
+    A missing or mistyped ``id`` or constraint field raises SchemaError
+    naming the line and the field path.
+    """
     examples = []
     known = set()
     missing = 0
@@ -187,16 +199,28 @@ def join_outputs(
             missing += 1
         examples.append((spec, outputs.get(example_id, "")))
     counts = {
-        "n_duplicate_outputs": duplicates,
         "n_missing_outputs": missing,
         "n_unknown_outputs": sum(1 for example_id in outputs if example_id not in known),
     }
     return examples, counts
 
 
+@contextlib.contextmanager
+def _naming_file(path: str) -> Iterator[None]:
+    """Append ``(in <path>)`` to a ParseError or SchemaError raised inside."""
+    try:
+        yield
+    except (ParseError, SchemaError) as exc:
+        exc.args = (f"{exc} (in {path})",)
+        raise
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
-    examples, counts = join_outputs(read_jsonl(args.constraints), read_jsonl(args.outputs))
-    data = {**counts, **score_corpus(examples).to_dict()}
+    with _naming_file(args.outputs):
+        outputs, duplicates = collect_outputs(read_jsonl(args.outputs))
+    with _naming_file(args.constraints):
+        examples, counts = join_constraints(read_jsonl(args.constraints), outputs)
+    data = {"n_duplicate_outputs": duplicates, **counts, **score_corpus(examples).to_dict()}
     if args.report:
         Path(args.report).write_text(
             json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"

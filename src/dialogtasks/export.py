@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .evaluate import extract_constraints
 from .ingest import ExportManifest, SchemaError, read_jsonl, write_jsonl
-from .model import TaskInstance, instance_sort_key
+from .model import TaskInstance, Turn, instance_sort_key, turns_from_dicts
 from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
 
@@ -76,18 +76,96 @@ def assign_splits(instances: Iterable[TaskInstance]) -> Dict[str, List[TaskInsta
 
 
 def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> ExportManifest:
-    return write_jsonl((inst.to_dict() for inst in instances), path)
+    """Write one instance per line, serializing each dialog's turns once.
+
+    Per (dataset, dialog id), the longest context among the dialog's
+    instances stands for the dialog's turns. Every instance whose context is
+    a prefix of them stores that prefix's length as ``context_turns`` in
+    place of ``context``, and the first such row of the dialog also carries
+    the turns as ``dialog_turns``. Any other instance is written inline, as
+    to_dict gives it.
+    """
+    turns: Dict[Tuple[str, str], Tuple[Turn, ...]] = {}
+    for inst in instances:
+        key = (inst.provenance.dataset, inst.provenance.dialog_id)
+        if len(inst.context) > len(turns.get(key, ())):
+            turns[key] = inst.context
+    return write_jsonl(_instance_rows(instances, turns), path)
+
+
+def _instance_rows(
+    instances: Iterable[TaskInstance], turns: Dict[Tuple[str, str], Tuple[Turn, ...]]
+) -> Iterator[Dict[str, Any]]:
+    written = set()
+    for inst in instances:
+        key = (inst.provenance.dataset, inst.provenance.dialog_id)
+        dialog = turns.get(key, ())
+        n = len(inst.context)
+        if inst.context != dialog[:n]:
+            yield inst.to_dict()
+            continue
+        row = replace(inst, context=()).to_dict()
+        del row["context"]
+        row["context_turns"] = n
+        if key not in written:
+            written.add(key)
+            row["dialog_turns"] = [turn.to_dict() for turn in dialog]
+        yield row
+
+
+# A dialog's turns as read from an instance file, and the prefixes of them
+# handed out so far, by length.
+_DialogTurns = Tuple[Tuple[Turn, ...], Dict[int, Tuple[Turn, ...]]]
 
 
 def read_instances(path: str | Path) -> List[TaskInstance]:
-    """Read an instance JSONL file written by write_instances."""
+    """Read an instance JSONL file written by write_instances.
+
+    Each dialog's turns are parsed once, and the rows referencing a prefix
+    of them by ``context_turns`` share one context tuple per (dialog,
+    length). Rows with an inline ``context`` load through from_dict alone.
+    A malformed row raises SchemaError naming its top-level field and line.
+    """
+    dialogs: Dict[Tuple[str, str], _DialogTurns] = {}
     instances: List[TaskInstance] = []
     for line_number, data in read_jsonl(path):
         try:
+            if "context_turns" in data:
+                data["context"] = _shared_context(data, dialogs)
             instances.append(TaskInstance.from_dict(data))
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise SchemaError(str(exc), line_number) from exc
+        except SchemaError as exc:
+            raise SchemaError(exc.field_path, line_number, exc.problem) from exc
     return instances
+
+
+def _shared_context(data: Dict[str, Any], dialogs: Dict[Tuple[str, str], _DialogTurns]) -> Tuple[Turn, ...]:
+    """Resolve a row's ``context_turns``, first storing any ``dialog_turns`` it carries.
+
+    ``dialogs`` holds the turns of every dialog seen so far in the file.
+    """
+    try:
+        key = (str(data["provenance"]["dataset"]), str(data["provenance"]["dialog_id"]))
+    except (KeyError, TypeError) as exc:
+        raise SchemaError("provenance") from exc
+    if "dialog_turns" in data:
+        try:
+            dialogs[key] = (turns_from_dicts(data.pop("dialog_turns")), {})
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SchemaError("dialog_turns") from exc
+    n = data.pop("context_turns")
+    if key not in dialogs:
+        raise SchemaError(
+            "context_turns",
+            problem=f"context_turns refers to dialog {key[0]}/{key[1]}, "
+            "whose dialog_turns are on no earlier line",
+        )
+    turns, prefixes = dialogs[key]
+    if type(n) is not int or not 0 <= n <= len(turns):
+        raise SchemaError("context_turns")
+    context = prefixes.get(n)
+    if context is None:
+        context = prefixes[n] = turns[:n]
+    return context
 
 
 def instance_id(inst: TaskInstance) -> str:

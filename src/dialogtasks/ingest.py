@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .model import ComponentKind, Dialog, DialogItem, Turn
+from .model import ComponentKind, Dialog, DialogItem, SchemaError, Turn
 from .seeding import stable_hash, subseed
 
 SPLITS = ("train", "dev", "test")
@@ -28,21 +28,6 @@ class ParseError(ValueError):
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
-
-
-class SchemaError(ValueError):
-    """A record missing or mistyping a required field; names the field path.
-
-    ``problem`` replaces the default "missing or invalid field <path>" text
-    when the field is well-formed but conflicts with another record.
-    """
-
-    def __init__(self, field_path: str, line_number: Optional[int] = None,
-                 problem: Optional[str] = None):
-        self.field_path = field_path
-        self.line_number = line_number
-        where = f"line {line_number}: " if line_number is not None else ""
-        super().__init__(f"{where}{problem or f'missing or invalid field {field_path}'}")
 
 
 class EmptyCorpus(ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 class ComponentKind(str, Enum):
@@ -54,6 +54,22 @@ class InvalidTarget(ValueError):
 
 class InvalidGroundingComponent(ValueError):
     """Raised when a grounding multiset contains Context or Response."""
+
+
+class SchemaError(ValueError):
+    """A record missing or mistyping a required field; names the field path.
+
+    ``problem`` replaces the default "missing or invalid field <path>" text
+    when the field is well-formed but conflicts with another record.
+    """
+
+    def __init__(self, field_path: str, line_number: Optional[int] = None,
+                 problem: Optional[str] = None):
+        self.field_path = field_path
+        self.line_number = line_number
+        self.problem = problem
+        where = f"line {line_number}: " if line_number is not None else ""
+        super().__init__(f"{where}{problem or f'missing or invalid field {field_path}'}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,27 @@ class Turn:
                 for i in self.items
             ],
         }
+
+
+def turns_from_dicts(rows: List[Dict[str, Any]]) -> Tuple[Turn, ...]:
+    """Parse turns as Turn.to_dict writes them.
+
+    The turns are a prefix of their source dialog, so an item's turn_index
+    is the position of its enclosing turn.
+    """
+    if not isinstance(rows, list):
+        raise TypeError(f"turns must be a list, not {type(rows).__name__}")
+    return tuple(
+        Turn(
+            speaker=str(turn["speaker"]),
+            text=str(turn["text"]),
+            items=tuple(
+                DialogItem.from_dict({**item, "turn_index": index})
+                for item in turn.get("items", [])
+            ),
+        )
+        for index, turn in enumerate(rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -289,25 +326,52 @@ class TaskInstance:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TaskInstance":
-        context = []
-        for index, turn in enumerate(data.get("context", [])):
-            # Context turns are a prefix of the source dialog, so an item's
-            # turn_index is the position of its enclosing turn.
-            items = tuple(
-                DialogItem.from_dict({**item, "turn_index": index})
-                for item in turn.get("items", [])
+        """Parse one row as to_dict writes it.
+
+        ``context`` may also be a tuple of Turn parsed beforehand, which the
+        instance then holds as it is: read_instances resolves a row's
+        ``context_turns`` that way, to one tuple shared per dialog prefix.
+        A missing or mistyped field raises SchemaError naming the field.
+        """
+        if "context_turns" in data:
+            raise SchemaError(
+                "context_turns",
+                problem="context_turns refers to turns elsewhere in its file; read it with read_instances",
             )
-            context.append(Turn(speaker=str(turn["speaker"]), text=str(turn["text"]), items=items))
+        # One try for the whole row; ``field`` names the field being parsed.
+        field = "signature"
+        try:
+            signature = parse_signature(data["signature"])
+            field = "task_name"
+            task_name = str(data["task_name"])
+            field = "instruction"
+            instruction = str(data["instruction"])
+            field = "context"
+            context = data.get("context", ())
+            if type(context) is not tuple:
+                context = turns_from_dicts(context)
+            field = "grounding_items"
+            grounding_items = tuple(DialogItem.from_dict(i) for i in data["grounding_items"])
+            field = "target_item"
+            target_item = TargetItem.from_dict(data["target_item"])
+            field = "provenance"
+            provenance = Provenance.from_dict(data["provenance"])
+            field = "cot_items"
+            cot_items = tuple(DialogItem.from_dict(i) for i in data.get("cot_items", []))
+            field = "style"
+            style = str(data.get("style", "standard"))
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise SchemaError(field) from exc
         return cls(
-            signature=parse_signature(data["signature"]),
-            task_name=str(data["task_name"]),
-            instruction=str(data["instruction"]),
-            context=tuple(context),
-            grounding_items=tuple(DialogItem.from_dict(i) for i in data["grounding_items"]),
-            target_item=TargetItem.from_dict(data["target_item"]),
-            provenance=Provenance.from_dict(data["provenance"]),
-            cot_items=tuple(DialogItem.from_dict(i) for i in data.get("cot_items", [])),
-            style=str(data.get("style", "standard")),
+            signature=signature,
+            task_name=task_name,
+            instruction=instruction,
+            context=context,
+            grounding_items=grounding_items,
+            target_item=target_item,
+            provenance=provenance,
+            cot_items=cot_items,
+            style=style,
         )
 
 

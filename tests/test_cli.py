@@ -158,6 +158,39 @@ def test_malformed_instance_row_exits_two(tmp_path, instances_path, capsys, bad_
         assert err.startswith("error: line 2: "), command
 
 
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ("[1]", "does not hold a JSON object"),
+        ('"atomic_quota"', "does not hold a JSON object"),
+        ('{"atomic_quota": [1]}', "missing or invalid field atomic_quota"),
+        ('{"composite_quota": null}', "missing or invalid field composite_quota"),
+    ],
+)
+def test_export_plan_file_must_be_an_object(tmp_path, instances_path, capsys, plan, message):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(plan, encoding="utf-8")
+    code, out, err = _run(
+        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
+        "--out", str(tmp_path / "export"),
+    )
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith("error: ") and message in err and str(plan_path) in err
+    assert "Traceback" not in err
+
+
+def test_export_plan_file_sets_quotas(tmp_path, instances_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text('{"atomic_quota": 3}', encoding="utf-8")
+    code, out, _ = _run(
+        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
+        "--out", str(tmp_path / "export"),
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["plan"] == {"atomic_quota": 3, "composite_quota": 1000}
+
+
 def test_export_then_eval_round_trip(tmp_path, instances_path, capsys):
     out_dir = tmp_path / "export"
     code, _, _ = _run(

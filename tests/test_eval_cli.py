@@ -145,6 +145,20 @@ def test_eval_malformed_input_exits_two_with_line_and_field(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "constraint_rows, output_rows, bad_file",
+    [
+        ([{"constraints": []}], OUTPUT_ROWS, "constraints.jsonl"),
+        (CONSTRAINT_ROWS, [{"output": "x"}], "outputs.jsonl"),
+    ],
+    ids=["constraints", "outputs"],
+)
+def test_eval_error_names_the_file(tmp_path, constraint_rows, output_rows, bad_file):
+    code, _, err = _eval(tmp_path, constraint_rows, output_rows)
+    assert code == cli.EXIT_IO
+    assert err == f"error: line 1: missing or invalid field id (in {tmp_path / bad_file})\n"
+
+
 # --- fuzz ----------------------------------------------------------------------
 
 _SCALAR = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4)
@@ -196,10 +210,8 @@ def _assert_only_parse_and_schema_errors(constraint_rows, output_rows):
     with tempfile.TemporaryDirectory() as directory:
         code, _, err = _eval(directory, constraint_rows, output_rows)
         try:
-            cli.join_outputs(
-                cli.read_jsonl(str(Path(directory) / "constraints.jsonl")),
-                cli.read_jsonl(str(Path(directory) / "outputs.jsonl")),
-            )
+            outputs, _ = cli.collect_outputs(cli.read_jsonl(str(Path(directory) / "outputs.jsonl")))
+            cli.join_constraints(cli.read_jsonl(str(Path(directory) / "constraints.jsonl")), outputs)
             expected = cli.EXIT_OK
         except (ParseError, SchemaError):
             expected = cli.EXIT_IO

@@ -1,4 +1,4 @@
-"""Sampling quotas, JSONL round trips, corpus stats, directory export, run manifest."""
+"""Sampling quotas, instance files, JSONL round trips, corpus stats, directory export, run manifest."""
 
 import dataclasses
 import json
@@ -6,6 +6,7 @@ from importlib import resources
 
 import pytest
 
+from dialogtasks import cli
 from dialogtasks.composer import compose_corpus, load_rules
 from dialogtasks.export import (
     SamplingPlan,
@@ -19,7 +20,8 @@ from dialogtasks.export import (
     write_instances,
     write_jsonl,
 )
-from dialogtasks.ingest import ParseError, SchemaError, synth_corpus, write_corpus
+from dialogtasks.ingest import ParseError, SchemaError, SynthConfig, synth_corpus, write_corpus
+from dialogtasks.model import TaskInstance
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import derive_corpus
 
@@ -112,12 +114,111 @@ def test_read_instances_error_reporting(tmp_path):
     with pytest.raises(SchemaError) as err:
         read_instances(not_an_object)
     assert err.value.line_number == 2
-    for field, value in (("grounding_items", 5), ("provenance", {**good["provenance"], "seed": float("inf")})):
+    shared = {key: value for key, value in good.items() if key != "context"}
+    shared.update(context_turns=1, dialog_turns=good["context"])
+    for row, field in (
+        ({**good, "grounding_items": 5}, "grounding_items"),
+        ({**good, "provenance": {**good["provenance"], "seed": float("inf")}}, "provenance"),
+        ({**good, "provenance": [1]}, "provenance"),
+        ({**good, "context": "abc"}, "context"),
+        ({**good, "context": [{"speaker": "a"}]}, "context"),
+        ({**good, "target_item": [1]}, "target_item"),
+        ({**good, "signature": "XY"}, "signature"),
+        ({**shared, "dialog_turns": 5}, "dialog_turns"),
+        ({**shared, "dialog_turns": [{"text": "hi"}]}, "dialog_turns"),
+        ({**shared, "context_turns": "1"}, "context_turns"),
+        ({**shared, "context_turns": len(good["context"]) + 1}, "context_turns"),
+        ({**shared, "provenance": 5}, "provenance"),
+        ({**shared, "target_item": [1]}, "target_item"),
+    ):
         mistyped = tmp_path / "mistyped.jsonl"
-        mistyped.write_text(json.dumps({**good, field: value}) + "\n", encoding="utf-8")
+        mistyped.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
         with pytest.raises(SchemaError) as err:
             read_instances(mistyped)
-        assert err.value.line_number == 1, field
+        assert (err.value.line_number, err.value.field_path) == (2, field), field
+        assert str(err.value) == f"line 2: missing or invalid field {field}"
+
+
+def _rows(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _atomic_and_composite(dialogs, seed=3):
+    atomic = derive_corpus(dialogs, seed=seed)
+    return atomic + compose_corpus(atomic, load_rules())[0]
+
+
+def test_instance_file_writes_each_dialogs_turns_once(tmp_path):
+    dialogs = synth_corpus(3, 6)
+    instances = _atomic_and_composite(dialogs)
+    path = tmp_path / "instances.jsonl"
+    assert write_instances(instances, path).count == len(instances)
+    rows = _rows(path)
+    assert len(rows) == len(instances)
+    assert all("context" not in row for row in rows)
+    assert [row["context_turns"] for row in rows] == [len(i.context) for i in instances]
+    carriers = [row for row in rows if "dialog_turns" in row]
+    assert sorted(row["provenance"]["dialog_id"] for row in carriers) == sorted(d.dialog_id for d in dialogs)
+    assert read_instances(path) == instances
+
+
+def test_read_instances_shares_one_context_per_dialog_prefix(tmp_path):
+    path = tmp_path / "instances.jsonl"
+    write_instances(_atomic_and_composite(synth_corpus(4, 5)), path)
+    shared = {}
+    for inst in read_instances(path):
+        key = (inst.provenance.dialog_id, len(inst.context))
+        assert shared.setdefault(key, inst.context) is inst.context
+    assert len(shared) < len(_rows(path))
+
+
+def test_context_that_is_no_prefix_is_written_inline(tmp_path):
+    instances = _corpus(2, seed=5)
+    odd = instances[-1]
+    changed = dataclasses.replace(odd.context[0], text=odd.context[0].text + " (edited)")
+    instances[-1] = dataclasses.replace(odd, context=(changed,) + odd.context[1:])
+    path = tmp_path / "instances.jsonl"
+    write_instances(instances, path)
+    rows = _rows(path)
+    assert rows[-1] == instances[-1].to_dict()
+    assert all("context" not in row for row in rows[:-1])
+    assert read_instances(path) == instances
+
+
+def test_inline_instance_rows_still_load(tmp_path):
+    instances = _corpus(3, seed=6)
+    path = tmp_path / "inline.jsonl"
+    write_jsonl((inst.to_dict() for inst in instances), path)
+    assert read_instances(path) == instances
+
+
+def test_instance_row_without_its_dialogs_turns_exits_two(tmp_path, capsys):
+    path = tmp_path / "instances.jsonl"
+    write_instances(_corpus(2, seed=7), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert "dialog_turns" in json.loads(lines[0])
+    cut = tmp_path / "cut.jsonl"
+    cut.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+    assert cli.main(["stats", "--in", str(cut)]) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1: context_turns refers to dialog synth/")
+    assert "Traceback" not in err
+    with pytest.raises(SchemaError) as exc:
+        TaskInstance.from_dict(json.loads(lines[1]))
+    assert exc.value.field_path == "context_turns"
+
+
+@pytest.mark.parametrize(
+    "config, smaller_by",
+    [(SynthConfig(), 2), (SynthConfig(min_turns=6, max_turns=16), 3)],
+    ids=["2-8 turns", "6-16 turns"],
+)
+def test_instance_files_are_smaller_than_inline_rows(tmp_path, config, smaller_by):
+    instances = _atomic_and_composite(synth_corpus(7, 30, config), seed=7)
+    write_instances(instances, tmp_path / "shared.jsonl")
+    write_jsonl((inst.to_dict() for inst in instances), tmp_path / "inline.jsonl")
+    ratio = (tmp_path / "inline.jsonl").stat().st_size / (tmp_path / "shared.jsonl").stat().st_size
+    assert ratio >= smaller_by
 
 
 def test_write_jsonl_is_byte_stable(tmp_path):

@@ -4,14 +4,14 @@ Determinism is otherwise only checked run-to-run, which a refactor that
 changes outputs consistently still passes. These sha256 values pin the
 files themselves: the pipeline's exports for synth_corpus(7, 30) with
 cot=random-1, and the instance files of its atomic, composite and naive
-corpora. A change that alters any of them on purpose must say so and
-re-pin them here.
+corpora together with the instances they hold. A change that alters any
+of them on purpose must say so and re-pin them here.
 """
 
 import hashlib
 
 from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
-from dialogtasks.export import write_instances
+from dialogtasks.export import read_instances, write_instances, write_jsonl
 from dialogtasks.ingest import synth_corpus
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import derive_corpus
@@ -31,10 +31,21 @@ PIPELINE_FILES = {
     "train.jsonl": "7c84327f4812c35204063445eefb6f2c347de9d48c729f88c121d1956d35666d",
 }
 
-INSTANCE_FILES = {
+# Instance contents: the sha256 of every instance re-serialized inline by
+# to_dict, one per line. These are the bytes write_instances wrote before
+# instance files shared each dialog's turns, so they also prove that the
+# shared format holds the same instances.
+INSTANCE_CONTENTS = {
     "atomic": (2350, "4282f04a9b6bf22d314ab5de81eeed1b6a92991cb06ef758e1e48198ec999056"),
     "composite": (4380, "6770a79ca737f1979188f9cad740c55053e638bb4c39dd7ea55ff17737110500"),
     "naive": (4380, "26f3ef36e8fec1ddf889e415658b49269cd1107b7b555c23fc60d94cc1bfbb8f"),
+}
+
+# The bytes write_instances writes for the same corpora.
+INSTANCE_FILES = {
+    "atomic": (2350, "0d19137fbaec10773a47b04371269f05a3b9db4360d8c52ffa04f7b14625e86c"),
+    "composite": (4380, "ee449ab3d1d63e31d9e6a86fdb03c17ce1caaff4c70cfd78e61875d0d39a1537"),
+    "naive": (4380, "8986b4554aef6b2dc14dd92f4d6701a902373fc3b9ba0c84c79d8483e8f5b89d"),
 }
 
 
@@ -53,8 +64,12 @@ def test_instance_files_match_golden_checksums(tmp_path):
     rules = load_rules()
     composites, _ = compose_corpus(atomic, rules)
     corpora = {"atomic": atomic, "composite": composites, "naive": naive_corpus(atomic, rules)}
-    got = {}
+    files, contents = {}, {}
     for name, instances in corpora.items():
-        manifest = write_instances(instances, tmp_path / f"{name}.jsonl")
-        got[name] = (manifest.count, _sha256(tmp_path / f"{name}.jsonl"))
-    assert got == INSTANCE_FILES
+        path = tmp_path / f"{name}.jsonl"
+        manifest = write_instances(instances, path)
+        files[name] = (manifest.count, _sha256(path))
+        inline = write_jsonl((i.to_dict() for i in read_instances(path)), tmp_path / f"{name}-inline.jsonl")
+        contents[name] = (inline.count, inline.sha256)
+    assert contents == INSTANCE_CONTENTS
+    assert files == INSTANCE_FILES
