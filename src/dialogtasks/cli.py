@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .composer import compose_corpus, load_rules, naive_corpus
 from .evaluate import ConstraintSpec, score_corpus
-from .export import SamplingPlan, corpus_stats, export_corpus, read_instances, write_instances
+from .export import SamplingPlan, corpus_stats, export_corpus, read_instances, write_instances, write_rendered
 from .ingest import (
     ADAPTERS,
     ParseError,
@@ -27,11 +27,10 @@ from .ingest import (
     read_jsonl,
     synth_corpus,
     write_corpus,
-    write_jsonl,
 )
 from .model import validate_instance
 from .pipeline import CONFIG_TEMPLATE, PipelineConfig, run_pipeline
-from .prompts import RenderOptions, apply_cot, render_corpus
+from .prompts import RenderOptions, apply_cot
 from .registry import derive_corpus, list_tasks
 
 EXIT_OK = 0
@@ -94,8 +93,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     options = RenderOptions(
         block_shuffle=args.block_shuffle == "on", generic_fallback=args.generic_fallback
     )
-    rendered, errors = render_corpus(instances, _seed(args), options)
-    manifest = write_jsonl((example.to_record() for example in rendered), args.out)
+    manifest, errors = write_rendered(instances, args.out, _seed(args), options)
     _print_json({"file": manifest.to_dict(), "errors": errors})
     if errors:
         print(f"{len(errors)} instance(s) failed to render", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -75,6 +76,10 @@ def assign_splits(instances: Iterable[TaskInstance]) -> Dict[str, List[TaskInsta
     return by_split
 
 
+def _dialog_key(inst: TaskInstance) -> Tuple[str, str]:
+    return (inst.provenance.dataset, inst.provenance.dialog_id)
+
+
 def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> ExportManifest:
     """Write one instance per line, serializing each dialog's turns once.
 
@@ -87,7 +92,7 @@ def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> Expo
     """
     turns: Dict[Tuple[str, str], Tuple[Turn, ...]] = {}
     for inst in instances:
-        key = (inst.provenance.dataset, inst.provenance.dialog_id)
+        key = _dialog_key(inst)
         if len(inst.context) > len(turns.get(key, ())):
             turns[key] = inst.context
     return write_jsonl(_instance_rows(instances, turns), path)
@@ -98,7 +103,7 @@ def _instance_rows(
 ) -> Iterator[Dict[str, Any]]:
     written = set()
     for inst in instances:
-        key = (inst.provenance.dataset, inst.provenance.dialog_id)
+        key = _dialog_key(inst)
         dialog = turns.get(key, ())
         n = len(inst.context)
         if inst.context != dialog[:n]:
@@ -246,6 +251,39 @@ def corpus_stats(instances: Sequence[TaskInstance]) -> CorpusStats:
     )
 
 
+def _by_dialog(instances: Iterable[TaskInstance]) -> Iterator[List[TaskInstance]]:
+    """Runs of consecutive instances from one dialog, in input order.
+
+    Corpora sorted by instance_sort_key hold each dialog's instances in one
+    run, so rendering or extracting per run keeps one dialog's results alive
+    at a time while the output order stays that of the input.
+    """
+    for _, run in groupby(instances, key=_dialog_key):
+        yield list(run)
+
+
+def write_rendered(
+    instances: Iterable[TaskInstance],
+    path: str | Path,
+    seed: int,
+    options: Optional[RenderOptions] = None,
+) -> Tuple[ExportManifest, List[Dict[str, Any]]]:
+    """Render instances one dialog at a time, streaming the examples to a JSONL file.
+
+    Returns the file's manifest and render_corpus's error records.
+    """
+    errors: List[Dict[str, Any]] = []
+
+    def records() -> Iterator[Dict[str, Any]]:
+        for group in _by_dialog(instances):
+            rendered, group_errors = render_corpus(group, seed, options)
+            errors.extend(group_errors)
+            for example in rendered:
+                yield example.to_record()
+
+    return write_jsonl(records(), path), errors
+
+
 def export_corpus(
     instances: Sequence[TaskInstance],
     out_dir: str | Path,
@@ -269,12 +307,12 @@ def export_corpus(
     all_errors: List[Dict[str, Any]] = []
     for split in sorted(by_split):
         members = by_split[split]
-        rendered, errors = render_corpus(members, seed, options)
+        manifest, errors = write_rendered(members, out_dir / f"{split}.jsonl", seed, options)
         all_errors.extend(errors)
-        manifest = write_jsonl((example.to_record() for example in rendered), out_dir / f"{split}.jsonl")
         files[manifest.name] = manifest.to_dict()
         if emit_constraints:
-            manifest = write_jsonl(constraint_records(members), out_dir / f"constraints-{split}.jsonl")
+            rows = (row for group in _by_dialog(members) for row in constraint_records(group))
+            manifest = write_jsonl(rows, out_dir / f"constraints-{split}.jsonl")
             files[manifest.name] = manifest.to_dict()
     stats = corpus_stats(sampled)
     stats_manifest = write_jsonl([stats.to_dict()], out_dir / "stats.json")

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import ComponentKind, Dialog, DialogItem, SchemaError, Turn
 from .seeding import stable_hash, subseed
@@ -69,16 +71,50 @@ class ExportManifest:
 
 
 def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> ExportManifest:
-    """Write records one JSON object per line, sorted keys, ASCII only."""
+    """Write records one JSON object per line, sorted keys, ASCII only.
+
+    Each record is encoded, written and hashed as it arrives, so a generator
+    is never held in memory as a whole. A regular file (or a new one) is
+    written to a temporary file beside it that replaces it once the last
+    record is written: if a record fails, the file keeps what it held before
+    and the temporary file is removed. A symlink is followed, not replaced.
+    A pipe or device, such as /dev/stdout, is written in place.
+    """
     path = Path(path)
-    lines = [json.dumps(record, sort_keys=True, ensure_ascii=True) for record in records]
-    data = ("\n".join(lines) + "\n") if lines else ""
-    path.write_text(data, encoding="utf-8")
-    return ExportManifest(
-        name=path.name,
-        count=len(lines),
-        sha256=hashlib.sha256(data.encode("utf-8")).hexdigest(),
-    )
+    encode = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
+    digest = hashlib.sha256()
+    count = 0
+
+    def write_to(handle: BinaryIO) -> None:
+        nonlocal count
+        for record in records:
+            line = (encode(record) + "\n").encode("utf-8")
+            digest.update(line)
+            handle.write(line)
+            count += 1
+
+    if _is_file_or_new(path):
+        target = Path(os.path.realpath(path))
+        partial = target.with_name(target.name + ".tmp")
+        try:
+            with open(partial, "wb") as handle:
+                write_to(handle)
+            os.replace(partial, target)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+    else:
+        with open(path, "wb") as handle:
+            write_to(handle)
+    return ExportManifest(name=path.name, count=count, sha256=digest.hexdigest())
+
+
+def _is_file_or_new(path: Path) -> bool:
+    """Whether ``path``, after any symlinks, is a regular file or does not exist."""
+    try:
+        return stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        return True
 
 
 @dataclass(frozen=True)

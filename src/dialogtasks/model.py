@@ -72,6 +72,16 @@ class SchemaError(ValueError):
         super().__init__(f"{where}{problem or f'missing or invalid field {field_path}'}")
 
 
+def _checked(value: Any, kind: type) -> Any:
+    """``value`` itself if it is a ``kind`` as JSON decodes one; TypeError otherwise.
+
+    A bool is not accepted as an int, so ``true`` is no turn index or seed.
+    """
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"expected {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class DialogItem:
     """One unit of dialog information mapped to a component.
@@ -100,9 +110,9 @@ class DialogItem:
     def from_dict(cls, data: Dict[str, Any]) -> "DialogItem":
         return cls(
             component=ComponentKind(data["component"]),
-            kind=str(data["kind"]),
-            value=str(data["value"]),
-            turn_index=int(data.get("turn_index", 0)),
+            kind=_checked(data["kind"], str),
+            value=_checked(data["value"], str),
+            turn_index=_checked(data.get("turn_index", 0), int),
         )
 
 
@@ -131,18 +141,16 @@ def turns_from_dicts(rows: List[Dict[str, Any]]) -> Tuple[Turn, ...]:
     The turns are a prefix of their source dialog, so an item's turn_index
     is the position of its enclosing turn.
     """
-    if not isinstance(rows, list):
-        raise TypeError(f"turns must be a list, not {type(rows).__name__}")
     return tuple(
         Turn(
-            speaker=str(turn["speaker"]),
-            text=str(turn["text"]),
+            speaker=_checked(turn["speaker"], str),
+            text=_checked(turn["text"], str),
             items=tuple(
                 DialogItem.from_dict({**item, "turn_index": index})
-                for item in turn.get("items", [])
+                for item in _checked(turn.get("items", []), list)
             ),
         )
-        for index, turn in enumerate(rows)
+        for index, turn in enumerate(_checked(rows, list))
     )
 
 
@@ -248,7 +256,11 @@ class TargetItem:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "TargetItem":
-        return cls(ComponentKind(data["component"]), str(data["kind"]), str(data["value"]))
+        return cls(
+            component=ComponentKind(data["component"]),
+            kind=_checked(data["kind"], str),
+            value=_checked(data["value"], str),
+        )
 
 
 @dataclass(frozen=True)
@@ -280,12 +292,12 @@ class Provenance:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Provenance":
         return cls(
-            dataset=str(data["dataset"]),
-            dialog_id=str(data["dialog_id"]),
-            split=str(data.get("split", "train")),
-            target_turn_index=int(data["target_turn_index"]),
-            source_tasks=tuple(str(t) for t in data["source_tasks"]),
-            seed=int(data["seed"]),
+            dataset=_checked(data["dataset"], str),
+            dialog_id=_checked(data["dialog_id"], str),
+            split=_checked(data.get("split", "train"), str),
+            target_turn_index=_checked(data["target_turn_index"], int),
+            source_tasks=tuple(_checked(t, str) for t in _checked(data["source_tasks"], list)),
+            seed=_checked(data["seed"], int),
         )
 
 
@@ -343,23 +355,23 @@ class TaskInstance:
         try:
             signature = parse_signature(data["signature"])
             field = "task_name"
-            task_name = str(data["task_name"])
+            task_name = _checked(data["task_name"], str)
             field = "instruction"
-            instruction = str(data["instruction"])
+            instruction = _checked(data["instruction"], str)
             field = "context"
             context = data.get("context", ())
             if type(context) is not tuple:
                 context = turns_from_dicts(context)
             field = "grounding_items"
-            grounding_items = tuple(DialogItem.from_dict(i) for i in data["grounding_items"])
+            grounding_items = tuple(DialogItem.from_dict(i) for i in _checked(data["grounding_items"], list))
             field = "target_item"
             target_item = TargetItem.from_dict(data["target_item"])
             field = "provenance"
             provenance = Provenance.from_dict(data["provenance"])
             field = "cot_items"
-            cot_items = tuple(DialogItem.from_dict(i) for i in data.get("cot_items", []))
+            cot_items = tuple(DialogItem.from_dict(i) for i in _checked(data.get("cot_items", []), list))
             field = "style"
-            style = str(data.get("style", "standard"))
+            style = _checked(data.get("style", "standard"), str)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(field) from exc
         return cls(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import random
 from importlib import resources
 
 import pytest
@@ -19,10 +20,12 @@ from dialogtasks.export import (
     sample,
     write_instances,
     write_jsonl,
+    write_rendered,
 )
 from dialogtasks.ingest import ParseError, SchemaError, SynthConfig, synth_corpus, write_corpus
 from dialogtasks.model import TaskInstance
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
+from dialogtasks.prompts import render_corpus
 from dialogtasks.registry import derive_corpus
 
 
@@ -98,7 +101,7 @@ def test_write_and_read_instances_round_trip(tmp_path):
     assert again == instances
 
 
-def test_read_instances_error_reporting(tmp_path):
+def test_read_instances_error_reporting(tmp_path, capsys):
     bad_json = tmp_path / "bad.jsonl"
     bad_json.write_text('{"task_name": "x"}\nnot json\n', encoding="utf-8")
     with pytest.raises((ParseError, SchemaError)) as err:
@@ -116,6 +119,8 @@ def test_read_instances_error_reporting(tmp_path):
     assert err.value.line_number == 2
     shared = {key: value for key, value in good.items() if key != "context"}
     shared.update(context_turns=1, dialog_turns=good["context"])
+    turn = good["context"][0]
+    item = {**turn["items"][0], "turn_index": 0}
     for row, field in (
         ({**good, "grounding_items": 5}, "grounding_items"),
         ({**good, "provenance": {**good["provenance"], "seed": float("inf")}}, "provenance"),
@@ -130,6 +135,24 @@ def test_read_instances_error_reporting(tmp_path):
         ({**shared, "context_turns": len(good["context"]) + 1}, "context_turns"),
         ({**shared, "provenance": 5}, "provenance"),
         ({**shared, "target_item": [1]}, "target_item"),
+        # A value of another JSON type than to_dict writes is rejected, not converted.
+        ({**good, "grounding_items": [{**item, "kind": [1], "value": None}]}, "grounding_items"),
+        ({**good, "grounding_items": [{**item, "turn_index": "0"}]}, "grounding_items"),
+        ({**good, "grounding_items": [{**item, "turn_index": True}]}, "grounding_items"),
+        ({**good, "grounding_items": {}}, "grounding_items"),
+        ({**good, "provenance": {**good["provenance"], "source_tasks": "abc"}}, "provenance"),
+        ({**good, "provenance": {**good["provenance"], "source_tasks": [1]}}, "provenance"),
+        ({**good, "provenance": {**good["provenance"], "target_turn_index": "1"}}, "provenance"),
+        ({**good, "provenance": {**good["provenance"], "seed": 1.0}}, "provenance"),
+        ({**good, "provenance": {**good["provenance"], "dialog_id": 7}}, "provenance"),
+        ({**good, "target_item": {**good["target_item"], "value": None}}, "target_item"),
+        ({**good, "task_name": 5}, "task_name"),
+        ({**good, "instruction": None}, "instruction"),
+        ({**good, "style": ["naive"]}, "style"),
+        ({**good, "cot_items": {}}, "cot_items"),
+        ({**good, "context": [{**turn, "speaker": 1}]}, "context"),
+        ({**good, "context": [{**turn, "items": {}}]}, "context"),
+        ({**shared, "dialog_turns": [{**turn, "text": None}]}, "dialog_turns"),
     ):
         mistyped = tmp_path / "mistyped.jsonl"
         mistyped.write_text(json.dumps(good) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
@@ -137,6 +160,9 @@ def test_read_instances_error_reporting(tmp_path):
             read_instances(mistyped)
         assert (err.value.line_number, err.value.field_path) == (2, field), field
         assert str(err.value) == f"line 2: missing or invalid field {field}"
+        capsys.readouterr()
+        assert cli.main(["stats", "--in", str(mistyped)]) == cli.EXIT_IO
+        assert capsys.readouterr().err == f"error: line 2: missing or invalid field {field}\n"
 
 
 def _rows(path):
@@ -231,6 +257,24 @@ def test_write_jsonl_is_byte_stable(tmp_path):
     empty = write_jsonl([], tmp_path / "empty.jsonl")
     assert empty.count == 0
     assert (tmp_path / "empty.jsonl").read_text(encoding="utf-8") == ""
+
+
+def test_write_rendered_equals_rendering_the_whole_list(tmp_path):
+    # Rendering one dialog at a time must not change the bytes or the error
+    # records, also for instances that are not sorted by dialog.
+    instances = _corpus(6, seed=13)
+    at = next(i for i, inst in enumerate(instances) if inst.grounding_items)
+    unknown = dataclasses.replace(instances[at].grounding_items[0], kind="mystery_kind")
+    instances[at] = dataclasses.replace(instances[at], grounding_items=(unknown,))
+    shuffled = random.Random(0).sample(instances, len(instances))
+    for name, members in (("sorted", instances), ("shuffled", shuffled)):
+        rendered, errors = render_corpus(members, 4)
+        whole = write_jsonl((example.to_record() for example in rendered), tmp_path / "whole.jsonl")
+        streamed, streamed_errors = write_rendered(members, tmp_path / f"{name}.jsonl", 4)
+        assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
+        assert streamed.sha256 == whole.sha256
+        assert streamed.count == whole.count == len(members) - 1
+        assert streamed_errors == errors and len(errors) == 1
 
 
 def test_assign_splits_partitions_everything():

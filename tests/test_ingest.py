@@ -1,6 +1,11 @@
-"""Corpus loading, adapters, schema errors, and the synthetic generator."""
+"""Corpus loading, adapters, schema errors, the synthetic generator, and the JSONL writer."""
 
+import hashlib
 import json
+import os
+import stat
+import threading
+import tracemalloc
 
 import pytest
 
@@ -15,6 +20,7 @@ from dialogtasks.ingest import (
     split_for,
     synth_corpus,
     write_corpus,
+    write_jsonl,
 )
 from dialogtasks.model import ComponentKind
 
@@ -208,3 +214,97 @@ def test_synth_corpus_item_families_configurable():
 def test_synth_corpus_rejects_zero():
     with pytest.raises(ValueError):
         synth_corpus(1, 0)
+
+
+def _joined(records):
+    """The bytes write_jsonl wrote before it streamed: every line built, then joined."""
+    lines = [json.dumps(record, sort_keys=True, ensure_ascii=True) for record in records]
+    data = ("\n".join(lines) + "\n") if lines else ""
+    return data.encode("utf-8"), len(lines)
+
+
+_RECORD_SETS = {
+    "none": [],
+    "one": [{"b": 2, "a": "caf\u00e9 \u2028 \U0001f600"}],
+    "many": [{"i": i, "text": "x" * i, "nested": {"z": [i, None, True], "a": 1.5}} for i in range(300)],
+}
+
+
+@pytest.mark.parametrize("as_generator", [False, True], ids=["list", "generator"])
+@pytest.mark.parametrize("name", sorted(_RECORD_SETS))
+def test_write_jsonl_streams_the_joined_bytes(tmp_path, name, as_generator):
+    records = _RECORD_SETS[name]
+    data, count = _joined(records)
+    path = tmp_path / "out.jsonl"
+    manifest = write_jsonl((r for r in records) if as_generator else records, path)
+    assert path.read_bytes() == data
+    assert (manifest.name, manifest.count, manifest.sha256) == ("out.jsonl", count, hashlib.sha256(data).hexdigest())
+    assert os.listdir(tmp_path) == ["out.jsonl"]
+
+
+def _failing_midway():
+    yield {"a": 1}
+    yield {"b": object()}
+
+
+@pytest.mark.parametrize("before", [None, b'{"old": true}\n'], ids=["no file", "old file"])
+def test_write_jsonl_failing_midway_leaves_the_path_as_it_was(tmp_path, before):
+    path = tmp_path / "out.jsonl"
+    if before is not None:
+        path.write_bytes(before)
+    with pytest.raises(TypeError):
+        write_jsonl(_failing_midway(), path)
+    assert os.listdir(tmp_path) == ([] if before is None else ["out.jsonl"])
+    if before is not None:
+        assert path.read_bytes() == before
+
+
+def test_write_jsonl_follows_a_symlink_to_a_file(tmp_path):
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"old\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target)
+    records = _RECORD_SETS["many"]
+    manifest = write_jsonl(records, link)
+    assert link.is_symlink()
+    assert target.read_bytes() == _joined(records)[0]
+    assert (manifest.name, manifest.count) == ("link.jsonl", len(records))
+    assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
+
+
+def test_write_jsonl_writes_a_pipe_in_place(tmp_path):
+    # As with --out /dev/stdout: a symlink to a pipe is written through,
+    # neither it nor the pipe is replaced by a regular file.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    link = tmp_path / "stdout"
+    link.symlink_to(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        manifest = write_jsonl(_RECORD_SETS["many"], link)
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():
+            fifo.write_bytes(b"")  # the writer never opened the pipe: release the reader
+            reader.join(timeout=10)
+    assert not reader.is_alive()
+    data, count = _joined(_RECORD_SETS["many"])
+    assert received == [data]
+    assert (manifest.count, manifest.sha256) == (count, hashlib.sha256(data).hexdigest())
+    assert link.is_symlink() and stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["fifo", "stdout"]
+
+
+def test_write_jsonl_memory_does_not_grow_with_the_file(tmp_path):
+    records = ({"i": i, "text": "abcdefghij" * 100} for i in range(20_000))
+    tracemalloc.start()
+    try:
+        manifest = write_jsonl(records, tmp_path / "big.jsonl")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.jsonl").stat().st_size
+    assert manifest.count == 20_000 and size > 20_000_000
+    assert peak < size / 4
