@@ -27,6 +27,7 @@ from .ingest import (
     read_jsonl,
     synth_corpus,
     write_corpus,
+    write_json,
 )
 from .model import validate_instance
 from .pipeline import CONFIG_TEMPLATE, PipelineConfig, run_pipeline
@@ -129,9 +130,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         plan=plan,
         emit_constraints=args.emit_constraints,
     )
-    (Path(args.out) / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest, Path(args.out) / "manifest.json")
     _print_json(manifest)
     return EXIT_OK
 
@@ -220,9 +219,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         examples, counts = join_constraints(read_jsonl(args.constraints), outputs)
     data = {"n_duplicate_outputs": duplicates, **counts, **score_corpus(examples).to_dict()}
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(data, args.report)
     _print_json(data)
     return EXIT_OK
 

@@ -198,27 +198,6 @@ def check_constraint(constraint: Constraint, output: Union[str, List[str]]) -> O
     return " ".join(out) == normalize(constraint.value)
 
 
-def check_begins_with(output: str, phrase: str) -> bool:
-    return check_constraint(BeginsWith(phrase), output)
-
-
-def check_ends_with(output: str, phrase: str) -> bool:
-    return check_constraint(EndsWith(phrase), output)
-
-
-def check_keywords(output: str, keywords: Sequence[str]) -> bool:
-    """True iff every keyword occurs as a token (or contiguous token run)."""
-    return check_constraint(ContainsKeywords(tuple(keywords)), output)
-
-
-def check_length_class(output: str, label: str) -> bool:
-    return check_constraint(LengthClass(label), output)
-
-
-def check_exact_match(output: str, value: str) -> bool:
-    return check_constraint(ExactMatch(value), output)
-
-
 # ---------------------------------------------------------------------------
 # Overlap metrics
 # ---------------------------------------------------------------------------

@@ -75,10 +75,10 @@ def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> ExportMa
 
     Each record is encoded, written and hashed as it arrives, so a generator
     is never held in memory as a whole. A regular file (or a new one) is
-    written to a temporary file beside it that replaces it once the last
-    record is written: if a record fails, the file keeps what it held before
-    and the temporary file is removed. A symlink is followed, not replaced.
-    A pipe or device, such as /dev/stdout, is written in place.
+    written to a new, uniquely named temporary file beside it that replaces it
+    once the last record is written: if a record fails, the file keeps what it
+    held before and the temporary file is removed. A symlink is followed, not
+    replaced. A pipe or device, such as /dev/stdout, is written in place.
     """
     path = Path(path)
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
@@ -93,20 +93,41 @@ def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> ExportMa
             handle.write(line)
             count += 1
 
-    if _is_file_or_new(path):
-        target = Path(os.path.realpath(path))
-        partial = target.with_name(target.name + ".tmp")
-        try:
-            with open(partial, "wb") as handle:
-                write_to(handle)
-            os.replace(partial, target)
-        except BaseException:
-            partial.unlink(missing_ok=True)
-            raise
-    else:
+    _write_whole(path, write_to)
+    return ExportManifest(name=path.name, count=count, sha256=digest.hexdigest())
+
+
+def write_json(data: Any, path: str | Path) -> None:
+    """Write one JSON document, indented with sorted keys, as write_jsonl does."""
+    text = (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    _write_whole(Path(path), lambda handle: handle.write(text))
+
+
+def _write_whole(path: Path, write_to: Callable[[BinaryIO], Any]) -> None:
+    """Have write_to fill a new file that then replaces path, or write a pipe in place."""
+    if not _is_file_or_new(path):
         with open(path, "wb") as handle:
             write_to(handle)
-    return ExportManifest(name=path.name, count=count, sha256=digest.hexdigest())
+        return
+    target = Path(os.path.realpath(path))
+    partial, fd = _new_file_beside(target)
+    try:
+        with open(fd, "wb") as handle:
+            write_to(handle)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
+def _new_file_beside(target: Path) -> Tuple[Path, int]:
+    """Create a file under an unused name in target's directory, mode 0o666 before umask."""
+    while True:
+        partial = target.with_name(f"{target.name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return partial, os.open(partial, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
 
 
 def _is_file_or_new(path: Path) -> bool:
@@ -190,6 +211,14 @@ def split_for(dialog_id: str, ratios: Tuple[int, int, int] = (90, 5, 5)) -> str:
     return "test"
 
 
+def _adapter_split(record: Dict[str, Any], dialog_id: str, line_number: int) -> str:
+    """A record's split; split_for(dialog_id) when it is absent, null or empty."""
+    split = record.get("split") or split_for(dialog_id)
+    if split not in SPLITS:
+        raise SchemaError("split", line_number)
+    return split
+
+
 def _parse_canonical(record: Dict[str, Any], line_number: int) -> Dialog:
     dialog_id = str(_require(record, "dialog_id", line_number))
     dataset = str(_require(record, "dataset", line_number))
@@ -241,7 +270,7 @@ def _parse_act_emotion(record: Dict[str, Any], line_number: int) -> Dialog:
         if raw_turn.get("emotion"):
             items.append(DialogItem(ComponentKind.STATE, "emotion", str(raw_turn["emotion"]), t_index))
         turns.append(Turn(speaker=speaker, text=str(raw_turn["text"]), items=tuple(items)))
-    split = str(record.get("split") or split_for(dialog_id))
+    split = _adapter_split(record, dialog_id, line_number)
     return Dialog(dialog_id=dialog_id, dataset=dataset, turns=tuple(turns), split=split)
 
 
@@ -278,7 +307,7 @@ def _parse_persona_list(record: Dict[str, Any], line_number: int) -> Dialog:
         Turn(speaker=speakers[i], text=texts[i], items=tuple(items_by_turn.get(i, ())))
         for i in range(len(texts))
     )
-    split = str(record.get("split") or split_for(dialog_id))
+    split = _adapter_split(record, dialog_id, line_number)
     return Dialog(dialog_id=dialog_id, dataset=dataset, turns=turns, split=split)
 
 

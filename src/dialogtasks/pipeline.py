@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from .composer import compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
-from .ingest import SynthConfig, load_corpus, synth_corpus, write_corpus
+from .ingest import SynthConfig, load_corpus, synth_corpus, write_corpus, write_json
 from .prompts import apply_cot
 from .registry import derive_corpus
 
@@ -161,7 +160,5 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
         "rejections": dict(sorted(rejections.items())),
         "export": export_manifest,
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(manifest, out_dir / "manifest.json")
     return manifest

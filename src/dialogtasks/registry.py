@@ -1,8 +1,11 @@
 """Atomic task registry: the 18 task types derivable from an annotated dialog.
 
-Every deriver answers the same question for one dialog and one target turn t:
+Every task answers the same question for one dialog and one target turn t:
 what instruction, grounding items, and gold target does this task type yield
-here? Conventions shared by all derivers:
+here? All tasks share one shape, so each is one row of a table: a target
+(component, source), an optional grounding item (component, source), and
+whether the task sees turn t. A source names the item family it produces and
+reads its value from the dialog position. Conventions shared by all rows:
 
 - Prediction and generation tasks see the context exclusively (turns[:t]) and
   their gold value comes from turn t. An item family stored on turn t that is
@@ -13,7 +16,7 @@ here? Conventions shared by all derivers:
 - Evidence items stay Evidence everywhere; they describe participants or
   facts, not the hidden turn.
 
-Derivers raise a DerivationError subclass when a dialog position cannot host
+A source raises a DerivationError subclass when a dialog position cannot host
 the task; derive_corpus skips those positions silently.
 """
 
@@ -22,7 +25,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     ComponentKind,
@@ -32,7 +36,6 @@ from .model import (
     TargetItem,
     TaskInstance,
     item_sort_key,
-    parse_signature,
     signature_of,
     validate_instance,
 )
@@ -62,22 +65,6 @@ class GoldMissing(DerivationError):
     """The dialog lacks the annotation item the task needs."""
 
 
-@dataclass(frozen=True)
-class AtomicTaskDef:
-    """One registered atomic task type.
-
-    derive(dialog, turn_index, seed) builds the instance for one target turn
-    or raises DerivationError. item_kinds lists the item families consumed, so
-    callers can tell which tasks a corpus supports without trial derivation.
-    """
-
-    name: str
-    signature: str
-    description: str
-    item_kinds: Tuple[str, ...]
-    derive: Callable[[Dialog, int, int], TaskInstance]
-
-
 # ---------------------------------------------------------------------------
 # Span and keyword extraction over the gold response
 # ---------------------------------------------------------------------------
@@ -86,14 +73,14 @@ PHRASE_LENGTHS = (2, 3, 4)
 MAX_KEYWORDS = 3
 
 
-def rank_keywords(text: str) -> List[str]:
-    """Keyword candidates of a text, best first.
+def rank_keywords(text: Union[str, List[str]]) -> List[str]:
+    """Keyword candidates of a text (or its token list), best first.
 
     Candidates are alphabetic non-stopword tokens. Rank by frequency (desc,
     case-folded), then first occurrence (asc), then the folded form; the first
     surface form of each folded token is kept.
     """
-    tokens = tokenize(text)
+    tokens = tokenize(text) if isinstance(text, str) else text
     freq: Counter[str] = Counter()
     first_pos: Dict[str, int] = {}
     surface: Dict[str, str] = {}
@@ -109,9 +96,9 @@ def rank_keywords(text: str) -> List[str]:
     return [surface[folded] for folded in ranked]
 
 
-def select_keywords(text: str, rng: random.Random) -> List[str]:
-    """Pick 1-3 keywords from a text, preserving rank order."""
-    ranked = rank_keywords(text)
+def select_keywords(tokens: List[str], rng: random.Random) -> List[str]:
+    """Pick 1-3 keywords from a token list, preserving rank order."""
+    ranked = rank_keywords(tokens)
     if not ranked:
         raise NoContentTokens("no keyword candidates")
     count = rng.randint(1, min(MAX_KEYWORDS, len(ranked)))
@@ -139,316 +126,217 @@ def _corrupt_tokens(tokens: Sequence[str], rng: random.Random) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Shared derivation plumbing
+# Value sources: what a row's target or grounding item reads at turn t
 # ---------------------------------------------------------------------------
 
-def _target_tokens(dialog: Dialog, turn_index: int) -> List[str]:
-    tokens = tokenize(dialog.turns[turn_index].text)
-    if not tokens:
-        raise TooShort(f"turn {turn_index} has no tokens")
-    return tokens
+class _Position:
+    """Target turn t of a dialog, tokenized at most once per derivation."""
+
+    def __init__(self, dialog: Dialog, turn_index: int, seed: int) -> None:
+        self.dialog = dialog
+        self.t = turn_index
+        self.seed = seed
+        self.turn = dialog.turns[turn_index]
+
+    @cached_property
+    def tokens(self) -> List[str]:
+        return tokenize(self.turn.text)
+
+    def nonempty_tokens(self) -> List[str]:
+        if not self.tokens:
+            raise TooShort(f"turn {self.t} has no tokens")
+        return self.tokens
 
 
-def _turn_item(dialog: Dialog, turn_index: int, kind: str) -> DialogItem:
-    for item in dialog.turns[turn_index].items:
-        if item.kind == kind:
-            return item
-    raise GoldMissing(f"turn {turn_index} has no {kind} item")
+# A source returns the value it reads and the index of the turn it describes.
+Source = Callable[[_Position], Tuple[str, int]]
 
 
-def _speaker_item(dialog: Dialog, turn_index: int, kind: str, rng: random.Random) -> DialogItem:
-    """An item of the given kind attached to any turn of the target speaker."""
-    speaker = dialog.turns[turn_index].speaker
+def _response(pos: _Position) -> Tuple[str, int]:
+    pos.nonempty_tokens()  # a response needs at least one token
+    return pos.turn.text, pos.t
+
+
+def _phrase_span(at_start: bool) -> Source:
+    def source(pos: _Position) -> Tuple[str, int]:
+        tokens = pos.nonempty_tokens()
+        lengths = [k for k in PHRASE_LENGTHS if k <= len(tokens)]
+        if not lengths:
+            raise TooShort(f"turn {pos.t} shorter than every phrase length")
+        k = random.Random(pos.seed).choice(lengths)
+        return " ".join(tokens[:k] if at_start else tokens[-k:]), pos.t
+
+    return source
+
+
+def _keywords(pos: _Position) -> Tuple[str, int]:
+    return ", ".join(select_keywords(pos.tokens, random.Random(pos.seed))), pos.t
+
+
+def _length_class(pos: _Position) -> Tuple[str, int]:
+    return length_class(len(pos.nonempty_tokens())), pos.t
+
+
+def _draft(pos: _Position) -> Tuple[str, int]:
+    return " ".join(_corrupt_tokens(pos.nonempty_tokens(), random.Random(pos.seed))), pos.t
+
+
+def _turn_item(kind: str) -> Source:
+    """The value of turn t's item of one kind: a label or a knowledge snippet."""
+
+    def source(pos: _Position) -> Tuple[str, int]:
+        for item in pos.turn.items:
+            if item.kind == kind:
+                return item.value, item.turn_index
+        raise GoldMissing(f"turn {pos.t} has no {kind} item")
+
+    return source
+
+
+def _speaker_persona(pos: _Position) -> Tuple[str, int]:
+    """A persona line attached to any turn up to t of the target speaker."""
+    turns = pos.dialog.turns
     candidates = [
         item
-        for turn in dialog.turns[: turn_index + 1]
+        for turn in turns[: pos.t + 1]
         for item in turn.items
-        if item.kind == kind and dialog.turns[item.turn_index].speaker == speaker
+        if item.kind == "persona" and turns[item.turn_index].speaker == pos.turn.speaker
     ]
     if not candidates:
-        raise GoldMissing(f"speaker of turn {turn_index} has no {kind} item")
-    return rng.choice(sorted(candidates, key=item_sort_key))
+        raise GoldMissing(f"speaker of turn {pos.t} has no persona item")
+    item = random.Random(pos.seed).choice(sorted(candidates, key=item_sort_key))
+    return item.value, item.turn_index
 
 
-def _build(
-    dialog: Dialog,
-    turn_index: int,
-    name: str,
-    grounding: Sequence[DialogItem],
-    target: TargetItem,
-    seed: int,
-    include_target_turn: bool = False,
-) -> TaskInstance:
-    if turn_index < 1 or turn_index >= len(dialog.turns):
-        raise DerivationError(f"target turn {turn_index} out of range")
-    end = turn_index + 1 if include_target_turn else turn_index
-    ordered = tuple(sorted(grounding, key=item_sort_key))
-    components = tuple(item.component for item in ordered)
-    inst = TaskInstance(
-        signature=signature_of(components, target.component),
-        task_name=name,
-        instruction=build_instruction(target.component, components),
-        context=dialog.turns[:end],
-        grounding_items=ordered,
-        target_item=target,
-        provenance=Provenance(
-            dataset=dialog.dataset,
-            dialog_id=dialog.dialog_id,
-            split=dialog.split,
-            target_turn_index=turn_index,
-            source_tasks=(name,),
-            seed=seed,
-        ),
-    )
-    problems = validate_instance(inst)
-    if problems:
-        raise DerivationError(f"{name} at turn {turn_index}: {'; '.join(problems)}")
-    return inst
+# Sources that read turn t's text, keyed by the item family they produce.
+TEXT_SOURCES: Dict[str, Source] = {
+    "response": _response,
+    "begins_with": _phrase_span(at_start=True),
+    "ends_with": _phrase_span(at_start=False),
+    "keywords": _keywords,
+    "length_class": _length_class,
+    "draft_response": _draft,
+}
+
+# Sources that look up an annotation item.
+ITEM_SOURCES: Dict[str, Source] = {
+    "emotion": _turn_item("emotion"),
+    "dialog_act": _turn_item("dialog_act"),
+    "knowledge": _turn_item("knowledge"),
+    "persona": _speaker_persona,
+}
+
+SOURCES: Dict[str, Source] = {**TEXT_SOURCES, **ITEM_SOURCES}
 
 
 # ---------------------------------------------------------------------------
-# Response-target derivers
+# The task table
 # ---------------------------------------------------------------------------
 
-def _derive_response_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    _target_tokens(dialog, t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "response_generation", (), target, seed)
+@dataclass(frozen=True)
+class AtomicTaskDef:
+    """One registered atomic task type: one row of the task table.
 
+    target and grounding are (component, source) pairs; the source's name is
+    the item family of the target or grounding item. tagging tasks see turn t
+    and label it; all others see the turns before t.
+    """
 
-def _derive_beginswith(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    tokens = _target_tokens(dialog, t)
-    lengths = [k for k in PHRASE_LENGTHS if k <= len(tokens)]
-    if not lengths:
-        raise TooShort(f"turn {t} shorter than every phrase length")
-    rng = random.Random(seed)
-    k = rng.choice(lengths)
-    item = DialogItem(A, "begins_with", " ".join(tokens[:k]), t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "beginswith_controlled_generation", (item,), target, seed)
+    name: str
+    target: Tuple[ComponentKind, str]
+    grounding: Optional[Tuple[ComponentKind, str]]
+    description: str
+    tagging: bool = False
 
+    @property
+    def signature(self) -> str:
+        grounding = () if self.grounding is None else (self.grounding[0],)
+        return signature_of(grounding, self.target[0]).canonical_string()
 
-def _derive_endswith(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    tokens = _target_tokens(dialog, t)
-    lengths = [k for k in PHRASE_LENGTHS if k <= len(tokens)]
-    if not lengths:
-        raise TooShort(f"turn {t} shorter than every phrase length")
-    rng = random.Random(seed)
-    k = rng.choice(lengths)
-    item = DialogItem(A, "ends_with", " ".join(tokens[-k:]), t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "endswith_controlled_generation", (item,), target, seed)
+    def derive(self, dialog: Dialog, turn_index: int, seed: int) -> TaskInstance:
+        """Build the instance for one target turn, or raise DerivationError."""
+        pos = _Position(dialog, turn_index, seed)
+        # Text sources run before item lookups, so a turn without tokens
+        # fails as TooShort or NoContentTokens whatever items it carries.
+        early = self.grounding is not None and self.grounding[1] in TEXT_SOURCES
+        grounding = [self._grounding_item(pos)] if early else []
+        component, family = self.target
+        target = TargetItem(component, family, SOURCES[family](pos)[0])
+        if self.grounding is not None and not early:
+            grounding.append(self._grounding_item(pos))
 
+        if turn_index < 1 or turn_index >= len(dialog.turns):
+            raise DerivationError(f"target turn {turn_index} out of range")
+        components = tuple(item.component for item in grounding)
+        inst = TaskInstance(
+            signature=signature_of(components, component),
+            task_name=self.name,
+            instruction=build_instruction(component, components),
+            context=dialog.turns[: turn_index + 1 if self.tagging else turn_index],
+            grounding_items=tuple(grounding),
+            target_item=target,
+            provenance=Provenance(
+                dataset=dialog.dataset,
+                dialog_id=dialog.dialog_id,
+                split=dialog.split,
+                target_turn_index=turn_index,
+                source_tasks=(self.name,),
+                seed=seed,
+            ),
+        )
+        problems = validate_instance(inst)
+        if problems:
+            raise DerivationError(f"{self.name} at turn {turn_index}: {'; '.join(problems)}")
+        return inst
 
-def _derive_keyword_controlled(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    keywords = select_keywords(dialog.turns[t].text, random.Random(seed))
-    item = DialogItem(A, "keywords", ", ".join(keywords), t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "keyword_controlled_generation", (item,), target, seed)
-
-
-def _derive_response_generation_length(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    tokens = _target_tokens(dialog, t)
-    item = DialogItem(A, "length_class", length_class(len(tokens)), t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "response_generation_length", (item,), target, seed)
-
-
-def _derive_edit_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    tokens = _target_tokens(dialog, t)
-    draft = _corrupt_tokens(tokens, random.Random(seed))
-    item = DialogItem(A, "draft_response", " ".join(draft), t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "edit_generation", (item,), target, seed)
-
-
-def _derive_emotion_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    _target_tokens(dialog, t)
-    label = _turn_item(dialog, t, "emotion")
-    item = DialogItem(A, "emotion", label.value, t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "emotion_generation", (item,), target, seed)
-
-
-def _derive_act_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    _target_tokens(dialog, t)
-    label = _turn_item(dialog, t, "dialog_act")
-    item = DialogItem(A, "dialog_act", label.value, t)
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "act_generation", (item,), target, seed)
-
-
-def _derive_persona_grounded_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    _target_tokens(dialog, t)
-    item = _speaker_item(dialog, t, "persona", random.Random(seed))
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "persona_grounded_generation", (item,), target, seed)
-
-
-def _derive_knowledge_grounded_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    _target_tokens(dialog, t)
-    item = _turn_item(dialog, t, "knowledge")
-    target = TargetItem(R, "response", dialog.turns[t].text)
-    return _build(dialog, t, "knowledge_grounded_generation", (item,), target, seed)
-
-
-# ---------------------------------------------------------------------------
-# Action-target derivers (predict a property of the hidden next turn)
-# ---------------------------------------------------------------------------
-
-def _derive_response_length_prediction(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    tokens = _target_tokens(dialog, t)
-    target = TargetItem(A, "length_class", length_class(len(tokens)))
-    return _build(dialog, t, "response_length_prediction", (), target, seed)
-
-
-def _derive_emotion_prediction(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    label = _turn_item(dialog, t, "emotion")
-    target = TargetItem(A, "emotion", label.value)
-    return _build(dialog, t, "emotion_prediction", (), target, seed)
-
-
-def _derive_act_prediction(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    label = _turn_item(dialog, t, "dialog_act")
-    target = TargetItem(A, "dialog_act", label.value)
-    return _build(dialog, t, "act_prediction", (), target, seed)
-
-
-def _derive_keyword_prediction(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    keywords = select_keywords(dialog.turns[t].text, random.Random(seed))
-    target = TargetItem(A, "keywords", ", ".join(keywords))
-    return _build(dialog, t, "keyword_prediction", (), target, seed)
-
-
-# ---------------------------------------------------------------------------
-# State-target derivers (label the last visible utterance)
-# ---------------------------------------------------------------------------
-
-def _derive_emotion_tagging(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    label = _turn_item(dialog, t, "emotion")
-    target = TargetItem(S, "emotion", label.value)
-    return _build(dialog, t, "emotion_tagging", (), target, seed, include_target_turn=True)
-
-
-def _derive_act_classification(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    label = _turn_item(dialog, t, "dialog_act")
-    target = TargetItem(S, "dialog_act", label.value)
-    return _build(dialog, t, "act_classification", (), target, seed, include_target_turn=True)
-
-
-# ---------------------------------------------------------------------------
-# Evidence-target derivers (produce the grounding the next turn relies on)
-# ---------------------------------------------------------------------------
-
-def _derive_persona_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    item = _speaker_item(dialog, t, "persona", random.Random(seed))
-    target = TargetItem(E, "persona", item.value)
-    return _build(dialog, t, "persona_generation", (), target, seed)
-
-
-def _derive_knowledge_generation(dialog: Dialog, t: int, seed: int) -> TaskInstance:
-    item = _turn_item(dialog, t, "knowledge")
-    target = TargetItem(E, "knowledge", item.value)
-    return _build(dialog, t, "knowledge_generation", (), target, seed)
+    def _grounding_item(self, pos: _Position) -> DialogItem:
+        component, family = self.grounding
+        value, turn_index = SOURCES[family](pos)
+        return DialogItem(component, family, value, turn_index)
 
 
 _DEFS = (
-    AtomicTaskDef(
-        "beginswith_controlled_generation", "ICA-R",
-        "Generate the next turn so it starts with a given phrase.",
-        ("begins_with",), _derive_beginswith,
-    ),
-    AtomicTaskDef(
-        "endswith_controlled_generation", "ICA-R",
-        "Generate the next turn so it ends with a given phrase.",
-        ("ends_with",), _derive_endswith,
-    ),
-    AtomicTaskDef(
-        "keyword_controlled_generation", "ICA-R",
-        "Generate the next turn so it contains given keywords.",
-        ("keywords",), _derive_keyword_controlled,
-    ),
-    AtomicTaskDef(
-        "response_generation_length", "ICA-R",
-        "Generate the next turn at a given length class.",
-        ("length_class",), _derive_response_generation_length,
-    ),
-    AtomicTaskDef(
-        "edit_generation", "ICA-R",
-        "Rewrite a draft into the correct next turn.",
-        ("draft_response",), _derive_edit_generation,
-    ),
-    AtomicTaskDef(
-        "emotion_generation", "ICA-R",
-        "Generate the next turn expressing a given emotion.",
-        ("emotion",), _derive_emotion_generation,
-    ),
-    AtomicTaskDef(
-        "act_generation", "ICA-R",
-        "Generate the next turn realizing a given dialog act.",
-        ("dialog_act",), _derive_act_generation,
-    ),
-    AtomicTaskDef(
-        "persona_grounded_generation", "ICE-R",
-        "Generate the next turn consistent with a persona line.",
-        ("persona",), _derive_persona_grounded_generation,
-    ),
-    AtomicTaskDef(
-        "knowledge_grounded_generation", "ICE-R",
-        "Generate the next turn grounded in a knowledge snippet.",
-        ("knowledge",), _derive_knowledge_grounded_generation,
-    ),
-    AtomicTaskDef(
-        "response_generation", "IC-R",
-        "Generate the next turn from the dialog context alone.",
-        (), _derive_response_generation,
-    ),
-    AtomicTaskDef(
-        "response_length_prediction", "IC-A",
-        "Predict the length class of the hidden next turn.",
-        (), _derive_response_length_prediction,
-    ),
-    AtomicTaskDef(
-        "emotion_prediction", "IC-A",
-        "Predict the emotion of the hidden next turn.",
-        ("emotion",), _derive_emotion_prediction,
-    ),
-    AtomicTaskDef(
-        "act_prediction", "IC-A",
-        "Predict the dialog act of the hidden next turn.",
-        ("dialog_act",), _derive_act_prediction,
-    ),
-    AtomicTaskDef(
-        "keyword_prediction", "IC-A",
-        "Predict keywords of the hidden next turn.",
-        (), _derive_keyword_prediction,
-    ),
-    AtomicTaskDef(
-        "emotion_tagging", "IC-S",
-        "Label the emotion of the last visible utterance.",
-        ("emotion",), _derive_emotion_tagging,
-    ),
-    AtomicTaskDef(
-        "act_classification", "IC-S",
-        "Label the dialog act of the last visible utterance.",
-        ("dialog_act",), _derive_act_classification,
-    ),
-    AtomicTaskDef(
-        "persona_generation", "IC-E",
-        "Produce a persona line for the next speaker.",
-        ("persona",), _derive_persona_generation,
-    ),
-    AtomicTaskDef(
-        "knowledge_generation", "IC-E",
-        "Produce the knowledge snippet the next turn relies on.",
-        ("knowledge",), _derive_knowledge_generation,
-    ),
+    # name, target (component, source), grounding (component, source), description
+    AtomicTaskDef("beginswith_controlled_generation", (R, "response"), (A, "begins_with"),
+                  "Generate the next turn so it starts with a given phrase."),
+    AtomicTaskDef("endswith_controlled_generation", (R, "response"), (A, "ends_with"),
+                  "Generate the next turn so it ends with a given phrase."),
+    AtomicTaskDef("keyword_controlled_generation", (R, "response"), (A, "keywords"),
+                  "Generate the next turn so it contains given keywords."),
+    AtomicTaskDef("response_generation_length", (R, "response"), (A, "length_class"),
+                  "Generate the next turn at a given length class."),
+    AtomicTaskDef("edit_generation", (R, "response"), (A, "draft_response"),
+                  "Rewrite a draft into the correct next turn."),
+    AtomicTaskDef("emotion_generation", (R, "response"), (A, "emotion"),
+                  "Generate the next turn expressing a given emotion."),
+    AtomicTaskDef("act_generation", (R, "response"), (A, "dialog_act"),
+                  "Generate the next turn realizing a given dialog act."),
+    AtomicTaskDef("persona_grounded_generation", (R, "response"), (E, "persona"),
+                  "Generate the next turn consistent with a persona line."),
+    AtomicTaskDef("knowledge_grounded_generation", (R, "response"), (E, "knowledge"),
+                  "Generate the next turn grounded in a knowledge snippet."),
+    AtomicTaskDef("response_generation", (R, "response"), None,
+                  "Generate the next turn from the dialog context alone."),
+    AtomicTaskDef("response_length_prediction", (A, "length_class"), None,
+                  "Predict the length class of the hidden next turn."),
+    AtomicTaskDef("emotion_prediction", (A, "emotion"), None,
+                  "Predict the emotion of the hidden next turn."),
+    AtomicTaskDef("act_prediction", (A, "dialog_act"), None,
+                  "Predict the dialog act of the hidden next turn."),
+    AtomicTaskDef("keyword_prediction", (A, "keywords"), None,
+                  "Predict keywords of the hidden next turn."),
+    AtomicTaskDef("emotion_tagging", (S, "emotion"), None,
+                  "Label the emotion of the last visible utterance.", tagging=True),
+    AtomicTaskDef("act_classification", (S, "dialog_act"), None,
+                  "Label the dialog act of the last visible utterance.", tagging=True),
+    AtomicTaskDef("persona_generation", (E, "persona"), None,
+                  "Produce a persona line for the next speaker."),
+    AtomicTaskDef("knowledge_generation", (E, "knowledge"), None,
+                  "Produce the knowledge snippet the next turn relies on."),
 )
 
 REGISTRY: Dict[str, AtomicTaskDef] = {d.name: d for d in _DEFS}
 assert len(REGISTRY) == len(_DEFS), "duplicate task name in registry"
-for _def in _DEFS:
-    assert parse_signature(_def.signature).is_atomic, f"{_def.name} is not atomic"
 
 
 def list_tasks() -> List[AtomicTaskDef]:

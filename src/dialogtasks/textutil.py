@@ -6,8 +6,7 @@ import string
 
 PUNCTUATION = frozenset(string.punctuation)
 
-# Length-class thresholds in tokens. The class names are fixed; the
-# thresholds are engine constants, configurable through LengthBuckets.
+# Length-class thresholds in tokens.
 SHORT_MAX_TOKENS = 10
 MEDIUM_MAX_TOKENS = 20
 
@@ -80,20 +79,15 @@ def is_content_token(token: str) -> bool:
     return token.isalpha() and token.lower() not in STOPWORDS
 
 
-def content_tokens(text: str) -> list[str]:
-    return [token for token in tokenize(text) if is_content_token(token)]
-
-
-def length_class(token_count: int, short_max: int = SHORT_MAX_TOKENS,
-                 medium_max: int = MEDIUM_MAX_TOKENS) -> str:
+def length_class(token_count: int) -> str:
     """Bucket a token count into "short", "medium", or "long".
 
     The buckets partition the non-negative integers: every count maps to
     exactly one class.
     """
-    if token_count <= short_max:
+    if token_count <= SHORT_MAX_TOKENS:
         return "short"
-    if token_count <= medium_max:
+    if token_count <= MEDIUM_MAX_TOKENS:
         return "medium"
     return "long"
 

@@ -1,11 +1,13 @@
 """CLI subcommands, exit codes, and the end-to-end config-driven run."""
 
 import json
+import os
 
 import pytest
 
 from dialogtasks import cli
 from dialogtasks.export import read_instances
+from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import REGISTRY
 
 
@@ -284,3 +286,45 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def _failing_rename_onto(monkeypatch, name):
+    """Make every rename onto a file called ``name`` fail, as a crash would."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError(f"simulated crash before {name} was in place")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
+@pytest.mark.parametrize("document", ["export manifest", "eval report", "run manifest"])
+def test_json_documents_appear_whole_or_not_at_all(tmp_path, instances_path, capsys, monkeypatch, document):
+    out_dir = tmp_path / "export"
+    assert _run(
+        capsys, "export", "--in", str(instances_path), "--out", str(out_dir),
+        "--atomic-quota", "10", "--emit-constraints",
+    )[0] == cli.EXIT_OK
+    outputs_path = tmp_path / "outputs.jsonl"
+    outputs_path.write_text("", encoding="utf-8")
+    target_dir = tmp_path / "run" if document == "run manifest" else out_dir
+    target = target_dir / ("report.json" if document == "eval report" else "manifest.json")
+    target_dir.mkdir(exist_ok=True)
+    target.write_text("earlier content\n", encoding="utf-8")
+    _failing_rename_onto(monkeypatch, target.name)
+    if document == "export manifest":
+        code, _, err = _run(capsys, "export", "--in", str(instances_path), "--out", str(out_dir))
+        assert code == cli.EXIT_IO and "simulated crash" in err
+    elif document == "eval report":
+        code, _, err = _run(
+            capsys, "eval", "--constraints", str(out_dir / "constraints-train.jsonl"),
+            "--outputs", str(outputs_path), "--report", str(target),
+        )
+        assert code == cli.EXIT_IO and "simulated crash" in err
+    else:
+        with pytest.raises(OSError, match="simulated crash"):
+            run_pipeline(PipelineConfig(seed=3, synth_dialogs=3, out_dir=str(target_dir)))
+    assert target.read_text(encoding="utf-8") == "earlier content\n"
+    assert [name for name in os.listdir(target_dir) if name.endswith(".tmp")] == []

@@ -16,12 +16,7 @@ from dialogtasks.evaluate import (
     LengthClass,
     ReferenceOverlap,
     bleu2,
-    check_begins_with,
     check_constraint,
-    check_ends_with,
-    check_exact_match,
-    check_keywords,
-    check_length_class,
     constraint_from_dict,
     constraint_to_dict,
     corpus_bleu2,
@@ -114,31 +109,31 @@ def test_rouge_is_not_order_sensitive_but_lcs_is():
 # --- boolean checks ---------------------------------------------------------
 
 def test_checks_normalize_case_and_punctuation():
-    assert check_begins_with("The flat, came furnished.", "the flat ,")
-    assert not check_begins_with("flat came", "the flat")
-    assert check_ends_with("It came furnished.", "Furnished .")
-    assert check_ends_with("anything", "")
-    assert check_keywords("The flat came furnished.", ["flat", "furnished"])
-    assert not check_keywords("The flat came furnished.", ["flat", "garden"])
-    assert check_keywords("inflatable raft", ["raft"])
-    assert not check_keywords("inflatable raft", ["flat"])  # token, not substring
-    assert check_exact_match("Inform", "inform")
-    assert not check_exact_match("inform", "question")
+    assert check_constraint(BeginsWith("the flat ,"), "The flat, came furnished.")
+    assert not check_constraint(BeginsWith("the flat"), "flat came")
+    assert check_constraint(EndsWith("Furnished ."), "It came furnished.")
+    assert check_constraint(EndsWith(""), "anything")
+    assert check_constraint(ContainsKeywords(("flat", "furnished")), "The flat came furnished.")
+    assert not check_constraint(ContainsKeywords(("flat", "garden")), "The flat came furnished.")
+    assert check_constraint(ContainsKeywords(("raft",)), "inflatable raft")
+    assert not check_constraint(ContainsKeywords(("flat",)), "inflatable raft")  # token, not substring
+    assert check_constraint(ExactMatch("inform"), "Inform")
+    assert not check_constraint(ExactMatch("question"), "inform")
 
 
 def test_check_keywords_multiword_needs_contiguous_run():
-    assert check_keywords("the flat came furnished", ["flat came"])
-    assert not check_keywords("the flat quickly came", ["flat came"])
+    assert check_constraint(ContainsKeywords(("flat came",)), "the flat came furnished")
+    assert not check_constraint(ContainsKeywords(("flat came",)), "the flat quickly came")
 
 
 def test_check_length_class_boundaries():
     short = " ".join(["w"] * 10)
     medium = " ".join(["w"] * 11)
     long_ = " ".join(["w"] * 21)
-    assert check_length_class(short, "short")
-    assert check_length_class(medium, "medium")
-    assert check_length_class(long_, "long")
-    assert not check_length_class(medium, "short")
+    assert check_constraint(LengthClass("short"), short)
+    assert check_constraint(LengthClass("medium"), medium)
+    assert check_constraint(LengthClass("long"), long_)
+    assert not check_constraint(LengthClass("short"), medium)
 
 
 def test_check_constraint_dispatch():

@@ -20,6 +20,7 @@ from dialogtasks.ingest import (
     split_for,
     synth_corpus,
     write_corpus,
+    write_json,
     write_jsonl,
 )
 from dialogtasks.model import ComponentKind
@@ -167,6 +168,35 @@ def test_malformed_turns_and_items_are_schema_errors(tmp_path, capsys, adapter, 
     assert f"line 1: missing or invalid field {field_path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("adapter", ["act_emotion", "persona_list"])
+@pytest.mark.parametrize("split", ["validation", "Train", [1], 5], ids=["word", "case", "list", "int"])
+def test_adapter_split_outside_train_dev_test_is_schema_error(tmp_path, capsys, adapter, split):
+    record = {"dialog_id": "d", "split": split, "turns": [{"text": "hi ."}]}
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_corpus(path, adapter)
+    assert (err.value.field_path, err.value.line_number) == ("split", 1)
+    code = cli.main(["ingest", "--input", str(path), "--adapter", adapter, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_IO
+    assert "line 1: missing or invalid field split" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("adapter", ["act_emotion", "persona_list"])
+def test_adapter_split_falls_back_only_when_absent_null_or_empty(tmp_path, adapter):
+    records = [
+        {"dialog_id": "d0", "turns": [{"text": "hi ."}]},
+        {"dialog_id": "d1", "split": None, "turns": [{"text": "hi ."}]},
+        {"dialog_id": "d2", "split": "", "turns": [{"text": "hi ."}]},
+        {"dialog_id": "d3", "split": "dev", "turns": [{"text": "hi ."}]},
+    ]
+    path = tmp_path / "raw.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    dialogs, _ = load_corpus(path, adapter)
+    assert [d.split for d in dialogs] == [split_for("d0"), split_for("d1"), split_for("d2"), "dev"]
+
+
 def test_adapters_registry_shape():
     assert set(ADAPTERS) == {"canonical", "act_emotion", "persona_list"}
 
@@ -308,3 +338,53 @@ def test_write_jsonl_memory_does_not_grow_with_the_file(tmp_path):
     size = (tmp_path / "big.jsonl").stat().st_size
     assert manifest.count == 20_000 and size > 20_000_000
     assert peak < size / 4
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["success", "failure"])
+def test_write_jsonl_leaves_an_unrelated_tmp_file_alone(tmp_path, fails):
+    path = tmp_path / "out.jsonl"
+    unrelated = tmp_path / "out.jsonl.tmp"
+    unrelated.write_bytes(b"not ours\n")
+    if fails:
+        with pytest.raises(TypeError):
+            write_jsonl(_failing_midway(), path)
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl.tmp"]
+    else:
+        write_jsonl(_RECORD_SETS["many"], path)
+        assert path.read_bytes() == _joined(_RECORD_SETS["many"])[0]
+        assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "out.jsonl.tmp"]
+    assert unrelated.read_bytes() == b"not ours\n"
+
+
+def test_write_jsonl_never_reuses_a_taken_temporary_name(tmp_path, monkeypatch):
+    # The random part of the first name drawn is that of a file already
+    # there; the writer must draw again and leave that file alone.
+    (tmp_path / "out.jsonl.00000000.tmp").write_bytes(b"not ours\n")
+    draws = iter([b"\x00" * 4, b"\x01" * 4])
+    monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+    write_jsonl([{"c": 1}], tmp_path / "out.jsonl")
+    assert next(draws, None) is None
+    assert (tmp_path / "out.jsonl").read_bytes() == b'{"c": 1}\n'
+    assert (tmp_path / "out.jsonl.00000000.tmp").read_bytes() == b"not ours\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.jsonl", "out.jsonl.00000000.tmp"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+def test_written_files_get_new_file_permissions(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_jsonl([{"a": 1}], tmp_path / "out.jsonl")
+        write_json({"a": 1}, tmp_path / "out.json")
+    finally:
+        os.umask(old)
+    for name in ("out.jsonl", "out.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
+
+
+def test_write_json_writes_indented_sorted_json(tmp_path):
+    data = {"b": [1, {"d": "\u00e9", "c": None}], "a": 1.5}
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"old\n")
+    write_json(data, path)
+    assert path.read_text(encoding="utf-8") == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert os.listdir(tmp_path) == ["doc.json"]

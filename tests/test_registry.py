@@ -202,6 +202,25 @@ def test_evidence_targets():
     assert len(persona.context) == 1
 
 
+def test_grounding_component_comes_from_the_row():
+    # A canonical corpus may file a persona line under another component;
+    # the instance still has the signature its task row declares.
+    odd = Dialog(
+        dialog_id="odd", dataset="hand",
+        turns=(
+            Turn("Speaker 1", "hi .", (DialogItem(S, "persona", "i sail .", 0),)),
+            Turn("Speaker 2", "hello ."),
+            Turn("Speaker 1", "nice weather for it .", (DialogItem(S, "knowledge", "wind is up .", 2),)),
+        ),
+    )
+    persona = derive_task("persona_grounded_generation", odd, 2, seed=0)
+    knowledge = derive_task("knowledge_grounded_generation", odd, 2, seed=0)
+    assert persona.grounding_items == (DialogItem(E, "persona", "i sail .", 0),)
+    assert knowledge.grounding_items == (DialogItem(E, "knowledge", "wind is up .", 2),)
+    for inst in (persona, knowledge):
+        assert inst.signature.canonical_string() == REGISTRY[inst.task_name].signature == "ICE-R"
+
+
 def test_missing_annotations_raise_gold_missing():
     bare = Dialog(
         dialog_id="bare", dataset="hand",
@@ -249,6 +268,7 @@ def test_derive_corpus_deterministic_and_valid():
     for inst in first:
         assert validate_instance(inst) == []
         assert inst.signature.canonical_string() == EXPECTED_SIGNATURES[inst.task_name]
+        assert inst.signature.canonical_string() == REGISTRY[inst.task_name].signature
         assert inst.provenance.source_tasks == (inst.task_name,)
 
 
