@@ -12,13 +12,12 @@ import csv
 import importlib.resources
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     ComponentKind,
-    Provenance,
     TaskInstance,
     TaskSignature,
     instance_sort_key,
@@ -191,11 +190,8 @@ def compose(
         context=a.context,
         grounding_items=items,
         target_item=a.target_item,
-        provenance=Provenance(
-            dataset=pa.dataset,
-            dialog_id=pa.dialog_id,
-            split=pa.split,
-            target_turn_index=pa.target_turn_index,
+        provenance=replace(
+            pa,
             source_tasks=sources,
             seed=stable_hash("compose", *sorted((pa.seed, pb.seed))),
         ),
@@ -305,11 +301,8 @@ def naive_compose(a: TaskInstance, b: TaskInstance) -> TaskInstance:
         context=a.context,
         grounding_items=items,
         target_item=a.target_item,
-        provenance=Provenance(
-            dataset=pa.dataset,
-            dialog_id=pa.dialog_id,
-            split=pa.split,
-            target_turn_index=pa.target_turn_index,
+        provenance=replace(
+            pa,
             source_tasks=pa.source_tasks + pb.source_tasks,
             seed=stable_hash("naive", pa.seed, pb.seed),
         ),

@@ -14,7 +14,7 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tup
 
 from .ingest import SchemaError
 from .model import ComponentKind, TaskInstance
-from .textutil import length_class, normalize, normalize_tokens
+from .textutil import length_class, normalize, normalize_tokens, split_keyword_list
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +134,6 @@ class ConstraintSpec:
 
     def union(self, other: "ConstraintSpec") -> "ConstraintSpec":
         return ConstraintSpec(self.constraints | other.constraints)
-
-
-def split_keyword_list(value: str) -> Tuple[str, ...]:
-    """Parse the comma-joined storage form of a keyword list."""
-    return tuple(k.strip() for k in value.split(",") if k.strip())
 
 
 def extract_constraints(inst: TaskInstance) -> ConstraintSpec:

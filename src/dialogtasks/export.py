@@ -155,7 +155,7 @@ def _shared_context(data: Dict[str, Any], dialogs: Dict[Tuple[str, str], _Dialog
     if "dialog_turns" in data:
         try:
             dialogs[key] = (turns_from_dicts(data.pop("dialog_turns")), {})
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except SchemaError as exc:
             raise SchemaError("dialog_turns") from exc
     n = data.pop("context_turns")
     if key not in dialogs:

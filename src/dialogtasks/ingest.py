@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .model import ComponentKind, Dialog, DialogItem, SchemaError, Turn
+from .model import ComponentKind, Dialog, DialogItem, SchemaError, Turn, _checked
 from .seeding import stable_hash, subseed
 
 SPLITS = ("train", "dev", "test")
@@ -167,37 +167,15 @@ def _corpus_manifest(dialogs: Sequence[Dialog], checksum: str) -> CorpusManifest
     )
 
 
-@dataclass(frozen=True)
-class AdapterSpec:
-    """How one source-dataset shape maps onto dialogs and items.
-
-    native_items maps each natively provided item family to its component
-    letter; parse converts one raw record (plus its line number, for error
-    messages) into a Dialog.
-    """
-
-    name: str
-    description: str
-    native_items: Dict[str, str]
-    parse: Callable[[Dict[str, Any], int], Dialog]
-
-
-def _require(record: Dict[str, Any], key: str, line_number: int, path: str = "") -> Any:
-    if key not in record:
-        raise SchemaError(f"{path}{key}", line_number)
-    return record[key]
-
-
-def _require_turns(record: Dict[str, Any], line_number: int) -> List[Dict[str, Any]]:
+def _require_turns(record: Dict[str, Any]) -> List[Dict[str, Any]]:
     """The record's non-empty turn list, every turn an object with a non-empty text."""
-    raw_turns = _require(record, "turns", line_number)
+    raw_turns = record.get("turns")
     if not isinstance(raw_turns, list) or not raw_turns:
-        raise SchemaError("turns", line_number)
+        raise SchemaError("turns")
     for t_index, raw_turn in enumerate(raw_turns):
-        if not isinstance(raw_turn, dict):
-            raise SchemaError(f"turns[{t_index}]", line_number)
-        if "text" not in raw_turn or not str(raw_turn["text"]):
-            raise SchemaError(f"turns[{t_index}].text", line_number)
+        _checked(raw_turn, dict, f"turns[{t_index}]")
+        if not _checked(raw_turn.get("text"), str, f"turns[{t_index}].text"):
+            raise SchemaError(f"turns[{t_index}].text")
     return raw_turns
 
 
@@ -211,85 +189,66 @@ def split_for(dialog_id: str, ratios: Tuple[int, int, int] = (90, 5, 5)) -> str:
     return "test"
 
 
-def _adapter_split(record: Dict[str, Any], dialog_id: str, line_number: int) -> str:
+def _adapter_split(record: Dict[str, Any], dialog_id: str) -> str:
     """A record's split; split_for(dialog_id) when it is absent, null or empty."""
     split = record.get("split") or split_for(dialog_id)
     if split not in SPLITS:
-        raise SchemaError("split", line_number)
+        raise SchemaError("split")
     return split
 
 
-def _parse_canonical(record: Dict[str, Any], line_number: int) -> Dialog:
-    dialog_id = str(_require(record, "dialog_id", line_number))
-    dataset = str(_require(record, "dataset", line_number))
-    split = str(_require(record, "split", line_number))
-    if split not in SPLITS:
-        raise SchemaError("split", line_number)
-    turns: List[Turn] = []
-    for t_index, raw_turn in enumerate(_require_turns(record, line_number)):
-        if "speaker" not in raw_turn:
-            raise SchemaError(f"turns[{t_index}].speaker", line_number)
-        raw_items = raw_turn.get("items", [])
-        if not isinstance(raw_items, list):
-            raise SchemaError(f"turns[{t_index}].items", line_number)
-        items: List[DialogItem] = []
-        for i_index, raw_item in enumerate(raw_items):
-            if not isinstance(raw_item, dict):
-                raise SchemaError(f"turns[{t_index}].items[{i_index}]", line_number)
-            for key in ("component", "kind", "value"):
-                if key not in raw_item:
-                    raise SchemaError(f"turns[{t_index}].items[{i_index}].{key}", line_number)
-            if raw_item["component"] not in ("S", "E", "A"):
-                raise SchemaError(f"turns[{t_index}].items[{i_index}].component", line_number)
-            items.append(
-                DialogItem(
-                    component=ComponentKind(raw_item["component"]),
-                    kind=str(raw_item["kind"]),
-                    value=str(raw_item["value"]),
-                    turn_index=t_index,
-                )
-            )
-        turns.append(Turn(speaker=str(raw_turn["speaker"]), text=str(raw_turn["text"]), items=tuple(items)))
-    return Dialog(dialog_id=dialog_id, dataset=dataset, turns=tuple(turns), split=split)
+def _parse_canonical(record: Dict[str, Any]) -> Dialog:
+    """The engine's own record format, as Dialog.to_dict writes it."""
+    dialog = Dialog.from_dict(record)
+    if dialog.split not in SPLITS:
+        raise SchemaError("split")
+    _require_turns(record)
+    return dialog
 
 
-def _parse_act_emotion(record: Dict[str, Any], line_number: int) -> Dialog:
+def _parse_act_emotion(record: Dict[str, Any]) -> Dialog:
     """Adapter for corpora with per-turn dialog-act and emotion labels.
 
     Acts become Action items (kind "dialog_act"); emotions become State items
     (kind "emotion").
     """
-    dialog_id = str(_require(record, "dialog_id", line_number))
-    dataset = str(record.get("dataset", "act_emotion"))
+    dialog_id = _checked(record.get("dialog_id"), str, "dialog_id")
+    dataset = _checked(record.get("dataset", "act_emotion"), str, "dataset")
     turns: List[Turn] = []
-    for t_index, raw_turn in enumerate(_require_turns(record, line_number)):
-        speaker = str(raw_turn.get("speaker", f"Speaker {t_index % 2 + 1}"))
+    for t_index, raw_turn in enumerate(_require_turns(record)):
+        path = f"turns[{t_index}]"
+        speaker = _checked(raw_turn.get("speaker", f"Speaker {t_index % 2 + 1}"), str, f"{path}.speaker")
         items: List[DialogItem] = []
-        if raw_turn.get("act"):
-            items.append(DialogItem(ComponentKind.ACTION, "dialog_act", str(raw_turn["act"]), t_index))
-        if raw_turn.get("emotion"):
-            items.append(DialogItem(ComponentKind.STATE, "emotion", str(raw_turn["emotion"]), t_index))
-        turns.append(Turn(speaker=speaker, text=str(raw_turn["text"]), items=tuple(items)))
-    split = _adapter_split(record, dialog_id, line_number)
+        act = _checked(raw_turn.get("act", ""), str, f"{path}.act")
+        if act:
+            items.append(DialogItem(ComponentKind.ACTION, "dialog_act", act, t_index))
+        emotion = _checked(raw_turn.get("emotion", ""), str, f"{path}.emotion")
+        if emotion:
+            items.append(DialogItem(ComponentKind.STATE, "emotion", emotion, t_index))
+        turns.append(Turn(speaker=speaker, text=raw_turn["text"], items=tuple(items)))
+    split = _adapter_split(record, dialog_id)
     return Dialog(dialog_id=dialog_id, dataset=dataset, turns=tuple(turns), split=split)
 
 
-def _parse_persona_list(record: Dict[str, Any], line_number: int) -> Dialog:
+def _parse_persona_list(record: Dict[str, Any]) -> Dialog:
     """Adapter for corpora with per-speaker persona lines plus plain utterances.
 
     Persona lines become Evidence items (kind "persona") attached to the first
     turn of the speaker they describe.
     """
-    dialog_id = str(_require(record, "dialog_id", line_number))
-    dataset = str(record.get("dataset", "persona_list"))
+    dialog_id = _checked(record.get("dialog_id"), str, "dialog_id")
+    dataset = _checked(record.get("dataset", "persona_list"), str, "dataset")
     personas = record.get("personas", [])
-    if not isinstance(personas, list) or not all(isinstance(lines, list) for lines in personas):
-        raise SchemaError("personas", line_number)
+    if not isinstance(personas, list) or not all(
+        isinstance(lines, list) and all(isinstance(line, str) for line in lines) for lines in personas
+    ):
+        raise SchemaError("personas")
     speakers: List[str] = []
     texts: List[str] = []
-    for t_index, raw_turn in enumerate(_require_turns(record, line_number)):
-        speakers.append(str(raw_turn.get("speaker", f"Speaker {t_index % 2 + 1}")))
-        texts.append(str(raw_turn["text"]))
+    for t_index, raw_turn in enumerate(_require_turns(record)):
+        speaker = raw_turn.get("speaker", f"Speaker {t_index % 2 + 1}")
+        speakers.append(_checked(speaker, str, f"turns[{t_index}].speaker"))
+        texts.append(raw_turn["text"])
     first_turn_of: Dict[str, int] = {}
     for t_index, speaker in enumerate(speakers):
         first_turn_of.setdefault(speaker, t_index)
@@ -301,59 +260,40 @@ def _parse_persona_list(record: Dict[str, Any], line_number: int) -> Dialog:
         anchor = first_turn_of[distinct_speakers[s_index]]
         for line in lines:
             items_by_turn.setdefault(anchor, []).append(
-                DialogItem(ComponentKind.EVIDENCE, "persona", str(line), anchor)
+                DialogItem(ComponentKind.EVIDENCE, "persona", line, anchor)
             )
     turns = tuple(
         Turn(speaker=speakers[i], text=texts[i], items=tuple(items_by_turn.get(i, ())))
         for i in range(len(texts))
     )
-    split = _adapter_split(record, dialog_id, line_number)
+    split = _adapter_split(record, dialog_id)
     return Dialog(dialog_id=dialog_id, dataset=dataset, turns=turns, split=split)
 
 
-ADAPTERS: Dict[str, AdapterSpec] = {
-    "canonical": AdapterSpec(
-        name="canonical",
-        description="The engine's own line-delimited record format.",
-        native_items={},
-        parse=_parse_canonical,
-    ),
-    "act_emotion": AdapterSpec(
-        name="act_emotion",
-        description="Per-turn dialog-act and emotion labels.",
-        native_items={"dialog_act": "A", "emotion": "S"},
-        parse=_parse_act_emotion,
-    ),
-    "persona_list": AdapterSpec(
-        name="persona_list",
-        description="Per-speaker persona lines plus utterances.",
-        native_items={"persona": "E"},
-        parse=_parse_persona_list,
-    ),
+# Each source-dataset shape is one function from a JSON record to a Dialog.
+# It raises SchemaError naming the bad field; load_corpus adds the line.
+ADAPTERS: Dict[str, Callable[[Dict[str, Any]], Dialog]] = {
+    "canonical": _parse_canonical,
+    "act_emotion": _parse_act_emotion,
+    "persona_list": _parse_persona_list,
 }
 
-# Adapters must map item families onto components consistently with the
-# component table: persona and knowledge are Evidence, dialog acts are
-# Actions, emotions and summaries are State.
-_COMPONENT_TABLE = {"persona": "E", "knowledge": "E", "dialog_act": "A", "emotion": "S", "summary": "S"}
-for _adapter in ADAPTERS.values():
-    for _kind, _component in _adapter.native_items.items():
-        assert _COMPONENT_TABLE.get(_kind, _component) == _component, (
-            f"adapter {_adapter.name} misassigns {_kind}"
-        )
 
+def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dialog], CorpusManifest]:
+    """Load a line-delimited corpus file through the adapter of that name.
 
-def load_corpus(path: str | Path, adapter: AdapterSpec | str = "canonical") -> Tuple[List[Dialog], CorpusManifest]:
-    """Load a line-delimited corpus file through an adapter.
-
-    Raises ParseError (bad JSON, with line number), SchemaError (missing
-    field, with path), or EmptyCorpus.
+    Raises ParseError (bad JSON, with line number), SchemaError (missing or
+    mistyped field, with line number and path), or EmptyCorpus.
     """
-    if isinstance(adapter, str):
-        if adapter not in ADAPTERS:
-            raise ValueError(f"unknown adapter: {adapter!r} (have: {', '.join(sorted(ADAPTERS))})")
-        adapter = ADAPTERS[adapter]
-    dialogs = [adapter.parse(record, line_number) for line_number, record in read_jsonl(path)]
+    if adapter not in ADAPTERS:
+        raise ValueError(f"unknown adapter: {adapter!r} (have: {', '.join(sorted(ADAPTERS))})")
+    parse = ADAPTERS[adapter]
+    dialogs: List[Dialog] = []
+    for line_number, record in read_jsonl(path):
+        try:
+            dialogs.append(parse(record))
+        except SchemaError as exc:
+            raise SchemaError(exc.field_path, line_number, exc.problem) from exc
     if not dialogs:
         raise EmptyCorpus(f"no records in {path}")
     return dialogs, _corpus_manifest(dialogs, hashlib.sha256(Path(path).read_bytes()).hexdigest())

@@ -72,13 +72,15 @@ class SchemaError(ValueError):
         super().__init__(f"{where}{problem or f'missing or invalid field {field_path}'}")
 
 
-def _checked(value: Any, kind: type) -> Any:
-    """``value`` itself if it is a ``kind`` as JSON decodes one; TypeError otherwise.
+def _checked(value: Any, kind: type, path: str) -> Any:
+    """``value`` itself if it is a ``kind`` as JSON decodes one; SchemaError(path) otherwise.
 
-    A bool is not accepted as an int, so ``true`` is no turn index or seed.
+    A bool is not accepted as an int, so ``true`` is no turn index or seed,
+    and None is no value of any kind, so ``_checked(data.get(key), ...)``
+    also rejects a missing key.
     """
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise TypeError(f"expected {kind.__name__}, not {type(value).__name__}")
+        raise SchemaError(path)
     return value
 
 
@@ -110,9 +112,9 @@ class DialogItem:
     def from_dict(cls, data: Dict[str, Any]) -> "DialogItem":
         return cls(
             component=ComponentKind(data["component"]),
-            kind=_checked(data["kind"], str),
-            value=_checked(data["value"], str),
-            turn_index=_checked(data.get("turn_index", 0), int),
+            kind=_checked(data["kind"], str, "kind"),
+            value=_checked(data["value"], str, "value"),
+            turn_index=_checked(data.get("turn_index", 0), int, "turn_index"),
         )
 
 
@@ -135,23 +137,42 @@ class Turn:
         }
 
 
-def turns_from_dicts(rows: List[Dict[str, Any]]) -> Tuple[Turn, ...]:
-    """Parse turns as Turn.to_dict writes them.
+def turns_from_dicts(rows: Any) -> Tuple[Turn, ...]:
+    """Parse the turns of the dialog format, as Turn.to_dict writes them.
 
-    The turns are a prefix of their source dialog, so an item's turn_index
-    is the position of its enclosing turn.
+    Every turn is ``{speaker, text, items[]}``, every item ``{component,
+    kind, value}`` with component S, E or A, and each of these a string. A
+    missing or mistyped field raises SchemaError naming its path, such as
+    ``turns[1].items[0].kind``. The turns are a prefix of their source
+    dialog, so an item's turn_index is the position of its enclosing turn.
     """
-    return tuple(
-        Turn(
-            speaker=_checked(turn["speaker"], str),
-            text=_checked(turn["text"], str),
-            items=tuple(
-                DialogItem.from_dict({**item, "turn_index": index})
-                for item in _checked(turn.get("items", []), list)
-            ),
+    turns: List[Turn] = []
+    for t_index, raw_turn in enumerate(_checked(rows, list, "turns")):
+        path = f"turns[{t_index}]"
+        _checked(raw_turn, dict, path)
+        items: List[DialogItem] = []
+        for i_index, raw_item in enumerate(_checked(raw_turn.get("items", []), list, f"{path}.items")):
+            item_path = f"{path}.items[{i_index}]"
+            _checked(raw_item, dict, item_path)
+            component = raw_item.get("component")
+            if component not in ("S", "E", "A"):
+                raise SchemaError(f"{item_path}.component")
+            items.append(
+                DialogItem(
+                    component=ComponentKind(component),
+                    kind=_checked(raw_item.get("kind"), str, f"{item_path}.kind"),
+                    value=_checked(raw_item.get("value"), str, f"{item_path}.value"),
+                    turn_index=t_index,
+                )
+            )
+        turns.append(
+            Turn(
+                speaker=_checked(raw_turn.get("speaker"), str, f"{path}.speaker"),
+                text=_checked(raw_turn.get("text"), str, f"{path}.text"),
+                items=tuple(items),
+            )
         )
-        for index, turn in enumerate(_checked(rows, list))
-    )
+    return tuple(turns)
 
 
 @dataclass(frozen=True)
@@ -170,6 +191,16 @@ class Dialog:
             "split": self.split,
             "turns": [t.to_dict() for t in self.turns],
         }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "Dialog":
+        """Parse a record as to_dict writes it; SchemaError names a bad field's path."""
+        return cls(
+            dialog_id=_checked(data.get("dialog_id"), str, "dialog_id"),
+            dataset=_checked(data.get("dataset"), str, "dataset"),
+            split=_checked(data.get("split"), str, "split"),
+            turns=turns_from_dicts(data.get("turns")),
+        )
 
 
 @dataclass(frozen=True)
@@ -258,8 +289,8 @@ class TargetItem:
     def from_dict(cls, data: Dict[str, Any]) -> "TargetItem":
         return cls(
             component=ComponentKind(data["component"]),
-            kind=_checked(data["kind"], str),
-            value=_checked(data["value"], str),
+            kind=_checked(data["kind"], str, "kind"),
+            value=_checked(data["value"], str, "value"),
         )
 
 
@@ -292,12 +323,14 @@ class Provenance:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Provenance":
         return cls(
-            dataset=_checked(data["dataset"], str),
-            dialog_id=_checked(data["dialog_id"], str),
-            split=_checked(data.get("split", "train"), str),
-            target_turn_index=_checked(data["target_turn_index"], int),
-            source_tasks=tuple(_checked(t, str) for t in _checked(data["source_tasks"], list)),
-            seed=_checked(data["seed"], int),
+            dataset=_checked(data["dataset"], str, "dataset"),
+            dialog_id=_checked(data["dialog_id"], str, "dialog_id"),
+            split=_checked(data.get("split", "train"), str, "split"),
+            target_turn_index=_checked(data["target_turn_index"], int, "target_turn_index"),
+            source_tasks=tuple(
+                _checked(t, str, "source_tasks") for t in _checked(data["source_tasks"], list, "source_tasks")
+            ),
+            seed=_checked(data["seed"], int, "seed"),
         )
 
 
@@ -355,23 +388,23 @@ class TaskInstance:
         try:
             signature = parse_signature(data["signature"])
             field = "task_name"
-            task_name = _checked(data["task_name"], str)
+            task_name = _checked(data["task_name"], str, field)
             field = "instruction"
-            instruction = _checked(data["instruction"], str)
+            instruction = _checked(data["instruction"], str, field)
             field = "context"
             context = data.get("context", ())
             if type(context) is not tuple:
                 context = turns_from_dicts(context)
             field = "grounding_items"
-            grounding_items = tuple(DialogItem.from_dict(i) for i in _checked(data["grounding_items"], list))
+            grounding_items = tuple(DialogItem.from_dict(i) for i in _checked(data["grounding_items"], list, field))
             field = "target_item"
             target_item = TargetItem.from_dict(data["target_item"])
             field = "provenance"
             provenance = Provenance.from_dict(data["provenance"])
             field = "cot_items"
-            cot_items = tuple(DialogItem.from_dict(i) for i in _checked(data.get("cot_items", []), list))
+            cot_items = tuple(DialogItem.from_dict(i) for i in _checked(data.get("cot_items", []), list, field))
             field = "style"
-            style = _checked(data.get("style", "standard"), str)
+            style = _checked(data.get("style", "standard"), str, field)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(field) from exc
         return cls(

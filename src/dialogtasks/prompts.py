@@ -25,7 +25,7 @@ from .model import (
     signature_of,
 )
 from .seeding import subseed
-from .textutil import join_natural
+from .textutil import join_natural, split_keyword_list
 
 SECTION_INSTRUCTION = "Instruction:"
 SECTION_CONTEXT = "Dialog Context:"
@@ -113,8 +113,7 @@ def format_item_value(kind: str, value: str) -> str:
     backquoted, e.g. ``thing'' and ``flat''.
     """
     if kind == "keywords":
-        keywords = [k.strip() for k in value.split(",") if k.strip()]
-        return join_natural([f"``{k}''" for k in keywords])
+        return join_natural([f"``{k}''" for k in split_keyword_list(value)])
     return value
 
 

@@ -255,6 +255,8 @@ class AtomicTaskDef:
 
     def derive(self, dialog: Dialog, turn_index: int, seed: int) -> TaskInstance:
         """Build the instance for one target turn, or raise DerivationError."""
+        if not 0 <= turn_index < len(dialog.turns):
+            raise DerivationError(f"target turn {turn_index} out of range")
         pos = _Position(dialog, turn_index, seed)
         # Text sources run before item lookups, so a turn without tokens
         # fails as TooShort or NoContentTokens whatever items it carries.
@@ -265,7 +267,7 @@ class AtomicTaskDef:
         if self.grounding is not None and not early:
             grounding.append(self._grounding_item(pos))
 
-        if turn_index < 1 or turn_index >= len(dialog.turns):
+        if turn_index < 1:
             raise DerivationError(f"target turn {turn_index} out of range")
         components = tuple(item.component for item in grounding)
         inst = TaskInstance(

@@ -92,6 +92,11 @@ def length_class(token_count: int) -> str:
     return "long"
 
 
+def split_keyword_list(value: str) -> tuple[str, ...]:
+    """Parse the comma-joined storage form of a keyword list."""
+    return tuple(k.strip() for k in value.split(",") if k.strip())
+
+
 def join_natural(parts: list[str]) -> str:
     """Join words the way the prompt templates expect: "a", "a and b", "a, b, and c"."""
     if not parts:

@@ -160,6 +160,17 @@ def test_malformed_instance_row_exits_two(tmp_path, instances_path, capsys, bad_
         assert err.startswith("error: line 2: "), command
 
 
+def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, capsys):
+    lines = instances_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["dialog_turns"][0]["items"][0]["component"] = "R"
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, _, err = _run(capsys, "stats", "--in", str(broken))
+    assert code == cli.EXIT_IO
+    assert err.startswith("error: line 1: missing or invalid field dialog_turns")
+
+
 @pytest.mark.parametrize(
     "plan, message",
     [

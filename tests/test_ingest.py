@@ -141,6 +141,24 @@ def test_unicode_line_separator_inside_a_string_loads(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["n_instances"] > 0
 
 
+def _with(record, value, *keys):
+    """A copy of record whose field at keys (object keys and list indices) holds value."""
+    record = json.loads(json.dumps(record))
+    parent = record
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return record
+
+
+_CANONICAL = synth_corpus(1, 1)[0].to_dict()
+_ACT_EMOTION = {
+    "dialog_id": "ae",
+    "turns": [{"speaker": "A", "text": "hi .", "act": "question", "emotion": "surprise"}, {"text": "hello ."}],
+}
+_PERSONA_LIST = {"dialog_id": "pl", "personas": [["i like tea ."]], "turns": [{"speaker": "A", "text": "hi ."}]}
+
+
 @pytest.mark.parametrize(
     "adapter, record, field_path",
     [
@@ -154,6 +172,26 @@ def test_unicode_line_separator_inside_a_string_loads(tmp_path, capsys):
         ("canonical", {"dialog_id": "d", "dataset": "x", "split": "train",
                        "turns": [{"speaker": "A", "text": "hi .", "items": 5}]},
          "turns[0].items"),
+        ("canonical", _with(_CANONICAL, None, "dialog_id"), "dialog_id"),
+        ("canonical", _with(_CANONICAL, 5, "dataset"), "dataset"),
+        ("canonical", _with(_CANONICAL, None, "turns", 1, "speaker"), "turns[1].speaker"),
+        ("canonical", _with(_CANONICAL, None, "turns", 0, "text"), "turns[0].text"),
+        ("canonical", _with(_CANONICAL, ["hi ."], "turns", 1, "text"), "turns[1].text"),
+        ("canonical", _with(_CANONICAL, ["x"], "turns", 0, "items", 1, "kind"), "turns[0].items[1].kind"),
+        ("canonical", _with(_CANONICAL, 3, "turns", 1, "items", 0, "value"), "turns[1].items[0].value"),
+        ("act_emotion", _with(_ACT_EMOTION, {"text": None, "act": {"x": 1}}, "turns", 0), "turns[0].text"),
+        ("act_emotion", _with(_ACT_EMOTION, {"x": 1}, "turns", 0, "act"), "turns[0].act"),
+        ("act_emotion", _with(_ACT_EMOTION, None, "turns", 0, "act"), "turns[0].act"),
+        ("act_emotion", _with(_ACT_EMOTION, 5, "turns", 1, "emotion"), "turns[1].emotion"),
+        ("act_emotion", _with(_ACT_EMOTION, 1, "turns", 0, "speaker"), "turns[0].speaker"),
+        ("act_emotion", _with(_ACT_EMOTION, 7, "dialog_id"), "dialog_id"),
+        ("act_emotion", _with(_ACT_EMOTION, [], "dataset"), "dataset"),
+        ("persona_list", _with(_PERSONA_LIST, [["i like tea .", 5]], "personas"), "personas"),
+        ("persona_list", _with(_PERSONA_LIST, None, "personas", 0, 0), "personas"),
+        ("persona_list", _with(_PERSONA_LIST, None, "turns", 0, "text"), "turns[0].text"),
+        ("persona_list", _with(_PERSONA_LIST, False, "turns", 0, "speaker"), "turns[0].speaker"),
+        ("persona_list", _with(_PERSONA_LIST, None, "dataset"), "dataset"),
+        ("persona_list", _with(_PERSONA_LIST, 3, "dialog_id"), "dialog_id"),
     ],
 )
 def test_malformed_turns_and_items_are_schema_errors(tmp_path, capsys, adapter, record, field_path):
@@ -166,6 +204,16 @@ def test_malformed_turns_and_items_are_schema_errors(tmp_path, capsys, adapter, 
     code = cli.main(["ingest", "--input", str(path), "--adapter", adapter, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_IO
     assert f"line 1: missing or invalid field {field_path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("adapter", ["act_emotion", "persona_list"])
+def test_absent_optional_fields_keep_their_defaults(tmp_path, adapter):
+    record = {"dialog_id": "d", "turns": [{"text": "hi ."}, {"text": "hello .", "emotion": ""}]}
+    path = tmp_path / "raw.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    dialogs, _ = load_corpus(path, adapter)
+    assert dialogs[0].dataset == adapter
+    assert [(t.speaker, t.items) for t in dialogs[0].turns] == [("Speaker 1", ()), ("Speaker 2", ())]
 
 
 @pytest.mark.parametrize("adapter", ["act_emotion", "persona_list"])

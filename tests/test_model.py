@@ -206,3 +206,20 @@ def test_dialog_serialization():
     data = dialog.to_dict()
     assert data["split"] == "dev"
     assert data["turns"][0]["items"][0] == {"component": "S", "kind": "emotion", "value": "happiness"}
+
+
+def test_dialog_from_dict_inverts_to_dict():
+    dialog = Dialog(
+        dialog_id="d1",
+        dataset="ds",
+        turns=(
+            Turn("Speaker 1", "hi .", (DialogItem(S, "emotion", "happiness", 0),)),
+            Turn(
+                "Speaker 2",
+                "hello .",
+                (DialogItem(E, "persona", "i sing .", 1), DialogItem(A, "dialog_act", "inform", 1)),
+            ),
+        ),
+        split="dev",
+    )
+    assert Dialog.from_dict(dialog.to_dict()) == dialog

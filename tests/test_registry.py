@@ -252,6 +252,14 @@ def test_stopword_only_turn_raises_no_content_tokens():
         derive_task("keyword_controlled_generation", dull, 1, seed=0)
 
 
+@pytest.mark.parametrize("turn_index", [2, 3, 7, -1, -3], ids=["end", "past end", "far past end", "-1", "-3"])
+def test_derive_task_outside_the_dialog_is_a_derivation_error(turn_index):
+    assert len(DIALOG.turns) == 2
+    for name in REGISTRY:
+        with pytest.raises(DerivationError, match="out of range"):
+            derive_task(name, DIALOG, turn_index, seed=0)
+
+
 def test_derive_task_unknown_name():
     with pytest.raises(KeyError):
         derive_task("nope", DIALOG, 1, seed=0)
