@@ -45,7 +45,7 @@ class RuleFormatError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompositionRule:
     """One row of the rule table.
 
@@ -69,7 +69,7 @@ class CompositionRule:
         return signature_of(a.grounding + b.grounding, self.target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rejection:
     """Why a pair refused to compose."""
 
@@ -129,10 +129,10 @@ def _item_keys(inst: TaskInstance) -> List[Tuple[str, str, str, int]]:
     return [(i.component.value, i.kind, i.value, i.turn_index) for i in inst.grounding_items]
 
 
-def infeasibility_guard(
+def _verdict(
     a: TaskInstance, b: TaskInstance, rules: Sequence[CompositionRule]
-) -> Optional[str]:
-    """The reason this pair must not compose, or None if it may.
+) -> Union[str, CompositionRule]:
+    """The reason this pair must not compose, or the rule it composes under.
 
     Checks run in a fixed order so the reported reason is deterministic:
     position, leakage, target, task repetition, rule coverage, item overlap.
@@ -156,12 +156,24 @@ def infeasibility_guard(
         return REASON_TARGETS_DIFFER
     if set(pa.source_tasks) & set(pb.source_tasks):
         return REASON_DUPLICATE_TASK
-    if find_rule(a.signature, b.signature, rules) is None:
+    rule = find_rule(a.signature, b.signature, rules)
+    if rule is None:
         return REASON_NO_RULE
     merged = _item_keys(a) + _item_keys(b)
     if len(set(merged)) != len(merged):
         return REASON_DUPLICATE_ITEM
-    return None
+    return rule
+
+
+def infeasibility_guard(
+    a: TaskInstance, b: TaskInstance, rules: Sequence[CompositionRule]
+) -> Optional[str]:
+    """The reason this pair must not compose, or None if it may.
+
+    The reasons and their order are those of compose's refusals.
+    """
+    verdict = _verdict(a, b, rules)
+    return verdict if isinstance(verdict, str) else None
 
 
 def compose(
@@ -173,11 +185,9 @@ def compose(
     are merged in canonical order, the name joins the sorted source task
     names with " + ", and the seed hashes the sorted parent seeds.
     """
-    reason = infeasibility_guard(a, b, rules)
-    if reason is not None:
-        return Rejection(reason, a.task_name, b.task_name)
-    rule = find_rule(a.signature, b.signature, rules)
-    assert rule is not None  # guard already checked coverage
+    rule = _verdict(a, b, rules)
+    if isinstance(rule, str):  # no rule: the reason for the refusal
+        return Rejection(rule, a.task_name, b.task_name)
     items = tuple(sorted(a.grounding_items + b.grounding_items, key=item_sort_key))
     components = tuple(item.component for item in items)
     signature = signature_of(components, rule.target)

@@ -21,34 +21,34 @@ from .textutil import length_class, normalize, normalize_tokens, split_keyword_l
 # Constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BeginsWith:
     phrase: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EndsWith:
     phrase: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContainsKeywords:
     keywords: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LengthClass:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactMatch:
     """Label-valued targets (state/evidence/action tasks) score as exact match."""
 
     value: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReferenceOverlap:
     """Free-text targets score as overlap against the gold reference."""
 
@@ -103,7 +103,7 @@ def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
     return _CONSTRAINT_TYPES[kind](value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintSpec:
     """The machine-checkable constraints one task instance puts on an output.
 
@@ -308,7 +308,7 @@ def rouge_l(
 BOOLEAN_KINDS = ("begins_with", "ends_with", "contains_keywords", "length_class", "exact_match")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricReport:
     """Per-constraint and aggregate scores for a scored corpus.
 

@@ -24,7 +24,7 @@ from .seeding import stable_hash
 SPLIT_NAMES = ("train", "dev", "test")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplingPlan:
     """Per-group instance caps.
 
@@ -193,7 +193,7 @@ def constraint_records(instances: Iterable[TaskInstance]) -> List[Dict[str, Any]
     return records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusStats:
     """Shape of a corpus: counts by task, signature, dimension, split, dataset."""
 

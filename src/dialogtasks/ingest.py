@@ -45,20 +45,32 @@ def read_jsonl(path: str | Path) -> Iterator[Tuple[int, Dict[str, Any]]]:
     object.
     """
     with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ParseError(line_number, str(exc)) from exc
-            if not isinstance(record, dict):
-                raise SchemaError("(record)", line_number)
-            yield line_number, record
+        yield from _records(handle)
 
 
-@dataclass(frozen=True)
+def _records(lines: Iterable[bytes]) -> Iterator[Tuple[int, Dict[str, Any]]]:
+    """read_jsonl's parse of raw lines, each ending in "\n" except perhaps the last."""
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
+            record = json.loads(line)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(line_number, str(exc)) from exc
+        if not isinstance(record, dict):
+            raise SchemaError("(record)", line_number)
+        yield line_number, record
+
+
+def _hashed(lines: Iterable[bytes], digest: Any) -> Iterator[bytes]:
+    """Pass raw lines through, adding each to ``digest`` as it goes by."""
+    for raw in lines:
+        digest.update(raw)
+        yield raw
+
+
+@dataclass(frozen=True, slots=True)
 class ExportManifest:
     """One written file: name, record count, content checksum."""
 
@@ -138,7 +150,7 @@ def _is_file_or_new(path: Path) -> bool:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusManifest:
     """Summary of one loaded or written corpus file."""
 
@@ -289,14 +301,18 @@ def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dial
         raise ValueError(f"unknown adapter: {adapter!r} (have: {', '.join(sorted(ADAPTERS))})")
     parse = ADAPTERS[adapter]
     dialogs: List[Dialog] = []
-    for line_number, record in read_jsonl(path):
-        try:
-            dialogs.append(parse(record))
-        except SchemaError as exc:
-            raise SchemaError(exc.field_path, line_number, exc.problem) from exc
+    # The checksum covers every byte read, blank lines included, so the
+    # file is read once.
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for line_number, record in _records(_hashed(handle, digest)):
+            try:
+                dialogs.append(parse(record))
+            except SchemaError as exc:
+                raise SchemaError(exc.field_path, line_number, exc.problem) from exc
     if not dialogs:
         raise EmptyCorpus(f"no records in {path}")
-    return dialogs, _corpus_manifest(dialogs, hashlib.sha256(Path(path).read_bytes()).hexdigest())
+    return dialogs, _corpus_manifest(dialogs, digest.hexdigest())
 
 
 def write_corpus(dialogs: Sequence[Dialog], path: str | Path) -> CorpusManifest:
@@ -308,7 +324,7 @@ def write_corpus(dialogs: Sequence[Dialog], path: str | Path) -> CorpusManifest:
 # Synthetic corpus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SynthConfig:
     """Knobs for the synthetic corpus generator (test and demo fixture)."""
 

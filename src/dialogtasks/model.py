@@ -84,7 +84,7 @@ def _checked(value: Any, kind: type, path: str) -> Any:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DialogItem:
     """One unit of dialog information mapped to a component.
 
@@ -118,7 +118,7 @@ class DialogItem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Turn:
     """One speaker turn, optionally annotated with dialog items."""
 
@@ -175,7 +175,7 @@ def turns_from_dicts(rows: Any) -> Tuple[Turn, ...]:
     return tuple(turns)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dialog:
     """An ordered list of speaker turns from one source dataset."""
 
@@ -203,7 +203,7 @@ class Dialog:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskSignature:
     """A canonicalized grounding multiset plus one target component.
 
@@ -242,11 +242,17 @@ class TaskSignature:
         return self.canonical_string()
 
 
+# One shared TaskSignature per (sorted grounding, target); see signature_of.
+_SIGNATURES: Dict[Tuple[Tuple[ComponentKind, ...], ComponentKind], TaskSignature] = {}
+
+
 def signature_of(grounding: Iterable[ComponentKind], target: ComponentKind) -> TaskSignature:
-    """Build the canonical signature for a grounding multiset and target.
+    """The canonical signature for a grounding multiset and target.
 
     Idempotent under permutation of the grounding: ([E, A], R) and ([A, E], R)
-    both canonicalize to ICEA-R.
+    both canonicalize to ICEA-R. Every call with the same shape returns the
+    same shared object; compare signatures with ==, which also holds for
+    ones built directly.
     """
     components = list(grounding)
     for component in components:
@@ -256,8 +262,15 @@ def signature_of(grounding: Iterable[ComponentKind], target: ComponentKind) -> T
             )
     if target not in TARGET_COMPONENTS:
         raise InvalidTarget(f"target must be one of S, E, A, R, not {target!r}")
-    ordered = tuple(sorted(components, key=GROUNDING_ORDER.__getitem__))
-    return TaskSignature(grounding=ordered, target=target)
+    key = (tuple(sorted(components, key=GROUNDING_ORDER.__getitem__)), target)
+    signature = _SIGNATURES.get(key)
+    if signature is None:
+        # A letter such as "A" equals and hashes like its member, so the
+        # shared object is built from members whatever the first caller passed.
+        signature = _SIGNATURES[key] = TaskSignature(
+            grounding=tuple(map(ComponentKind, key[0])), target=ComponentKind(target)
+        )
+    return signature
 
 
 def parse_signature(text: str) -> TaskSignature:
@@ -274,7 +287,7 @@ def parse_signature(text: str) -> TaskSignature:
     return signature_of(grounding, target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TargetItem:
     """The single output the task expects: component, item family, gold value."""
 
@@ -294,7 +307,7 @@ class TargetItem:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     """Where an instance came from, enough to reproduce or sort it stably."""
 
@@ -334,7 +347,7 @@ class Provenance:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TaskInstance:
     """One concrete task: signature, instruction, context, grounding, target.
 

@@ -54,7 +54,7 @@ emit_constraints = true
 """
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineConfig:
     """Typed view of one pipeline INI file."""
 

@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .model import (
     ComponentKind,
@@ -58,7 +58,7 @@ PHRASES: Dict[str, str] = _PHRASE_TABLE["phrases"]
 NAIVE_LABELS: Dict[str, str] = _PHRASE_TABLE["naive_labels"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenderOptions:
     """Rendering knobs; defaults match the shipped corpus format."""
 
@@ -66,7 +66,7 @@ class RenderOptions:
     generic_fallback: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RenderedExample:
     """The final (input text, output text) pair plus everything needed to trace it."""
 
@@ -91,19 +91,29 @@ class RenderedExample:
         }
 
 
+# One shared instruction string per (target, set of grounding components).
+_INSTRUCTIONS: Dict[Tuple[ComponentKind, FrozenSet[ComponentKind]], str] = {}
+
+
 def build_instruction(target: ComponentKind, grounding: Iterable[ComponentKind]) -> str:
     """Template grammar for instructions.
 
     Produces e.g. "Provide the correct value for response fields given the
     dialog context and action fields." — naming the dialog context plus every
     distinct grounding component, in canonical order, and nothing else.
+    Every call with the same target and component set returns the same
+    shared string.
     """
-    present = sorted(set(grounding), key=GROUNDING_ORDER.__getitem__)
-    fields = ["dialog context"] + [FIELD_NAMES[c] for c in present]
-    return (
-        f"Provide the correct value for {FIELD_NAMES[target]} fields "
-        f"given the {join_natural(fields)} fields."
-    )
+    key = (target, frozenset(grounding))
+    instruction = _INSTRUCTIONS.get(key)
+    if instruction is None:
+        present = sorted(key[1], key=GROUNDING_ORDER.__getitem__)
+        fields = ["dialog context"] + [FIELD_NAMES[c] for c in present]
+        instruction = _INSTRUCTIONS[key] = (
+            f"Provide the correct value for {FIELD_NAMES[target]} fields "
+            f"given the {join_natural(fields)} fields."
+        )
+    return instruction
 
 
 def format_item_value(kind: str, value: str) -> str:

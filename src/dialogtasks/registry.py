@@ -130,12 +130,11 @@ def _corrupt_tokens(tokens: Sequence[str], rng: random.Random) -> List[str]:
 # ---------------------------------------------------------------------------
 
 class _Position:
-    """Target turn t of a dialog, tokenized at most once per derivation."""
+    """Target turn t of a dialog, tokenized at most once however many tasks read it."""
 
-    def __init__(self, dialog: Dialog, turn_index: int, seed: int) -> None:
+    def __init__(self, dialog: Dialog, turn_index: int) -> None:
         self.dialog = dialog
         self.t = turn_index
-        self.seed = seed
         self.turn = dialog.turns[turn_index]
 
     @cached_property
@@ -148,43 +147,44 @@ class _Position:
         return self.tokens
 
 
-# A source returns the value it reads and the index of the turn it describes.
-Source = Callable[[_Position], Tuple[str, int]]
+# A source returns the value it reads and the index of the turn it describes;
+# a random choice it makes is drawn from the task's seed.
+Source = Callable[[_Position, int], Tuple[str, int]]
 
 
-def _response(pos: _Position) -> Tuple[str, int]:
+def _response(pos: _Position, seed: int) -> Tuple[str, int]:
     pos.nonempty_tokens()  # a response needs at least one token
     return pos.turn.text, pos.t
 
 
 def _phrase_span(at_start: bool) -> Source:
-    def source(pos: _Position) -> Tuple[str, int]:
+    def source(pos: _Position, seed: int) -> Tuple[str, int]:
         tokens = pos.nonempty_tokens()
         lengths = [k for k in PHRASE_LENGTHS if k <= len(tokens)]
         if not lengths:
             raise TooShort(f"turn {pos.t} shorter than every phrase length")
-        k = random.Random(pos.seed).choice(lengths)
+        k = random.Random(seed).choice(lengths)
         return " ".join(tokens[:k] if at_start else tokens[-k:]), pos.t
 
     return source
 
 
-def _keywords(pos: _Position) -> Tuple[str, int]:
-    return ", ".join(select_keywords(pos.tokens, random.Random(pos.seed))), pos.t
+def _keywords(pos: _Position, seed: int) -> Tuple[str, int]:
+    return ", ".join(select_keywords(pos.tokens, random.Random(seed))), pos.t
 
 
-def _length_class(pos: _Position) -> Tuple[str, int]:
+def _length_class(pos: _Position, seed: int) -> Tuple[str, int]:
     return length_class(len(pos.nonempty_tokens())), pos.t
 
 
-def _draft(pos: _Position) -> Tuple[str, int]:
-    return " ".join(_corrupt_tokens(pos.nonempty_tokens(), random.Random(pos.seed))), pos.t
+def _draft(pos: _Position, seed: int) -> Tuple[str, int]:
+    return " ".join(_corrupt_tokens(pos.nonempty_tokens(), random.Random(seed))), pos.t
 
 
 def _turn_item(kind: str) -> Source:
     """The value of turn t's item of one kind: a label or a knowledge snippet."""
 
-    def source(pos: _Position) -> Tuple[str, int]:
+    def source(pos: _Position, seed: int) -> Tuple[str, int]:
         for item in pos.turn.items:
             if item.kind == kind:
                 return item.value, item.turn_index
@@ -193,7 +193,7 @@ def _turn_item(kind: str) -> Source:
     return source
 
 
-def _speaker_persona(pos: _Position) -> Tuple[str, int]:
+def _speaker_persona(pos: _Position, seed: int) -> Tuple[str, int]:
     """A persona line attached to any turn up to t of the target speaker."""
     turns = pos.dialog.turns
     candidates = [
@@ -204,7 +204,7 @@ def _speaker_persona(pos: _Position) -> Tuple[str, int]:
     ]
     if not candidates:
         raise GoldMissing(f"speaker of turn {pos.t} has no persona item")
-    item = random.Random(pos.seed).choice(sorted(candidates, key=item_sort_key))
+    item = random.Random(seed).choice(sorted(candidates, key=item_sort_key))
     return item.value, item.turn_index
 
 
@@ -233,7 +233,7 @@ SOURCES: Dict[str, Source] = {**TEXT_SOURCES, **ITEM_SOURCES}
 # The task table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicTaskDef:
     """One registered atomic task type: one row of the task table.
 
@@ -257,15 +257,19 @@ class AtomicTaskDef:
         """Build the instance for one target turn, or raise DerivationError."""
         if not 0 <= turn_index < len(dialog.turns):
             raise DerivationError(f"target turn {turn_index} out of range")
-        pos = _Position(dialog, turn_index, seed)
+        return self._derive_at(_Position(dialog, turn_index), seed)
+
+    def _derive_at(self, pos: _Position, seed: int) -> TaskInstance:
+        """derive at a position other tasks may read too; seed is this task's own."""
+        dialog, turn_index = pos.dialog, pos.t
         # Text sources run before item lookups, so a turn without tokens
         # fails as TooShort or NoContentTokens whatever items it carries.
         early = self.grounding is not None and self.grounding[1] in TEXT_SOURCES
-        grounding = [self._grounding_item(pos)] if early else []
+        grounding = [self._grounding_item(pos, seed)] if early else []
         component, family = self.target
-        target = TargetItem(component, family, SOURCES[family](pos)[0])
+        target = TargetItem(component, family, SOURCES[family](pos, seed)[0])
         if self.grounding is not None and not early:
-            grounding.append(self._grounding_item(pos))
+            grounding.append(self._grounding_item(pos, seed))
 
         if turn_index < 1:
             raise DerivationError(f"target turn {turn_index} out of range")
@@ -291,9 +295,9 @@ class AtomicTaskDef:
             raise DerivationError(f"{self.name} at turn {turn_index}: {'; '.join(problems)}")
         return inst
 
-    def _grounding_item(self, pos: _Position) -> DialogItem:
+    def _grounding_item(self, pos: _Position, seed: int) -> DialogItem:
         component, family = self.grounding
-        value, turn_index = SOURCES[family](pos)
+        value, turn_index = SOURCES[family](pos, seed)
         return DialogItem(component, family, value, turn_index)
 
 
@@ -373,9 +377,12 @@ def derive_corpus(
     instances: List[TaskInstance] = []
     for dialog in dialogs:
         for t in range(1, len(dialog.turns)):
+            # One position for all tasks, so turn t is tokenized once.
+            pos = _Position(dialog, t)
             for name in names:
+                task_seed = subseed(seed, "derive", dialog.dialog_id, t, name)
                 try:
-                    instances.append(derive_task(name, dialog, t, seed))
+                    instances.append(REGISTRY[name]._derive_at(pos, task_seed))
                 except DerivationError:
                     continue
     return instances

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from dialogtasks import composer
 from dialogtasks.composer import (
     REASON_DIFFERENT_CONTEXT,
     REASON_DUPLICATE_ITEM,
@@ -114,6 +115,23 @@ def test_compose_merges_two_action_groundings():
     assert composed.target_item == bw.target_item
     assert validate_instance(composed) == []
     assert "action" in composed.instruction
+
+
+def test_compose_matches_the_rule_table_once_per_pair(monkeypatch):
+    bw = _derived("beginswith_controlled_generation")
+    ew = _derived("endswith_controlled_generation")
+    lookups = []
+    find_rule = composer.find_rule
+
+    def counting_find_rule(a, b, rules):
+        lookups.append((a, b))
+        return find_rule(a, b, rules)
+
+    monkeypatch.setattr(composer, "find_rule", counting_find_rule)
+    assert not isinstance(compose(bw, ew, RULES), Rejection)
+    assert len(lookups) == 1
+    assert infeasibility_guard(bw, ew, RULES) is None
+    assert len(lookups) == 2
 
 
 def test_compose_is_symmetric():

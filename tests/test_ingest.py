@@ -37,6 +37,17 @@ def test_canonical_round_trip(tmp_path):
     assert loaded_manifest.checksum == manifest.checksum
 
 
+def test_corpus_checksum_is_the_file_bytes(tmp_path):
+    rows = [json.dumps(d.to_dict()).encode("utf-8") for d in synth_corpus(3, 3)]
+    # Blank lines, a "\r\n" line ending and no final newline: every byte counts.
+    data = b"\n" + rows[0] + b"\r\n\n  \n" + rows[1] + b"\n" + rows[2]
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    dialogs, manifest = load_corpus(path)
+    assert [d.dialog_id for d in dialogs] == [d.dialog_id for d in synth_corpus(3, 3)]
+    assert manifest.checksum == hashlib.sha256(data).hexdigest()
+
+
 def test_parse_error_carries_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     good = json.dumps(synth_corpus(1, 1)[0].to_dict())

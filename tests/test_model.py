@@ -1,9 +1,15 @@
 """Signatures, instances, serialization round trips, and structural invariants."""
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import dialogtasks
 from dialogtasks.model import (
     ComponentKind,
     Dialog,
@@ -55,6 +61,22 @@ def test_signature_canonicalizes_grounding_order():
     assert signature_of([A, A, S], R).canonical_string() == "ICSAA-R"
 
 
+def test_signature_of_shares_one_object_per_shape():
+    shared = signature_of([A, E], R)
+    assert signature_of([A, E], R) is signature_of((E, A), R) is parse_signature("ICEA-R")
+    assert signature_of([E, A, A], R) is not shared
+    assert signature_of([E, A], A) is not shared
+
+
+def test_shared_signature_is_built_from_members():
+    # Letters equal and hash like their members, so they find the same entry.
+    by_letters = signature_of(["A", "S"], "E")
+    assert by_letters is signature_of([S, A], E)
+    assert by_letters.grounding == (S, A) and by_letters.target == E
+    assert all(type(c) is ComponentKind for c in by_letters.grounding + (by_letters.target,))
+    assert by_letters.canonical_string() == "ICSA-E"
+
+
 def test_signature_dimension_and_class():
     assert signature_of([], R).dimension() == 0
     assert signature_of([], R).is_atomic
@@ -82,6 +104,59 @@ def test_invalid_target_and_grounding():
         signature_of([R], R)
     with pytest.raises(InvalidGroundingComponent):
         signature_of([C], R)
+
+
+def test_invalid_input_raises_after_a_valid_shape_is_shared():
+    signature_of([A], R)
+    with pytest.raises(InvalidGroundingComponent):
+        signature_of([A, R], R)
+    with pytest.raises(InvalidTarget):
+        signature_of([A], C)
+
+
+def _record_types():
+    """Every dataclass type defined in a dialogtasks module."""
+    types = []
+    for info in pkgutil.iter_modules(dialogtasks.__path__):
+        module = importlib.import_module(f"dialogtasks.{info.name}")
+        types.extend(
+            obj for obj in vars(module).values()
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__
+        )
+    return types
+
+
+def test_every_record_type_is_frozen_and_slotted():
+    types = _record_types()
+    names = {cls.__name__ for cls in types}
+    assert {"TaskInstance", "Provenance", "DialogItem", "Turn", "TaskSignature", "TargetItem"} <= names
+    for cls in types:
+        assert cls.__dataclass_params__.frozen, cls.__name__
+        assert "__slots__" in vars(cls), cls.__name__
+        assert cls.__dictoffset__ == 0, cls.__name__  # no per-instance __dict__
+
+
+def test_slotted_instances_have_no_dict_and_stay_frozen():
+    inst = _instance([DialogItem(A, "begins_with", "hello", 1)], TargetItem(R, "response", "hello there ."))
+    records = (inst, inst.signature, inst.context[0], inst.grounding_items[0], inst.target_item, inst.provenance)
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.task_name = "other"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.provenance.seed = 8
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inst.signature.target = E
+
+
+def test_replace_and_asdict_work_on_slotted_instances():
+    inst = _instance([DialogItem(A, "begins_with", "hello", 1)], TargetItem(R, "response", "hello there ."))
+    renamed = dataclasses.replace(inst, task_name="other")
+    assert renamed.task_name == "other" and inst.task_name == "task"
+    assert renamed.provenance is inst.provenance and renamed.signature is inst.signature
+    assert not hasattr(renamed, "__dict__")
+    assert dataclasses.asdict(inst)["provenance"]["seed"] == 7
+    assert dataclasses.replace(inst.provenance, seed=8).key() == inst.provenance.key()
 
 
 @given(

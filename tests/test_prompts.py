@@ -92,6 +92,13 @@ def test_build_instruction_exact_strings():
     assert build_instruction(R, [A, A]) == build_instruction(R, [A])
 
 
+def test_build_instruction_shares_one_string_per_shape():
+    shared = build_instruction(R, [A, E])
+    assert build_instruction(R, (E, A)) is shared
+    assert build_instruction(R, [E, A, A]) is shared
+    assert build_instruction(A, [A, E]) is not shared
+
+
 def test_phrase_table_goldens():
     cases = {
         ("begins_with", "Absolutely . That's"): (

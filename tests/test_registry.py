@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialogtasks import registry
 from dialogtasks.model import ComponentKind, Dialog, DialogItem, TargetItem, Turn, validate_instance
 from dialogtasks.ingest import synth_corpus
 from dialogtasks.registry import (
@@ -286,6 +287,29 @@ def test_derive_corpus_task_subset():
     assert {i.task_name for i in subset} == {"act_prediction", "emotion_tagging"}
     with pytest.raises(KeyError):
         derive_corpus(dialogs, seed=4, tasks=["bogus"])
+
+
+def test_derive_corpus_tokenizes_each_target_turn_once(monkeypatch):
+    calls = []
+
+    def counting_tokenize(text):
+        calls.append(text)
+        return tokenize(text)
+
+    monkeypatch.setattr(registry, "tokenize", counting_tokenize)
+    dialogs = synth_corpus(7, 20)
+    assert derive_corpus(dialogs, seed=7)
+    assert calls == [turn.text for d in dialogs for turn in d.turns[1:]]
+    calls.clear()
+    # Tasks that read only annotation items never tokenize.
+    assert derive_corpus(dialogs, seed=7, tasks=["emotion_prediction", "act_classification"])
+    assert calls == []
+
+
+def test_derive_corpus_shares_signatures_and_instructions():
+    instances = derive_corpus(synth_corpus(7, 10), seed=7)
+    assert len({id(i.signature) for i in instances}) == len({i.signature for i in instances})
+    assert len({id(i.instruction) for i in instances}) == len({i.instruction for i in instances})
 
 
 def test_discriminative_variant_candidate_sentence():
