@@ -12,14 +12,17 @@ import csv
 import importlib.resources
 import itertools
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import (
     ComponentKind,
+    Provenance,
+    TargetItem,
     TaskInstance,
     TaskSignature,
+    Turn,
     instance_sort_key,
     item_sort_key,
     parse_signature,
@@ -45,6 +48,16 @@ class RuleFormatError(ValueError):
         self.line_number = line_number
 
 
+def _pair_key(a: TaskSignature, b: TaskSignature) -> Tuple[str, str]:
+    """An unordered signature pair as the sorted pair of canonical strings.
+
+    Canonical strings are equal exactly when signatures are, and comparing
+    them costs no call to the dataclass __eq__.
+    """
+    x, y = a.canonical_string(), b.canonical_string()
+    return (x, y) if x <= y else (y, x)
+
+
 @dataclass(frozen=True, slots=True)
 class CompositionRule:
     """One row of the rule table.
@@ -61,9 +74,14 @@ class CompositionRule:
     composed_display: str
     common: Tuple[str, ...]
     target: ComponentKind
+    # (first, second) as _pair_key gives it; find_rule compares these.
+    _key: Tuple[str, str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", _pair_key(self.first, self.second))
 
     def matches(self, a: TaskSignature, b: TaskSignature) -> bool:
-        return (self.first, self.second) in ((a, b), (b, a))
+        return self._key == _pair_key(a, b)
 
     def composed(self, a: TaskSignature, b: TaskSignature) -> TaskSignature:
         return signature_of(a.grounding + b.grounding, self.target)
@@ -119,14 +137,11 @@ def find_rule(
     a: TaskSignature, b: TaskSignature, rules: Sequence[CompositionRule]
 ) -> Optional[CompositionRule]:
     """First rule matching the signature pair in either order."""
+    key = _pair_key(a, b)
     for rule in rules:
-        if rule.matches(a, b):
+        if rule._key == key:
             return rule
     return None
-
-
-def _item_keys(inst: TaskInstance) -> List[Tuple[str, str, str, int]]:
-    return [(i.component.value, i.kind, i.value, i.turn_index) for i in inst.grounding_items]
 
 
 def _verdict(
@@ -159,7 +174,7 @@ def _verdict(
     rule = find_rule(a.signature, b.signature, rules)
     if rule is None:
         return REASON_NO_RULE
-    merged = _item_keys(a) + _item_keys(b)
+    merged = a.grounding_items + b.grounding_items
     if len(set(merged)) != len(merged):
         return REASON_DUPLICATE_ITEM
     return rule
@@ -200,8 +215,11 @@ def compose(
         context=a.context,
         grounding_items=items,
         target_item=a.target_item,
-        provenance=replace(
-            pa,
+        provenance=Provenance(
+            dataset=pa.dataset,
+            dialog_id=pa.dialog_id,
+            split=pa.split,
+            target_turn_index=pa.target_turn_index,
             source_tasks=sources,
             seed=stable_hash("compose", *sorted((pa.seed, pb.seed))),
         ),
@@ -212,8 +230,11 @@ def compose(
     return composed
 
 
-def _dedup_key(inst: TaskInstance) -> Tuple[str, Tuple[Tuple[str, str, str, int], ...]]:
-    return (inst.task_name, tuple(sorted(_item_keys(inst))))
+def _dedup_key(composite: TaskInstance) -> Tuple[str, Tuple[Tuple[str, str, str, int], ...]]:
+    # compose sorts a composite's items canonically, so equal item multisets
+    # give equal tuples. A ComponentKind is the str of its letter.
+    items = composite.grounding_items
+    return (composite.task_name, tuple([(i.component, i.kind, i.value, i.turn_index) for i in items]))
 
 
 def _positions(instances: Iterable[TaskInstance]) -> Iterator[List[TaskInstance]]:
@@ -231,6 +252,112 @@ def _positions(instances: Iterable[TaskInstance]) -> Iterator[List[TaskInstance]
         yield sorted(groups[key], key=instance_sort_key)
 
 
+class _Bucket:
+    """The members of one position that share a context, grouped by target.
+
+    ``groups[g]`` holds the members whose target is ``targets[g]``, and
+    ``leaks[g][h]`` counts those of them that hold a grounding item whose
+    value is the value of ``targets[h]``.
+    """
+
+    __slots__ = ("context", "size", "group_of", "targets", "groups", "leaks")
+
+    def __init__(self, context: Tuple[Turn, ...]):
+        self.context = context
+        self.size = 0
+        self.group_of: Dict[TargetItem, int] = {}
+        self.targets: List[TargetItem] = []
+        self.groups: List[List[TaskInstance]] = []
+        self.leaks: List[List[int]] = []
+
+    def add(self, inst: TaskInstance) -> Tuple[int, int]:
+        """File a member under its target; returns its group and its index there."""
+        g = self.group_of.get(inst.target_item)
+        if g is None:
+            g = self.group_of[inst.target_item] = len(self.groups)
+            self.targets.append(inst.target_item)
+            self.groups.append([])
+        self.groups[g].append(inst)
+        self.size += 1
+        return g, len(self.groups[g]) - 1
+
+    def count_leaks(self) -> None:
+        by_value: Dict[str, List[int]] = {}
+        for h, target in enumerate(self.targets):
+            by_value.setdefault(target.value, []).append(h)
+        self.leaks = [[0] * len(self.groups) for _ in self.groups]
+        for g, group in enumerate(self.groups):
+            row = self.leaks[g]
+            for inst in group:
+                for value in {item.value for item in inst.grounding_items}:
+                    for h in by_value.get(value, ()):
+                        if h != g:
+                            row[h] += 1
+
+
+class _Join:
+    """One position's members bucketed by context, then by target.
+
+    Only a pair within one bucket can compose. Every pair across buckets is
+    refused for a different context, for a leak or for differing targets,
+    and counted here by bucket sizes instead of being checked one by one;
+    the counts are those _verdict would give each pair.
+    """
+
+    def __init__(self, members: List[TaskInstance]):
+        self.members = members
+        self.buckets: List[_Bucket] = []
+        # Per member: its bucket, its target group and its index in that group.
+        self.where: List[Tuple[_Bucket, int, int]] = []
+        by_identity: Dict[int, _Bucket] = {}
+        for inst in members:
+            # Contexts are compared, never hashed: most members of a
+            # position share a handful of context tuples.
+            bucket = by_identity.get(id(inst.context))
+            if bucket is None:
+                bucket = next((b for b in self.buckets if b.context == inst.context), None)
+                if bucket is None:
+                    bucket = _Bucket(inst.context)
+                    self.buckets.append(bucket)
+                by_identity[id(inst.context)] = bucket
+            self.where.append((bucket, *bucket.add(inst)))
+        for bucket in self.buckets:
+            bucket.count_leaks()
+
+    def pairs(self) -> Iterator[Tuple[TaskInstance, TaskInstance, _Bucket, int]]:
+        """Same-bucket pairs in itertools.combinations order, each with its bucket and group."""
+        for inst, (bucket, g, index) in zip(self.members, self.where):
+            for other in bucket.groups[g][index + 1:]:
+                yield inst, other, bucket, g
+
+    def pair_rejections(self, reasons: Counter) -> None:
+        """Add the reasons of every pair of members across buckets."""
+        n = len(self.members)
+        reasons[REASON_DIFFERENT_CONTEXT] += (n * n - sum(b.size * b.size for b in self.buckets)) // 2
+        for bucket in self.buckets:
+            sizes = [len(group) for group in bucket.groups]
+            for g, h in itertools.combinations(range(len(sizes)), 2):
+                clean = (sizes[g] - bucket.leaks[g][h]) * (sizes[h] - bucket.leaks[h][g])
+                reasons[REASON_LEAK] += sizes[g] * sizes[h] - clean
+                reasons[REASON_TARGETS_DIFFER] += clean
+
+    def atoms_for(
+        self, composite: TaskInstance, bucket: _Bucket, g: int, reasons: Counter
+    ) -> List[TaskInstance]:
+        """The members sharing a composite's bucket and group; adds the reasons of all other members.
+
+        ``bucket`` and ``g`` are those of the composite's parents.
+        """
+        reasons[REASON_DIFFERENT_CONTEXT] += len(self.members) - bucket.size
+        values = {item.value for item in composite.grounding_items}
+        for h, group in enumerate(bucket.groups):
+            if h != g:
+                leaks = len(group) if bucket.targets[h].value in values else bucket.leaks[h][g]
+                reasons[REASON_LEAK] += leaks
+                reasons[REASON_TARGETS_DIFFER] += len(group) - leaks
+        return bucket.groups[g]
+
+
 def compose_corpus(
     instances: Iterable[TaskInstance],
     rules: Sequence[CompositionRule],
@@ -238,19 +365,24 @@ def compose_corpus(
 ) -> Tuple[List[TaskInstance], Counter]:
     """All composites derivable from a corpus, with rejection-reason counts.
 
-    Pairs are enumerated within each dialog position. With max_dim > 2,
-    composites are re-paired with atomic instances for another round; the
-    packaged rule table only covers atomic pairs, so higher rounds need a
-    custom table. Output is deduplicated and canonically sorted.
+    Pairs are enumerated within each dialog position. compose runs on the
+    pairs that share a context and a target, in itertools.combinations
+    order; every other pair is refused without a call and counted by
+    _Join. With max_dim > 2, composites are re-paired with atomic instances
+    for another round; the packaged rule table only covers atomic pairs, so
+    higher rounds need a custom table. Output is deduplicated and
+    canonically sorted.
     """
     if max_dim < 2:
         raise ValueError("max_dim must be >= 2")
     reasons: Counter = Counter()
     composites: List[TaskInstance] = []
 
-    def accepted(pairs: Iterable[Tuple[TaskInstance, TaskInstance]], seen: set) -> List[TaskInstance]:
+    def accepted(
+        pairs: Iterable[Tuple[TaskInstance, TaskInstance, _Bucket, int]], seen: set
+    ) -> List[Tuple[TaskInstance, _Bucket, int]]:
         made = []
-        for x, y in pairs:
+        for x, y, bucket, g in pairs:
             result = compose(x, y, rules)
             if isinstance(result, Rejection):
                 reasons[result.reason] += 1
@@ -258,18 +390,27 @@ def compose_corpus(
             key = _dedup_key(result)
             if key not in seen:
                 seen.add(key)
-                made.append(result)
+                made.append((result, bucket, g))
         return made
 
     for members in _positions(instances):
+        join = _Join(members)
+        join.pair_rejections(reasons)
         seen: set = set()
-        frontier = accepted(itertools.combinations(members, 2), seen)
-        composites.extend(frontier)
+        frontier = accepted(join.pairs(), seen)
+        composites.extend(made for made, _, _ in frontier)
         for _ in range(3, max_dim + 1):
-            frontier = accepted(((composite, atom) for composite in frontier for atom in members), seen)
-            composites.extend(frontier)
+            frontier = accepted(
+                (
+                    (composite, atom, bucket, g)
+                    for composite, bucket, g in frontier
+                    for atom in join.atoms_for(composite, bucket, g, reasons)
+                ),
+                seen,
+            )
+            composites.extend(made for made, _, _ in frontier)
     composites.sort(key=instance_sort_key)
-    return composites, reasons
+    return composites, +reasons  # without the reasons no pair had
 
 
 def naive_corpus(
@@ -283,7 +424,7 @@ def naive_corpus(
     composites = [
         naive_compose(a, b)
         for members in _positions(instances)
-        for a, b in itertools.combinations(members, 2)
+        for a, b, _, _ in _Join(members).pairs()
         if infeasibility_guard(a, b, rules) is None
     ]
     composites.sort(key=instance_sort_key)
@@ -311,8 +452,11 @@ def naive_compose(a: TaskInstance, b: TaskInstance) -> TaskInstance:
         context=a.context,
         grounding_items=items,
         target_item=a.target_item,
-        provenance=replace(
-            pa,
+        provenance=Provenance(
+            dataset=pa.dataset,
+            dialog_id=pa.dialog_id,
+            split=pa.split,
+            target_turn_index=pa.target_turn_index,
             source_tasks=pa.source_tasks + pb.source_tasks,
             seed=stable_hash("naive", pa.seed, pb.seed),
         ),

@@ -129,18 +129,32 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
     Each dialog's turns are parsed once, and the rows referencing a prefix
     of them by ``context_turns`` share one context tuple per (dialog,
     length). Rows with an inline ``context`` load through from_dict alone.
-    A malformed row raises SchemaError naming its top-level field and line.
+    Rows share one string object per distinct instruction, task name,
+    dataset and split. A malformed row raises SchemaError naming its
+    top-level field and line.
     """
     dialogs: Dict[Tuple[str, str], _DialogTurns] = {}
+    strings: Dict[str, str] = {}
     instances: List[TaskInstance] = []
     for line_number, data in read_jsonl(path):
         try:
+            _share_strings(data, ("instruction", "task_name"), strings)
+            _share_strings(data.get("provenance"), ("dataset", "split"), strings)
             if "context_turns" in data:
                 data["context"] = _shared_context(data, dialogs)
             instances.append(TaskInstance.from_dict(data))
         except SchemaError as exc:
             raise SchemaError(exc.field_path, line_number, exc.problem) from exc
     return instances
+
+
+def _share_strings(data: Any, keys: Tuple[str, ...], strings: Dict[str, str]) -> None:
+    """Replace each string ``data[key]`` by the first equal one in ``strings``."""
+    if type(data) is dict:
+        for key in keys:
+            value = data.get(key)
+            if type(value) is str:
+                data[key] = strings.setdefault(value, value)
 
 
 def _shared_context(data: Dict[str, Any], dialogs: Dict[Tuple[str, str], _DialogTurns]) -> Tuple[Turn, ...]:

@@ -8,7 +8,7 @@ output. All types here are immutable; every operation is a pure function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
@@ -213,6 +213,8 @@ class TaskSignature:
 
     grounding: Tuple[ComponentKind, ...]
     target: ComponentKind
+    # The canonical string, stored once per signature; see canonical_string.
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.target not in TARGET_COMPONENTS:
@@ -222,6 +224,8 @@ class TaskSignature:
                 raise InvalidGroundingComponent(
                     f"grounding may only contain S, E, A, not {component!r}"
                 )
+        letters = "".join(ComponentKind(c).value for c in self.grounding)
+        object.__setattr__(self, "_text", f"IC{letters}-{ComponentKind(self.target).value}")
 
     def dimension(self) -> int:
         return len(self.grounding)
@@ -235,14 +239,14 @@ class TaskSignature:
         return self.dimension() >= 2
 
     def canonical_string(self) -> str:
-        letters = "".join(c.value for c in self.grounding)
-        return f"IC{letters}-{self.target.value}"
+        return self._text
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.canonical_string()
 
 
-# One shared TaskSignature per (sorted grounding, target); see signature_of.
+# One shared TaskSignature per grounding shape and target; see signature_of.
+# Keys hold the grounding in the order callers passed it, sorted or not.
 _SIGNATURES: Dict[Tuple[Tuple[ComponentKind, ...], ComponentKind], TaskSignature] = {}
 
 
@@ -254,7 +258,10 @@ def signature_of(grounding: Iterable[ComponentKind], target: ComponentKind) -> T
     same shared object; compare signatures with ==, which also holds for
     ones built directly.
     """
-    components = list(grounding)
+    components = tuple(grounding)
+    signature = _SIGNATURES.get((components, target))
+    if signature is not None:  # a shape validated and sorted before
+        return signature
     for component in components:
         if component not in GROUNDING_ORDER:
             raise InvalidGroundingComponent(
@@ -270,6 +277,7 @@ def signature_of(grounding: Iterable[ComponentKind], target: ComponentKind) -> T
         signature = _SIGNATURES[key] = TaskSignature(
             grounding=tuple(map(ComponentKind, key[0])), target=ComponentKind(target)
         )
+    _SIGNATURES[components, target] = signature
     return signature
 
 

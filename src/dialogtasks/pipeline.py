@@ -17,7 +17,7 @@ from typing import Any, Dict, Optional, Tuple
 from .composer import compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
 from .ingest import SynthConfig, load_corpus, synth_corpus, write_corpus, write_json
-from .prompts import apply_cot
+from .prompts import apply_cot, parse_cot_mode
 from .registry import derive_corpus
 
 CONFIG_TEMPLATE = """\
@@ -75,6 +75,9 @@ class PipelineConfig:
     out_dir: str = "out"
     emit_constraints: bool = True
 
+    def __post_init__(self) -> None:
+        parse_cot_mode(self.cot)
+
     @classmethod
     def from_ini(cls, path: str | Path) -> "PipelineConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -114,6 +117,7 @@ class PipelineConfig:
 
 def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     """Run every stage and write the corpus plus manifest.json into out_dir."""
+    cot_k = parse_cot_mode(config.cot)  # before any stage runs or writes
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -132,7 +136,8 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
             instances, load_rules(config.rules_path), max_dim=config.max_dim
         )
         instances = instances + composites
-    if config.cot != "none":
+        del composites  # nothing reads the composites from before cot
+    if cot_k is not None:
         instances = apply_cot(instances, config.cot, config.seed)
 
     export_manifest = export_corpus(

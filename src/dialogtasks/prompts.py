@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -204,10 +205,11 @@ def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = Non
         sections = _render_naive_sections(inst)
         input_text = _assemble_naive(sections)
     else:
-        rng = random.Random(seed)
         middle: List[Tuple[str, str]] = [(SECTION_CONTEXT, _context_body(inst))]
-        middle.extend(_grounding_blocks(inst, rng, options))
-        rng.shuffle(middle)
+        if inst.grounding_items:  # a middle of the context alone draws nothing
+            rng = random.Random(seed)
+            middle.extend(_grounding_blocks(inst, rng, options))
+            rng.shuffle(middle)
         sections = [(SECTION_INSTRUCTION, inst.instruction)]
         sections.extend(middle)
         sections.append((SECTION_HEADERS[inst.signature.target], ""))
@@ -251,27 +253,52 @@ def cot_transform(inst: TaskInstance, shift: Iterable[DialogItem]) -> TaskInstan
             raise ShiftNotSubset(f"item not in grounding: {item!r}") from None
     ordered_shift = sorted(shifted, key=item_sort_key)
     new_signature = signature_of((i.component for i in remaining), inst.signature.target)
-    return replace(
-        inst,
+    return TaskInstance(
         signature=new_signature,
-        grounding_items=tuple(remaining),
-        cot_items=inst.cot_items + tuple(ordered_shift),
+        task_name=inst.task_name,
         instruction=build_instruction(new_signature.target, new_signature.grounding),
+        context=inst.context,
+        grounding_items=tuple(remaining),
+        target_item=inst.target_item,
+        provenance=inst.provenance,
+        cot_items=inst.cot_items + tuple(ordered_shift),
+        style=inst.style,
     )
 
 
-def apply_cot(instances: List[TaskInstance], mode: str, seed: int) -> List[TaskInstance]:
-    """Bulk reasoning-shift helper for the CLI: mode is "none" or "random-K"."""
+def parse_cot_mode(mode: str) -> Optional[int]:
+    """K of a "random-K" reasoning-shift mode, or None for "none".
+
+    K is an integer >= 0, and "random-0" shifts nothing. Any other mode is a
+    ValueError that names it.
+    """
     if mode == "none":
+        return None
+    match = re.fullmatch(r"random-([0-9]+)", mode)
+    if match is None:
+        raise ValueError(f"unknown cot mode {mode!r}: expected none or random-K with an integer K >= 0")
+    return int(match.group(1))
+
+
+def apply_cot(instances: List[TaskInstance], mode: str, seed: int) -> List[TaskInstance]:
+    """Bulk reasoning-shift helper for the CLI: mode is "none" or "random-K".
+
+    Each instance shifts K of its grounding items, drawn with a seed derived
+    from its identity, or all of them when it has no more than K.
+    """
+    k = parse_cot_mode(mode)
+    if k is None:
         return list(instances)
-    if not mode.startswith("random-"):
-        raise ValueError(f"unknown cot mode: {mode!r}")
-    k = int(mode.split("-", 1)[1])
     out = []
     for inst in instances:
-        rng = random.Random(subseed(seed, "cot", inst.provenance.key(), inst.task_name))
-        take = min(k, len(inst.grounding_items))
-        shift = rng.sample(list(inst.grounding_items), take) if take else []
+        items = inst.grounding_items
+        if 0 < k < len(items):
+            rng = random.Random(subseed(seed, "cot", inst.provenance.key(), inst.task_name))
+            shift = rng.sample(items, k)
+        else:
+            # Shifting nothing or everything draws nothing that reaches the
+            # output: cot_transform sorts the shifted items.
+            shift = items if k else ()
         out.append(cot_transform(inst, shift))
     return out
 

@@ -7,9 +7,8 @@ import hashlib
 
 def stable_hash(*parts: object) -> int:
     """Platform-independent 64-bit hash of the string forms of the parts."""
-    text = "\x1f".join(str(part) for part in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return int(digest[:16], 16)
+    text = "\x1f".join(map(str, parts))
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 def subseed(seed: int, stage: str, *parts: object) -> int:

@@ -293,6 +293,38 @@ def test_run_full_pipeline_from_config(tmp_path, capsys):
     assert json.loads(out)["config"]["seed"] == 9
 
 
+def test_run_bad_cot_mode_exits_two_before_any_stage(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "pipeline.ini"
+    config.write_text(
+        f"[corpus]\nsynth_dialogs = 5\n\n[render]\ncot = random--1\n\n[output]\ndir = {out_dir}\n",
+        encoding="utf-8",
+    )
+    code, out, err = _run(capsys, "run", "--config", str(config))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert "cot mode 'random--1'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("mode", ["random--1", "random-one", "always"])
+def test_pipeline_config_rejects_bad_cot_mode(mode, tmp_path):
+    with pytest.raises(ValueError, match=f"cot mode '{mode}'"):
+        PipelineConfig(cot=mode)
+    config = PipelineConfig(synth_dialogs=5, out_dir=str(tmp_path / "out"))
+    object.__setattr__(config, "cot", mode)  # a config built past its own check
+    with pytest.raises(ValueError, match=f"cot mode '{mode}'"):
+        run_pipeline(config)
+    assert not (tmp_path / "out").exists()
+
+
+def test_random_zero_cot_exports_what_no_cot_does(tmp_path):
+    for mode in ("none", "random-0"):
+        run_pipeline(PipelineConfig(synth_dialogs=5, cot=mode, out_dir=str(tmp_path / mode)))
+    for name in ("train.jsonl", "dev.jsonl", "test.jsonl", "stats.json"):
+        assert (tmp_path / "none" / name).read_bytes() == (tmp_path / "random-0" / name).read_bytes()
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

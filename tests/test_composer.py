@@ -1,8 +1,12 @@
 """Composition rules, the infeasibility guard, and the naive baseline."""
 
 import dataclasses
+import itertools
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogtasks import composer
 from dialogtasks.composer import (
@@ -24,9 +28,20 @@ from dialogtasks.composer import (
 )
 from dialogtasks.evaluate import extract_constraints
 from dialogtasks.ingest import synth_corpus
-from dialogtasks.model import ComponentKind, Dialog, DialogItem, Turn, validate_instance
+from dialogtasks.model import (
+    ComponentKind,
+    Dialog,
+    DialogItem,
+    Provenance,
+    TargetItem,
+    TaskInstance,
+    Turn,
+    instance_sort_key,
+    signature_of,
+    validate_instance,
+)
 from dialogtasks.registry import derive_corpus, derive_task
-from dialogtasks.prompts import render
+from dialogtasks.prompts import build_instruction, render
 
 A = ComponentKind.ACTION
 
@@ -280,3 +295,167 @@ def test_rejection_records_task_names():
     bw = _derived("beginswith_controlled_generation")
     result = compose(bw, bw, RULES)
     assert (result.first_task, result.second_task) == (bw.task_name, bw.task_name)
+
+
+# --- The join against the all-pairs enumerator it replaced ------------------
+
+def _oracle_positions(instances):
+    groups = {}
+    for inst in instances:
+        if inst.signature.is_atomic and inst.style == "standard" and not inst.cot_items:
+            key = (inst.provenance.dataset, inst.provenance.dialog_id, inst.provenance.target_turn_index)
+            groups.setdefault(key, []).append(inst)
+    for key in sorted(groups):
+        yield sorted(groups[key], key=instance_sort_key)
+
+
+def _oracle_dedup_key(inst):
+    keys = [(i.component.value, i.kind, i.value, i.turn_index) for i in inst.grounding_items]
+    return (inst.task_name, tuple(sorted(keys)))
+
+
+def _all_pairs_corpus(instances, rules, max_dim=2):
+    """compose_corpus as it was before the join: compose on every pair of a position."""
+    reasons = Counter()
+    composites = []
+
+    def accepted(pairs, seen):
+        made = []
+        for x, y in pairs:
+            result = compose(x, y, rules)
+            if isinstance(result, Rejection):
+                reasons[result.reason] += 1
+                continue
+            key = _oracle_dedup_key(result)
+            if key not in seen:
+                seen.add(key)
+                made.append(result)
+        return made
+
+    for members in _oracle_positions(instances):
+        seen = set()
+        frontier = accepted(itertools.combinations(members, 2), seen)
+        composites.extend(frontier)
+        for _ in range(3, max_dim + 1):
+            frontier = accepted(((composite, atom) for composite in frontier for atom in members), seen)
+            composites.extend(frontier)
+    composites.sort(key=instance_sort_key)
+    return composites, reasons
+
+
+def _all_pairs_naive(instances, rules):
+    composites = [
+        naive_compose(a, b)
+        for members in _oracle_positions(instances)
+        for a, b in itertools.combinations(members, 2)
+        if infeasibility_guard(a, b, rules) is None
+    ]
+    composites.sort(key=instance_sort_key)
+    return composites
+
+
+_T0 = Turn("Speaker 1", "where did you go ?")
+_T1 = Turn("Speaker 2", "to the harbor .", (DialogItem(A, "dialog_act", "inform", 1),))
+_CONTEXTS = ((_T0,), (_T0, _T1))
+# Target values double as grounding values, so leaks are common, and "yes"
+# is the value of two targets of different kinds. The target "no" is drawn
+# most often, so that pairs and triples sharing it compose.
+_VALUES = ("yes", "no", "happy", "calm", "brief", "warm")
+_NO = TargetItem(ComponentKind.RESPONSE, "response", "no")
+_TARGETS = (
+    TargetItem(ComponentKind.RESPONSE, "response", "yes"),
+    _NO,
+    _NO,
+    _NO,
+    TargetItem(A, "dialog_act", "yes"),
+    TargetItem(ComponentKind.STATE, "emotion", "happy"),
+)
+
+
+def _fresh_copy(context):
+    """A new tuple of new turns, equal to ``context`` but not identical to it."""
+    return tuple(Turn(t.speaker, t.text, t.items) for t in context)
+
+
+@st.composite
+def _members(draw):
+    context = draw(st.sampled_from(_CONTEXTS))
+    if draw(st.booleans()):
+        context = _fresh_copy(context)
+    target = draw(st.sampled_from(_TARGETS))
+    items = draw(
+        st.lists(
+            st.builds(
+                DialogItem,
+                st.sampled_from((ComponentKind.STATE, ComponentKind.EVIDENCE, A)),
+                st.sampled_from(("g1", "g2")),
+                st.sampled_from(_VALUES),
+                st.integers(0, 1),
+            ),
+            max_size=1,
+        )
+    )
+    name = draw(st.sampled_from(("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7")))
+    return TaskInstance(
+        signature=signature_of((i.component for i in items), target.component),
+        task_name=name,
+        instruction=build_instruction(target.component, (i.component for i in items)),
+        context=context,
+        grounding_items=tuple(items),
+        target_item=target,
+        provenance=Provenance(
+            "hand", draw(st.sampled_from(("x", "y"))), "train", 1,
+            (name,), draw(st.integers(0, 2**32)),
+        ),
+    )
+
+
+def _rules_up_to_three_items():
+    """Rules for every (1 item, 1 item) and (2 items, 1 item) grounding pair."""
+    components = (ComponentKind.STATE, ComponentKind.EVIDENCE, A)
+    ones = [(c,) for c in components]
+    twos = list(itertools.combinations_with_replacement(components, 2))
+    rules = []
+    for target in (ComponentKind.RESPONSE, A, ComponentKind.STATE):
+        for first, second in itertools.chain(
+            itertools.combinations_with_replacement(ones, 2), itertools.product(twos, ones)
+        ):
+            a, b = signature_of(first, target), signature_of(second, target)
+            rules.append(CompositionRule(len(rules) + 1, a, b, "x", ("dc",), target))
+    return rules
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances=st.lists(_members(), min_size=6, max_size=30))
+def test_compose_corpus_matches_the_all_pairs_enumerator(instances):
+    for rules, max_dim in ((RULES, 2), (_rules_up_to_three_items(), 3)):
+        got, got_reasons = compose_corpus(instances, rules, max_dim=max_dim)
+        want, want_reasons = _all_pairs_corpus(instances, rules, max_dim=max_dim)
+        assert [i.to_dict() for i in got] == [i.to_dict() for i in want]
+        # dict, not Counter: a reason counted 0 would show in the manifest.
+        assert dict(got_reasons) == dict(want_reasons)
+    naive = naive_corpus(instances, RULES)
+    assert [i.to_dict() for i in naive] == [i.to_dict() for i in _all_pairs_naive(instances, RULES)]
+
+
+def test_only_pairs_sharing_context_and_target_are_checked(monkeypatch):
+    atomics = derive_corpus(synth_corpus(31, 8), seed=6)
+    joined = sum(
+        1
+        for members in _oracle_positions(atomics)
+        for a, b in itertools.combinations(members, 2)
+        if a.context == b.context and a.target_item == b.target_item
+    )
+    for name, run in (("compose", compose_corpus), ("infeasibility_guard", naive_corpus)):
+        checked = []
+        original = getattr(composer, name)
+
+        def recording(a, b, rules, original=original, checked=checked):
+            checked.append((a, b))
+            return original(a, b, rules)
+
+        monkeypatch.setattr(composer, name, recording)
+        run(atomics, RULES)
+        assert len(checked) == joined > 0
+        for a, b in checked:
+            assert a.context == b.context and a.target_item == b.target_item

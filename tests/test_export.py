@@ -1,13 +1,14 @@
 """Sampling quotas, instance files, JSONL round trips, corpus stats, directory export, run manifest."""
 
 import dataclasses
+import gc
 import json
 import random
 from importlib import resources
 
 import pytest
 
-from dialogtasks import cli
+from dialogtasks import cli, pipeline
 from dialogtasks.composer import compose_corpus, load_rules
 from dialogtasks.export import (
     SamplingPlan,
@@ -172,6 +173,23 @@ def _rows(path):
 def _atomic_and_composite(dialogs, seed=3):
     atomic = derive_corpus(dialogs, seed=seed)
     return atomic + compose_corpus(atomic, load_rules())[0]
+
+
+def test_read_instances_shares_one_string_per_distinct_value(tmp_path):
+    path = tmp_path / "atomic.jsonl"
+    write_instances(derive_corpus(synth_corpus(7, 30), 7), path)
+    instances = read_instances(path)
+    assert len(instances) == 2350
+
+    def objects(values):
+        values = list(values)
+        assert len({id(v) for v in values}) == len(set(values))
+        return len(set(values))
+
+    assert objects(i.instruction for i in instances) == 6
+    assert objects(i.task_name for i in instances) == 18
+    assert objects(i.provenance.dataset for i in instances) == 1
+    assert objects(i.provenance.split for i in instances) == 3
 
 
 def test_instance_file_writes_each_dialogs_turns_once(tmp_path):
@@ -386,3 +404,22 @@ def test_pipeline_manifest_is_independent_of_run_directory(tmp_path):
     assert config["rules_path"] == "rules.csv"
     assert "out_dir" not in config
     assert str(tmp_path) not in manifests[0].decode("utf-8")
+
+
+def test_run_pipeline_exports_with_no_other_instance_alive(tmp_path, monkeypatch):
+    def live():
+        gc.collect()
+        return sum(1 for obj in gc.get_objects() if type(obj) is TaskInstance)
+
+    before = live()
+    counts = []
+    export = pipeline.export_corpus
+
+    def counting_export(instances, *args, **kwargs):
+        counts.append((live() - before, len(instances)))
+        return export(instances, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "export_corpus", counting_export)
+    run_pipeline(PipelineConfig(seed=7, synth_dialogs=8, cot="random-1", out_dir=str(tmp_path / "out")))
+    [(alive, exported)] = counts
+    assert alive == exported > 0

@@ -68,6 +68,12 @@ def test_signature_of_shares_one_object_per_shape():
     assert signature_of([E, A], A) is not shared
 
 
+def test_signature_string_is_stored_once_per_shape():
+    shared = signature_of([A, E], R)
+    assert shared.canonical_string() == "ICEA-R"
+    assert signature_of((E, A), R).canonical_string() is shared.canonical_string()
+
+
 def test_shared_signature_is_built_from_members():
     # Letters equal and hash like their members, so they find the same entry.
     by_letters = signature_of(["A", "S"], "E")

@@ -1,11 +1,14 @@
 """Prompt rendering: phrase table, layout invariants, reasoning shifts."""
 
 import dataclasses
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialogtasks import prompts
 from dialogtasks.composer import compose, load_rules
 from dialogtasks.model import (
     ComponentKind,
@@ -21,6 +24,7 @@ from dialogtasks.prompts import (
     NAIVE_LABELS,
     PHRASES,
     RenderOptions,
+    RenderedExample,
     SECTION_CONTEXT,
     SECTION_HEADERS,
     SECTION_INSTRUCTION,
@@ -35,6 +39,7 @@ from dialogtasks.prompts import (
     render_corpus,
 )
 from dialogtasks.registry import derive_task
+from dialogtasks.seeding import subseed
 
 S = ComponentKind.STATE
 E = ComponentKind.EVIDENCE
@@ -348,3 +353,93 @@ def test_render_section_multiset_is_seed_invariant(seed):
     opts = RenderOptions(block_shuffle=False)
     baseline = sorted(render(inst, 0, opts).sections)
     assert sorted(render(inst, seed, opts).sections) == baseline
+
+
+# --- Seeding only where a draw reaches the output ---------------------------
+
+def _always_seeding_apply_cot(instances, k, seed):
+    """apply_cot as it was: one seeded Random per instance, whatever K is."""
+    out = []
+    for inst in instances:
+        rng = random.Random(subseed(seed, "cot", inst.provenance.key(), inst.task_name))
+        take = min(k, len(inst.grounding_items))
+        shift = rng.sample(list(inst.grounding_items), take) if take else []
+        out.append(cot_transform(inst, shift))
+    return out
+
+
+def _always_seeding_render_corpus(instances, seed, options):
+    """render_corpus as it was: render seeds a Random even with no grounding."""
+    rendered = []
+    for inst in instances:
+        inst_seed = subseed(seed, "render", inst.provenance.key(), inst.task_name)
+        rng = random.Random(inst_seed)
+        middle = [(SECTION_CONTEXT, prompts._context_body(inst))]
+        middle.extend(prompts._grounding_blocks(inst, rng, options))
+        rng.shuffle(middle)
+        header = (SECTION_HEADERS[inst.signature.target], "")
+        sections = [(SECTION_INSTRUCTION, inst.instruction), *middle, header]
+        rendered.append(
+            RenderedExample(
+                input_text=prompts._assemble(sections),
+                output_text=prompts._output_text(inst),
+                sections=tuple(sections),
+                task_name=inst.task_name,
+                signature=inst.signature.canonical_string(),
+                seed=inst_seed,
+                provenance=inst.provenance,
+            )
+        )
+    return rendered
+
+
+# Two items share a component, so block shuffles draw too.
+_COT_ITEMS = (
+    DialogItem(A, "begins_with", "the flat", 1),
+    DialogItem(S, "emotion", "surprise", 1),
+    DialogItem(A, "ends_with", "thing .", 1),
+)
+
+
+def _cot_instances(n_items):
+    return [
+        _instance(items, RESPONSE_TARGET, name=f"task{i}")
+        for i, items in enumerate(
+            itertools.chain(
+                itertools.permutations(_COT_ITEMS, n_items),
+                itertools.combinations(_COT_ITEMS, n_items),
+            )
+        )
+    ]
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_apply_cot_matches_always_seeding(n_items, k):
+    instances = _cot_instances(n_items)
+    for seed in range(4):
+        got = apply_cot(instances, f"random-{k}", seed)
+        assert got == _always_seeding_apply_cot(instances, k, seed)
+
+
+@pytest.mark.parametrize("n_items", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_render_corpus_matches_always_seeding(n_items, k):
+    instances = apply_cot(_cot_instances(n_items), f"random-{k}", 5)
+    for seed in range(4):
+        for options in (RenderOptions(), RenderOptions(block_shuffle=False)):
+            rendered, errors = render_corpus(instances, seed, options)
+            assert errors == []
+            assert rendered == _always_seeding_render_corpus(instances, seed, options)
+
+
+@pytest.mark.parametrize("mode", ["random--1", "random-", "random-x", "random-1.5", "Random-1", "none ", ""])
+def test_bad_cot_mode_names_the_mode(mode):
+    with pytest.raises(ValueError, match="cot mode") as err:
+        apply_cot([], mode, seed=0)
+    assert repr(mode) in str(err.value)
+
+
+def test_random_zero_is_the_identity():
+    inst = _instance(list(_COT_ITEMS), RESPONSE_TARGET)
+    assert apply_cot([inst], "random-0", seed=3)[0] is inst
