@@ -177,13 +177,18 @@ def join_constraints(
     (constraint rows without an output, scored against the empty string)
     and ``n_unknown_outputs`` (output ids no constraint row has, not scored).
     A missing or mistyped ``id`` or constraint field raises SchemaError
-    naming the line and the field path.
+    naming the line and the field path; so does an ``id`` an earlier row
+    already has, as which constraints its output answers is then ambiguous.
     """
     examples = []
     known = set()
     missing = 0
     for line_number, record in constraint_rows:
         example_id = _string_field(record, "id", line_number)
+        if example_id in known:
+            raise SchemaError(
+                "id", line_number, f"id {example_id!r} already has constraints on an earlier line"
+            )
         constraints = record.get("constraints")
         if not isinstance(constraints, list):
             raise SchemaError("constraints", line_number)

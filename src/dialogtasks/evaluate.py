@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ingest import SchemaError
 from .model import ComponentKind, TaskInstance
-from .textutil import length_class, normalize, normalize_tokens, split_keyword_list
+from .textutil import LENGTH_CLASSES, length_class, normalize, normalize_tokens, split_keyword_list
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,11 @@ def constraint_to_dict(constraint: Constraint) -> Dict[str, Any]:
 
 
 def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
-    """Parse one constraint; a missing or mistyped field raises SchemaError naming it."""
+    """Parse one constraint; a missing or mistyped field raises SchemaError naming it.
+
+    A length_class label must be one that textutil.length_class gives, as no
+    output could meet any other.
+    """
     kind = data.get("type")
     if not isinstance(kind, str) or kind not in _CONSTRAINT_TYPES:
         raise SchemaError("type")
@@ -98,7 +102,7 @@ def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
         return ContainsKeywords(tuple(keywords))
     field = _TEXT_FIELDS[kind]
     value = data.get(field)
-    if not isinstance(value, str):
+    if not isinstance(value, str) or (kind == "length_class" and value not in LENGTH_CLASSES):
         raise SchemaError(field)
     return _CONSTRAINT_TYPES[kind](value)
 
@@ -161,7 +165,7 @@ def extract_constraints(inst: TaskInstance) -> ConstraintSpec:
 
 
 # ---------------------------------------------------------------------------
-# Boolean checks
+# Prepared constraints and boolean checks
 # ---------------------------------------------------------------------------
 
 def _contains_sequence(haystack: List[str], needle: List[str]) -> bool:
@@ -171,53 +175,103 @@ def _contains_sequence(haystack: List[str], needle: List[str]) -> bool:
     return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
 
 
+@dataclass(frozen=True, slots=True)
+class _Check:
+    """A boolean constraint's kind and its test on a normalized token list."""
+
+    kind: str
+    holds: Callable[[List[str]], bool]
+
+
+@dataclass(frozen=True, slots=True)
+class _Reference:
+    """A reference's tokens with its unigram and bigram counts, for BLEU-2 and Rouge-L."""
+
+    tokens: List[str]
+    unigrams: Dict[str, int]
+    bigrams: Dict[Tuple[str, str], int]
+
+
+def _prepare(constraint: Constraint) -> Union[_Check, _Reference]:
+    """The constraint with its own text normalized, ready to score any output.
+
+    A constraint's phrase, keywords, value or reference is tokenized here,
+    so preparing each distinct constraint once tokenizes its text once.
+    """
+    if isinstance(constraint, ReferenceOverlap):
+        tokens = normalize_tokens(constraint.reference)
+        return _Reference(tokens, Counter(tokens), Counter(zip(tokens, tokens[1:])))
+    if isinstance(constraint, BeginsWith):
+        prefix = normalize_tokens(constraint.phrase)
+        holds = lambda out: out[: len(prefix)] == prefix
+    elif isinstance(constraint, EndsWith):
+        suffix = normalize_tokens(constraint.phrase)
+        holds = lambda out: not suffix or out[-len(suffix):] == suffix
+    elif isinstance(constraint, ContainsKeywords):
+        needles = [normalize_tokens(k) for k in constraint.keywords]
+        holds = lambda out: all(_contains_sequence(out, needle) for needle in needles)
+    elif isinstance(constraint, LengthClass):
+        label = constraint.label
+        holds = lambda out: length_class(len(out)) == label
+    else:
+        value = normalize(constraint.value)
+        holds = lambda out: " ".join(out) == value
+    return _Check(_TYPE_NAMES[type(constraint)], holds)
+
+
 def check_constraint(constraint: Constraint, output: Union[str, List[str]]) -> Optional[bool]:
     """Boolean verdict for boolean constraints; None for overlap constraints.
 
-    ``output`` is text, or its token list as normalize_tokens splits it;
-    score_corpus passes the list so that each output is tokenized once.
+    ``output`` is text, or its token list as normalize_tokens splits it.
     """
     if isinstance(constraint, ReferenceOverlap):
         return None
-    out = normalize_tokens(output) if isinstance(output, str) else output
-    if isinstance(constraint, BeginsWith):
-        prefix = normalize_tokens(constraint.phrase)
-        return out[: len(prefix)] == prefix
-    if isinstance(constraint, EndsWith):
-        suffix = normalize_tokens(constraint.phrase)
-        return not suffix or out[-len(suffix):] == suffix
-    if isinstance(constraint, ContainsKeywords):
-        return all(_contains_sequence(out, normalize_tokens(k)) for k in constraint.keywords)
-    if isinstance(constraint, LengthClass):
-        return length_class(len(out)) == constraint.label
-    return " ".join(out) == normalize(constraint.value)
+    return _prepare(constraint).holds(normalize_tokens(output) if isinstance(output, str) else output)
 
 
 # ---------------------------------------------------------------------------
 # Overlap metrics
 # ---------------------------------------------------------------------------
 
+def _clipped_matches(candidate: Dict[Any, int], reference: Dict[Any, int]) -> int:
+    """Candidate n-grams found in ``reference``, each counted at most as often as there."""
+    get = reference.get
+    matched = 0
+    for gram, n in candidate.items():
+        limit = get(gram)
+        if limit:
+            matched += n if n < limit else limit
+    return matched
+
+
+def _bleu2_clip(
+    cand: List[str], ref_unigrams: Dict[str, int], ref_bigrams: Dict[Tuple[str, str], int], ref_len: int
+) -> Tuple[int, int, int, int, int, int]:
+    """Clipped n-gram match/total counts plus candidate/effective-reference lengths."""
+    cand_len = len(cand)
+    m1 = _clipped_matches(Counter(cand), ref_unigrams)
+    m2 = _clipped_matches(Counter(zip(cand, cand[1:])), ref_bigrams)
+    return m1, cand_len, m2, max(cand_len - 1, 0), cand_len, ref_len
+
+
 def _bleu2_token_counts(
     cand: List[str], refs: Sequence[List[str]]
 ) -> Tuple[int, int, int, int, int, int]:
-    """Clipped n-gram match/total counts plus candidate/effective-reference lengths.
+    """BLEU-2 counts of ``cand`` against one or more references.
 
     Clipping takes each n-gram's highest count in any one reference, which is
-    the Counter union; matches are the Counter intersection with that.
+    the Counter union, built once before the clip.
     """
     if not refs:
         raise ValueError("bleu2 needs at least one reference")
-    ref_unigrams = Counter(refs[0])
-    ref_bigrams = Counter(zip(refs[0], refs[0][1:]))
-    for ref in refs[1:]:
-        ref_unigrams |= Counter(ref)
-        ref_bigrams |= Counter(zip(ref, ref[1:]))
-    cand_len = len(cand)
-    m1 = sum((Counter(cand) & ref_unigrams).values())
-    m2 = sum((Counter(zip(cand, cand[1:])) & ref_bigrams).values())
+    unigrams: Counter = Counter()
+    bigrams: Counter = Counter()
+    for ref in refs:
+        unigrams |= Counter(ref)
+        bigrams |= Counter(zip(ref, ref[1:]))
     # Effective reference length: the closest to the candidate, shorter on ties.
-    ref_len = min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
-    return m1, cand_len, m2, max(cand_len - 1, 0), cand_len, ref_len
+    ref_len = min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+    return _bleu2_clip(cand, unigrams, bigrams, ref_len)
 
 
 def _bleu2_counts(candidate: str, references: Sequence[str]) -> Tuple[int, int, int, int, int, int]:
@@ -341,11 +395,14 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport
 
     Boolean constraints produce per-kind accuracies plus the conjunctive
     compositional accuracy; ReferenceOverlap constraints produce corpus
-    BLEU-2 and mean Rouge-L. Each output and each reference is tokenized
-    once; BLEU counts are pooled as the loop goes.
+    BLEU-2 and mean Rouge-L. Each output is tokenized once per example, and
+    each distinct constraint is prepared (its text tokenized, a reference's
+    n-grams counted) once per call, however many examples carry it. BLEU
+    counts are pooled as the loop goes.
     """
     n = len(examples)
-    kind_pass: Dict[str, int] = {}
+    prepared: Dict[Constraint, Union[_Check, _Reference]] = {}
+    kind_fail: Dict[str, int] = {}
     kind_present: Dict[str, int] = {}
     all_pass = 0
     bleu_totals = [0, 0, 0, 0, 0, 0]
@@ -353,30 +410,28 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport
 
     for spec, output in examples:
         out = normalize_tokens(output)
-        example_ok = True
         present_kinds = set()
         failed_kinds = set()
         for constraint in spec.constraints:
-            if isinstance(constraint, ReferenceOverlap):
-                ref = normalize_tokens(constraint.reference)
-                _add_counts(bleu_totals, _bleu2_token_counts(out, [ref]))
-                rouge_scores.append(rouge_l(out, ref))
+            entry = prepared.get(constraint)
+            if entry is None:
+                entry = prepared[constraint] = _prepare(constraint)
+            if isinstance(entry, _Reference):
+                _add_counts(bleu_totals, _bleu2_clip(out, entry.unigrams, entry.bigrams, len(entry.tokens)))
+                rouge_scores.append(rouge_l(out, entry.tokens))
                 continue
-            kind = _TYPE_NAMES[type(constraint)]
-            present_kinds.add(kind)
-            if not check_constraint(constraint, out):
-                failed_kinds.add(kind)
-                example_ok = False
+            present_kinds.add(entry.kind)
+            if not entry.holds(out):
+                failed_kinds.add(entry.kind)
         for kind in present_kinds:
             kind_present[kind] = kind_present.get(kind, 0) + 1
-        for kind in BOOLEAN_KINDS:
-            if kind not in failed_kinds:
-                kind_pass[kind] = kind_pass.get(kind, 0) + 1
-        if example_ok:
+        for kind in failed_kinds:
+            kind_fail[kind] = kind_fail.get(kind, 0) + 1
+        if not failed_kinds:
             all_pass += 1
 
     per_kind = {
-        kind: (kind_pass.get(kind, 0) / n if n else 1.0)
+        kind: (n - kind_fail.get(kind, 0)) / n
         for kind in BOOLEAN_KINDS
         if kind_present.get(kind, 0) > 0
     }

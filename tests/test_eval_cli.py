@@ -98,6 +98,30 @@ def test_eval_refuses_two_different_outputs_for_one_id(tmp_path):
     assert "line 4" in err and "'b'" in err
 
 
+def test_eval_refuses_two_constraint_rows_for_one_id(tmp_path):
+    constraint_rows = [
+        {"id": "x", "constraints": [{"type": "exact_match", "value": "yes"}]},
+        {"id": "y", "constraints": [{"type": "exact_match", "value": "yes"}]},
+        {"id": "x", "constraints": [{"type": "exact_match", "value": "no"}]},
+    ]
+    code, out, err = _eval(tmp_path, constraint_rows, [{"id": "x", "output": "yes"}])
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith("error: line 3: ") and "'x'" in err
+    assert "constraints.jsonl" in err and "Traceback" not in err
+
+
+def test_eval_refuses_a_length_class_label_no_output_can_meet(tmp_path):
+    constraint_rows = [
+        CONSTRAINT_ROWS[0],
+        {"id": "b", "constraints": [{"type": "length_class", "label": "huge"}]},
+    ]
+    code, out, err = _eval(tmp_path, constraint_rows, OUTPUT_ROWS)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith("error: line 2: missing or invalid field constraints[0].label")
+
+
 def test_eval_non_utf8_line_exits_two_with_line_number(tmp_path):
     _write(tmp_path / "constraints.jsonl", CONSTRAINT_ROWS)
     (tmp_path / "outputs.jsonl").write_bytes(b'{"id": "a", "output": "x"}\n{"id": "b", "output": "caf\xe9"}\n')

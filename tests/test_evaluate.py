@@ -25,7 +25,7 @@ from dialogtasks.evaluate import (
     score_corpus,
     split_keyword_list,
 )
-from dialogtasks.model import ComponentKind, Dialog, DialogItem, Turn
+from dialogtasks.model import ComponentKind, Dialog, DialogItem, SchemaError, Turn
 from dialogtasks.registry import derive_task
 
 S = ComponentKind.STATE
@@ -160,6 +160,18 @@ def test_constraint_dict_round_trip():
         assert constraint_from_dict(constraint_to_dict(c)) == c
     with pytest.raises(ValueError):
         constraint_from_dict({"type": "mystery"})
+
+
+def test_length_class_label_outside_the_classes_is_refused():
+    for label in ("short", "medium", "long"):
+        assert constraint_from_dict({"type": "length_class", "label": label}) == LengthClass(label)
+    for label in ("huge", "Short", "", " short"):
+        with pytest.raises(SchemaError) as caught:
+            constraint_from_dict({"type": "length_class", "label": label})
+        assert caught.value.field_path == "label"
+    with pytest.raises(SchemaError) as caught:
+        ConstraintSpec.from_dicts([{"type": "begins_with", "phrase": "a"}, {"type": "length_class", "label": "huge"}])
+    assert caught.value.field_path == "constraints[1].label"
 
 
 def test_constraint_spec_is_order_free():

@@ -5,6 +5,7 @@ LCS dynamic program and the per-string BLEU-2 count function. The golden
 report was captured from the string-level scorer on the same corpus.
 """
 
+import dataclasses
 import random
 from collections import Counter
 
@@ -13,22 +14,27 @@ from hypothesis import strategies as st
 
 from dialogtasks.composer import compose_corpus, load_rules
 from dialogtasks.evaluate import (
+    BOOLEAN_KINDS,
     BeginsWith,
+    ConstraintSpec,
     ContainsKeywords,
     EndsWith,
     ExactMatch,
     LengthClass,
     ReferenceOverlap,
+    _bleu2_from_counts,
     _bleu2_token_counts,
     _lcs_length,
+    bleu2,
     check_constraint,
+    corpus_bleu2,
     extract_constraints,
     rouge_l,
     score_corpus,
 )
 from dialogtasks.ingest import synth_corpus
 from dialogtasks.registry import derive_corpus
-from dialogtasks.textutil import normalize_tokens
+from dialogtasks.textutil import LENGTH_CLASSES, length_class, normalize_tokens
 
 
 def _dp_lcs_length(a, b):
@@ -91,10 +97,13 @@ _TEXT = st.lists(st.sampled_from(["a", "b", "c", "A", "b,", ".", "c!"]), max_siz
 
 
 @settings(max_examples=300, deadline=None)
-@given(candidate=_TEXT, reference=_TEXT)
-def test_token_bleu_counts_match_string_counts(candidate, reference):
-    token_counts = _bleu2_token_counts(normalize_tokens(candidate), [normalize_tokens(reference)])
-    assert token_counts == _string_bleu2_counts(candidate, [reference])
+@given(candidate=_TEXT, references=st.lists(_TEXT, min_size=1, max_size=3))
+def test_token_bleu_counts_match_string_counts(candidate, references):
+    expected = _string_bleu2_counts(candidate, references)
+    refs = [normalize_tokens(r) for r in references]
+    assert _bleu2_token_counts(normalize_tokens(candidate), refs) == expected
+    assert bleu2(candidate, references) == _bleu2_from_counts(*expected)
+    assert corpus_bleu2([(candidate, references)] * 2) == _bleu2_from_counts(*[2 * c for c in expected])
 
 
 def _golden_examples():
@@ -164,3 +173,136 @@ def test_text_and_token_list_inputs_agree(constraint, output, reference):
     tokens = normalize_tokens(output)
     assert check_constraint(constraint, tokens) == check_constraint(constraint, output)
     assert rouge_l(tokens, normalize_tokens(reference)) == rouge_l(output, reference)
+
+
+# --- whole corpus against a from-scratch scorer -------------------------------
+
+def _oracle_holds(constraint, out):
+    """Boolean verdict from the row's tokens, normalizing the constraint's text anew."""
+    if isinstance(constraint, BeginsWith):
+        prefix = normalize_tokens(constraint.phrase)
+        return out[: len(prefix)] == prefix
+    if isinstance(constraint, EndsWith):
+        suffix = normalize_tokens(constraint.phrase)
+        return len(suffix) == 0 or out[len(out) - len(suffix):] == suffix
+    if isinstance(constraint, ContainsKeywords):
+        for keyword in constraint.keywords:
+            needle = normalize_tokens(keyword)
+            starts = range(len(out) - len(needle) + 1)
+            if needle and not any(out[i : i + len(needle)] == needle for i in starts):
+                return False
+        return True
+    if isinstance(constraint, LengthClass):
+        return length_class(len(out)) == constraint.label
+    return out == normalize_tokens(constraint.value)
+
+
+_KIND = {
+    BeginsWith: "begins_with",
+    EndsWith: "ends_with",
+    ContainsKeywords: "contains_keywords",
+    LengthClass: "length_class",
+    ExactMatch: "exact_match",
+}
+
+
+def _oracle_report(examples):
+    """score_corpus rebuilt from the oracles: every row tokenizes every text it needs."""
+    n = len(examples)
+    passed = Counter()
+    present = Counter()
+    all_pass = 0
+    totals = [0] * 6
+    rouges = []
+    for spec, output in examples:
+        out = normalize_tokens(output)
+        kinds, failed = set(), set()
+        for constraint in spec.constraints:
+            if isinstance(constraint, ReferenceOverlap):
+                counts = _string_bleu2_counts(output, [constraint.reference])
+                totals = [a + b for a, b in zip(totals, counts)]
+                ref = normalize_tokens(constraint.reference)
+                lcs = _dp_lcs_length(out, ref)
+                rouges.append((1.0 + 1.0 * 1.0) * lcs / (len(out) + 1.0 * 1.0 * len(ref)) if lcs else 0.0)
+                continue
+            kind = _KIND[type(constraint)]
+            kinds.add(kind)
+            if not _oracle_holds(constraint, out):
+                failed.add(kind)
+        present.update(kinds)
+        passed.update(kind for kind in BOOLEAN_KINDS if kind not in failed)
+        all_pass += not failed
+    return {
+        "n_examples": n,
+        "per_constraint_accuracy": {kind: passed[kind] / n for kind in sorted(present)},
+        "constraint_counts": dict(sorted(present.items())),
+        "compositional_accuracy": all_pass / n if n else 1.0,
+        "bleu2": _bleu2_from_counts(*totals) if rouges else None,
+        "rouge_l": sum(rouges) / len(rouges) if rouges else None,
+    }
+
+
+# Texts that normalize to no tokens at all, as outputs and as references.
+_BLANK = st.sampled_from(["", "  "])
+
+
+@st.composite
+def _pooled_corpora(draw):
+    """Rows drawing their constraints from a small pool, so equal constraints recur.
+
+    Each row gets a fresh but equal copy of the pooled constraint, as rows
+    parsed from a constraints file do.
+    """
+    references = draw(st.lists(_TEXT | _BLANK, min_size=1, max_size=3))
+    phrases = draw(st.lists(_TEXT, min_size=1, max_size=3))
+    keyword_lists = draw(st.lists(st.lists(_TEXT, max_size=3).map(tuple), min_size=1, max_size=3))
+    pool = (
+        [ReferenceOverlap(r) for r in references]
+        + [BeginsWith(p) for p in phrases]
+        + [EndsWith(p) for p in phrases]
+        + [ExactMatch(p) for p in phrases]
+        + [ContainsKeywords(k) for k in keyword_lists]
+        + [LengthClass(label) for label in LENGTH_CLASSES]
+    )
+    constraint = st.sampled_from(pool).map(dataclasses.replace)
+    outputs = st.sampled_from(references + phrases) | _TEXT | _BLANK
+    rows = draw(st.lists(st.tuples(st.frozensets(constraint, max_size=4), outputs), max_size=30))
+    return [(ConstraintSpec(constraints), output) for constraints, output in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(examples=_pooled_corpora())
+def test_score_corpus_matches_a_from_scratch_scorer(examples):
+    assert score_corpus(examples).to_dict() == _oracle_report(examples)
+
+
+def test_each_distinct_constraint_is_tokenized_once(monkeypatch):
+    from dialogtasks import evaluate, textutil
+
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return normalize_tokens(text)
+
+    monkeypatch.setattr(evaluate, "normalize_tokens", counting)
+    monkeypatch.setattr(textutil, "normalize_tokens", counting)
+    pool = [
+        ReferenceOverlap("the flat came furnished ."),
+        BeginsWith("the flat"),
+        EndsWith("furnished ."),
+        ContainsKeywords(("flat", "came furnished")),
+        ExactMatch("Inform"),
+        LengthClass("short"),
+    ]
+    outputs = [f"the flat came furnished {i} ." for i in range(40)]
+    # Equal constraints, new objects on every row, as a parsed file gives them.
+    examples = [
+        (ConstraintSpec(frozenset(dataclasses.replace(c) for c in pool[: 1 + i % len(pool)])), output)
+        for i, output in enumerate(outputs)
+    ]
+    report = score_corpus(examples)
+    prepared = ["the flat came furnished .", "the flat", "furnished .", "flat", "came furnished", "Inform"]
+    assert sorted(texts) == sorted(outputs + prepared)
+    monkeypatch.undo()
+    assert report.to_dict() == _oracle_report(examples)
