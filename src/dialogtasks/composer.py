@@ -65,7 +65,10 @@ class CompositionRule:
     first/second match input signatures in either order. composed_display is
     the row's result name as written; the canonical composed signature is
     always rebuilt from the merged grounding, so display aliases that fold
-    target letters into the name (e.g. ICAES-A) stay cosmetic.
+    target letters into the name (e.g. ICAES-A) stay cosmetic. common lists
+    the row's shared fields as written ("dc" and the target letter); what two
+    tasks must share is decided by the guard, not by common: the same dialog
+    context and the same target item, for every rule.
     """
 
     rule_id: int
@@ -79,12 +82,6 @@ class CompositionRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_key", _pair_key(self.first, self.second))
-
-    def matches(self, a: TaskSignature, b: TaskSignature) -> bool:
-        return self._key == _pair_key(a, b)
-
-    def composed(self, a: TaskSignature, b: TaskSignature) -> TaskSignature:
-        return signature_of(a.grounding + b.grounding, self.target)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,7 +97,8 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
     """Load a rule table; the packaged default when no path is given.
 
     Rows are id,first,second,composed,common,target; "#" lines and blanks are
-    skipped. Raises RuleFormatError on malformed rows.
+    skipped. Each common token is "dc" or the row's target letter. Raises
+    RuleFormatError on malformed rows.
     """
     if path is None:
         text = (importlib.resources.files("dialogtasks.data") / "rules.csv").read_text("utf-8")
@@ -127,6 +125,9 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
             raise RuleFormatError(line_number, "empty composed name")
         if rule.target not in (rule.first.target, rule.second.target):
             raise RuleFormatError(line_number, "composed target matches neither input target")
+        for token in rule.common:
+            if token.lower() not in ("dc", rule.target.value.lower()):
+                raise RuleFormatError(line_number, f"common {token!r} is neither dc nor the target letter")
         rules.append(rule)
     if not rules:
         raise RuleFormatError(0, "rule table has no rows")
@@ -252,110 +253,84 @@ def _positions(instances: Iterable[TaskInstance]) -> Iterator[List[TaskInstance]
         yield sorted(groups[key], key=instance_sort_key)
 
 
-class _Bucket:
-    """The members of one position that share a context, grouped by target.
+# One context's members by target, in insertion order.
+_Groups = Dict[TargetItem, List[TaskInstance]]
 
-    ``groups[g]`` holds the members whose target is ``targets[g]``, and
-    ``leaks[g][h]`` counts those of them that hold a grounding item whose
-    value is the value of ``targets[h]``.
-    """
 
-    __slots__ = ("context", "size", "group_of", "targets", "groups", "leaks")
-
-    def __init__(self, context: Tuple[Turn, ...]):
-        self.context = context
-        self.size = 0
-        self.group_of: Dict[TargetItem, int] = {}
-        self.targets: List[TargetItem] = []
-        self.groups: List[List[TaskInstance]] = []
-        self.leaks: List[List[int]] = []
-
-    def add(self, inst: TaskInstance) -> Tuple[int, int]:
-        """File a member under its target; returns its group and its index there."""
-        g = self.group_of.get(inst.target_item)
-        if g is None:
-            g = self.group_of[inst.target_item] = len(self.groups)
-            self.targets.append(inst.target_item)
-            self.groups.append([])
-        self.groups[g].append(inst)
-        self.size += 1
-        return g, len(self.groups[g]) - 1
-
-    def count_leaks(self) -> None:
-        by_value: Dict[str, List[int]] = {}
-        for h, target in enumerate(self.targets):
-            by_value.setdefault(target.value, []).append(h)
-        self.leaks = [[0] * len(self.groups) for _ in self.groups]
-        for g, group in enumerate(self.groups):
-            row = self.leaks[g]
-            for inst in group:
-                for value in {item.value for item in inst.grounding_items}:
-                    for h in by_value.get(value, ()):
-                        if h != g:
-                            row[h] += 1
+def _holding(group: List[TaskInstance], value: str) -> int:
+    """How many members of a group hold a grounding item of this value."""
+    count = 0
+    for inst in group:
+        for item in inst.grounding_items:
+            if item.value == value:
+                count += 1
+                break
+    return count
 
 
 class _Join:
-    """One position's members bucketed by context, then by target.
+    """One position's members grouped by context, then by target.
 
-    Only a pair within one bucket can compose. Every pair across buckets is
-    refused for a different context, for a leak or for differing targets,
-    and counted here by bucket sizes instead of being checked one by one;
-    the counts are those _verdict would give each pair.
+    Per distinct context one dict maps each target to its members, in
+    insertion order. Only a pair within one target group can compose. Every
+    other pair is refused for a different context, for a leak or for
+    differing targets, and counted here in closed form from the groups; the
+    counts are those _verdict would give each pair.
     """
 
     def __init__(self, members: List[TaskInstance]):
         self.members = members
-        self.buckets: List[_Bucket] = []
-        # Per member: its bucket, its target group and its index in that group.
-        self.where: List[Tuple[_Bucket, int, int]] = []
-        by_identity: Dict[int, _Bucket] = {}
+        self.contexts: List[Tuple[Tuple[Turn, ...], _Groups]] = []
+        self.by_identity: Dict[int, _Groups] = {}
+        # Per member: its group and where its later group-mates start.
+        self.where: List[Tuple[List[TaskInstance], int]] = []
         for inst in members:
-            # Contexts are compared, never hashed: most members of a
-            # position share a handful of context tuples.
-            bucket = by_identity.get(id(inst.context))
-            if bucket is None:
-                bucket = next((b for b in self.buckets if b.context == inst.context), None)
-                if bucket is None:
-                    bucket = _Bucket(inst.context)
-                    self.buckets.append(bucket)
-                by_identity[id(inst.context)] = bucket
-            self.where.append((bucket, *bucket.add(inst)))
-        for bucket in self.buckets:
-            bucket.count_leaks()
+            group = self.groups_of(inst.context).setdefault(inst.target_item, [])
+            group.append(inst)
+            self.where.append((group, len(group)))
 
-    def pairs(self) -> Iterator[Tuple[TaskInstance, TaskInstance, _Bucket, int]]:
-        """Same-bucket pairs in itertools.combinations order, each with its bucket and group."""
-        for inst, (bucket, g, index) in zip(self.members, self.where):
-            for other in bucket.groups[g][index + 1:]:
-                yield inst, other, bucket, g
+    def groups_of(self, context: Tuple[Turn, ...]) -> _Groups:
+        # Contexts are compared, never hashed: most members of a position
+        # share a handful of context tuples, and a composite shares its
+        # parents' tuple.
+        groups = self.by_identity.get(id(context))
+        if groups is None:
+            groups = next((g for c, g in self.contexts if c == context), None)
+            if groups is None:
+                groups = {}
+                self.contexts.append((context, groups))
+            self.by_identity[id(context)] = groups
+        return groups
 
-    def pair_rejections(self, reasons: Counter) -> None:
-        """Add the reasons of every pair of members across buckets."""
+    def pairs(self) -> Iterator[Tuple[TaskInstance, TaskInstance]]:
+        """Same-group pairs in itertools.combinations order."""
+        for inst, (group, later) in zip(self.members, self.where):
+            for other in group[later:]:
+                yield inst, other
+
+    def refusals(self, reasons: Counter) -> None:
+        """Add the reasons of every pair of members in different groups."""
         n = len(self.members)
-        reasons[REASON_DIFFERENT_CONTEXT] += (n * n - sum(b.size * b.size for b in self.buckets)) // 2
-        for bucket in self.buckets:
-            sizes = [len(group) for group in bucket.groups]
-            for g, h in itertools.combinations(range(len(sizes)), 2):
-                clean = (sizes[g] - bucket.leaks[g][h]) * (sizes[h] - bucket.leaks[h][g])
-                reasons[REASON_LEAK] += sizes[g] * sizes[h] - clean
+        sizes = [sum(map(len, groups.values())) for _, groups in self.contexts]
+        reasons[REASON_DIFFERENT_CONTEXT] += (n * n - sum(size * size for size in sizes)) // 2
+        for _, groups in self.contexts:
+            for (t, g), (u, h) in itertools.combinations(groups.items(), 2):
+                clean = (len(g) - _holding(g, u.value)) * (len(h) - _holding(h, t.value))
+                reasons[REASON_LEAK] += len(g) * len(h) - clean
                 reasons[REASON_TARGETS_DIFFER] += clean
 
-    def atoms_for(
-        self, composite: TaskInstance, bucket: _Bucket, g: int, reasons: Counter
-    ) -> List[TaskInstance]:
-        """The members sharing a composite's bucket and group; adds the reasons of all other members.
-
-        ``bucket`` and ``g`` are those of the composite's parents.
-        """
-        reasons[REASON_DIFFERENT_CONTEXT] += len(self.members) - bucket.size
+    def atoms_for(self, composite: TaskInstance, reasons: Counter) -> List[TaskInstance]:
+        """The members sharing a composite's context and target; adds the reasons of all others."""
+        groups = self.groups_of(composite.context)
+        reasons[REASON_DIFFERENT_CONTEXT] += len(self.members) - sum(map(len, groups.values()))
         values = {item.value for item in composite.grounding_items}
-        for h, group in enumerate(bucket.groups):
-            if h != g:
-                leaks = len(group) if bucket.targets[h].value in values else bucket.leaks[h][g]
+        t = composite.target_item
+        for u, h in groups.items():
+            if u != t:
+                leaks = len(h) if u.value in values else _holding(h, t.value)
                 reasons[REASON_LEAK] += leaks
-                reasons[REASON_TARGETS_DIFFER] += len(group) - leaks
-        return bucket.groups[g]
+                reasons[REASON_TARGETS_DIFFER] += len(h) - leaks
+        return groups[t]
 
 
 def compose_corpus(
@@ -378,11 +353,9 @@ def compose_corpus(
     reasons: Counter = Counter()
     composites: List[TaskInstance] = []
 
-    def accepted(
-        pairs: Iterable[Tuple[TaskInstance, TaskInstance, _Bucket, int]], seen: set
-    ) -> List[Tuple[TaskInstance, _Bucket, int]]:
+    def accepted(pairs: Iterable[Tuple[TaskInstance, TaskInstance]], seen: set) -> List[TaskInstance]:
         made = []
-        for x, y, bucket, g in pairs:
+        for x, y in pairs:
             result = compose(x, y, rules)
             if isinstance(result, Rejection):
                 reasons[result.reason] += 1
@@ -390,25 +363,21 @@ def compose_corpus(
             key = _dedup_key(result)
             if key not in seen:
                 seen.add(key)
-                made.append((result, bucket, g))
+                made.append(result)
         return made
 
     for members in _positions(instances):
         join = _Join(members)
-        join.pair_rejections(reasons)
+        join.refusals(reasons)
         seen: set = set()
         frontier = accepted(join.pairs(), seen)
-        composites.extend(made for made, _, _ in frontier)
+        composites.extend(frontier)
         for _ in range(3, max_dim + 1):
             frontier = accepted(
-                (
-                    (composite, atom, bucket, g)
-                    for composite, bucket, g in frontier
-                    for atom in join.atoms_for(composite, bucket, g, reasons)
-                ),
+                ((composite, atom) for composite in frontier for atom in join.atoms_for(composite, reasons)),
                 seen,
             )
-            composites.extend(made for made, _, _ in frontier)
+            composites.extend(frontier)
     composites.sort(key=instance_sort_key)
     return composites, +reasons  # without the reasons no pair had
 
@@ -424,7 +393,7 @@ def naive_corpus(
     composites = [
         naive_compose(a, b)
         for members in _positions(instances)
-        for a, b, _, _ in _Join(members).pairs()
+        for a, b in _Join(members).pairs()
         if infeasibility_guard(a, b, rules) is None
     ]
     composites.sort(key=instance_sort_key)

@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from .evaluate import extract_constraints
 from .ingest import ExportManifest, SchemaError, read_jsonl, write_jsonl
-from .model import TaskInstance, Turn, instance_sort_key, turns_from_dicts
+from .model import TaskInstance, Turn, example_id, instance_sort_key, turns_from_dicts
 from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
 
@@ -189,7 +189,7 @@ def _shared_context(data: Dict[str, Any], dialogs: Dict[Tuple[str, str], _Dialog
 
 def instance_id(inst: TaskInstance) -> str:
     """Join key between rendered examples, constraint rows, and model outputs."""
-    return inst.provenance.key()
+    return example_id(inst.provenance, inst.style)
 
 
 def constraint_records(instances: Iterable[TaskInstance]) -> List[Dict[str, Any]]:

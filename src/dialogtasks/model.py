@@ -355,6 +355,16 @@ class Provenance:
         )
 
 
+def example_id(provenance: Provenance, style: str) -> str:
+    """The id of an instance's rows in every file the tool writes.
+
+    A naive composite has the provenance of the standard composite of the
+    same two tasks, so its id carries its style as a marker ("#naive").
+    """
+    key = provenance.key()
+    return key if style == "standard" else f"{key}#{style}"
+
+
 @dataclass(frozen=True, slots=True)
 class TaskInstance:
     """One concrete task: signature, instruction, context, grounding, target.

@@ -18,7 +18,7 @@ from .composer import compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
 from .ingest import SynthConfig, load_corpus, synth_corpus, write_corpus, write_json
 from .prompts import apply_cot, parse_cot_mode
-from .registry import derive_corpus
+from .registry import derive_corpus, task_names
 
 CONFIG_TEMPLATE = """\
 ; Pipeline configuration. All keys are optional; values below are defaults.
@@ -117,7 +117,12 @@ class PipelineConfig:
 
 def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     """Run every stage and write the corpus plus manifest.json into out_dir."""
-    cot_k = parse_cot_mode(config.cot)  # before any stage runs or writes
+    # A bad config raises here, before any stage runs or writes.
+    cot_k = parse_cot_mode(config.cot)
+    task_names(config.tasks)
+    rules = load_rules(config.rules_path) if config.compose_enabled else []
+    if config.compose_enabled and config.max_dim < 2:
+        raise ValueError("max_dim must be >= 2")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -132,9 +137,7 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     instances = derive_corpus(dialogs, config.seed, tasks=config.tasks)
     rejections: Counter = Counter()
     if config.compose_enabled:
-        composites, rejections = compose_corpus(
-            instances, load_rules(config.rules_path), max_dim=config.max_dim
-        )
+        composites, rejections = compose_corpus(instances, rules, max_dim=config.max_dim)
         instances = instances + composites
         del composites  # nothing reads the composites from before cot
     if cot_k is not None:

@@ -22,6 +22,7 @@ from .model import (
     DialogItem,
     Provenance,
     TaskInstance,
+    example_id,
     item_sort_key,
     signature_of,
 )
@@ -78,10 +79,11 @@ class RenderedExample:
     signature: str
     seed: int
     provenance: Provenance
+    style: str = "standard"
 
     def to_record(self) -> Dict[str, Any]:
         return {
-            "id": self.provenance.key(),
+            "id": example_id(self.provenance, self.style),
             "input": self.input_text,
             "output": self.output_text,
             "task": self.task_name,
@@ -222,6 +224,7 @@ def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = Non
         signature=inst.signature.canonical_string(),
         seed=seed,
         provenance=inst.provenance,
+        style=inst.style,
     )
 
 

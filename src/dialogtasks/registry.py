@@ -350,6 +350,15 @@ def list_tasks() -> List[AtomicTaskDef]:
     return sorted(_DEFS, key=lambda d: d.name)
 
 
+def task_names(tasks: Optional[Iterable[str]] = None) -> List[str]:
+    """The selected task names, sorted (all when none are given); KeyError on an unknown one."""
+    names = sorted(tasks) if tasks is not None else sorted(REGISTRY)
+    for name in names:
+        if name not in REGISTRY:
+            raise KeyError(f"unknown task: {name!r}")
+    return names
+
+
 def derive_task(
     name: str, dialog: Dialog, turn_index: int, seed: int
 ) -> TaskInstance:
@@ -370,10 +379,7 @@ def derive_corpus(
     that cannot host a task are skipped. Output order is deterministic:
     dialogs in input order, turns ascending, tasks by name.
     """
-    names = sorted(tasks) if tasks is not None else sorted(REGISTRY)
-    for name in names:
-        if name not in REGISTRY:
-            raise KeyError(f"unknown task: {name!r}")
+    names = task_names(tasks)
     instances: List[TaskInstance] = []
     for dialog in dialogs:
         for t in range(1, len(dialog.turns)):

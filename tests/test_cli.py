@@ -104,6 +104,37 @@ def test_compose_naive_baseline(tmp_path, instances_path, capsys):
     assert all(inst.style == "naive" for inst in read_instances(out_path))
 
 
+def test_standard_and_naive_composites_export_and_score_together(tmp_path, capsys):
+    corpus, atomic = tmp_path / "dialogs.jsonl", tmp_path / "atomic.jsonl"
+    assert _run(capsys, "ingest", "--synth", "5", "--seed", "7", "--out", str(corpus))[0] == cli.EXIT_OK
+    _run(capsys, "tasks", "--derive", "--corpus", str(corpus), "--seed", "7", "--out", str(atomic))
+    both = tmp_path / "both.jsonl"
+    for extra in ((), ("--naive",)):
+        part = tmp_path / f"composite{'-'.join(extra)}.jsonl"
+        assert _run(capsys, "compose", "--in", str(atomic), *extra, "--out", str(part))[0] == cli.EXIT_OK
+        with both.open("a", encoding="utf-8") as out:
+            out.write(part.read_text(encoding="utf-8"))
+    out_dir = tmp_path / "export"
+    code, _, _ = _run(
+        capsys, "export", "--in", str(both), "--seed", "7", "--emit-constraints", "--out", str(out_dir)
+    )
+    assert code == cli.EXIT_OK
+    for name in ("train", "dev", "test", "constraints-train", "constraints-dev", "constraints-test"):
+        ids = [json.loads(line)["id"] for line in (out_dir / f"{name}.jsonl").open(encoding="utf-8")]
+        assert len(ids) == len(set(ids)), name
+    train = [json.loads(line) for line in (out_dir / "train.jsonl").open(encoding="utf-8")]
+    naive = [row for row in train if row["id"].endswith("#naive")]
+    assert 0 < len(naive) < len(train)
+    assert {row["id"].removesuffix("#naive") for row in naive} <= {row["id"] for row in train}
+    outputs = tmp_path / "gold.jsonl"
+    outputs.write_text("".join(json.dumps({"id": r["id"], "output": r["output"]}) + "\n" for r in train))
+    code, out, _ = _run(
+        capsys, "eval", "--constraints", str(out_dir / "constraints-train.jsonl"), "--outputs", str(outputs)
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(out)["compositional_accuracy"] == 1.0
+
+
 def test_render_writes_prompt_records(tmp_path, instances_path, capsys):
     out_path = tmp_path / "rendered.jsonl"
     code, out, _ = _run(
@@ -304,6 +335,25 @@ def test_run_bad_cot_mode_exits_two_before_any_stage(tmp_path, capsys):
     assert code == cli.EXIT_IO
     assert out == ""
     assert "cot mode 'random--1'" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "section, problem",
+    [
+        ("[tasks]\ninclude = no_such_task\n", "no_such_task"),
+        ("[compose]\nmax_dim = 1\n", "max_dim"),
+        ("[compose]\nrules = missing-rules.csv\n", "missing-rules.csv"),
+    ],
+)
+def test_run_config_error_exits_two_before_any_stage_writes(tmp_path, capsys, section, problem):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "pipeline.ini"
+    config.write_text(f"[corpus]\nsynth_dialogs = 5\n\n{section}\n[output]\ndir = {out_dir}\n", encoding="utf-8")
+    code, out, err = _run(capsys, "run", "--config", str(config))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert problem in err
     assert not out_dir.exists()
 
 

@@ -21,6 +21,7 @@ from dialogtasks.composer import (
     RuleFormatError,
     compose,
     compose_corpus,
+    find_rule,
     infeasibility_guard,
     load_rules,
     naive_compose,
@@ -87,18 +88,46 @@ def test_packaged_rule_table_loads_ten_rules():
     assert first.target is ComponentKind.RESPONSE
 
 
-def test_rule_matching_is_order_insensitive():
+def test_find_rule_is_order_insensitive():
     rule = RULES[2]  # ICE-R + ICA-R
-    assert rule.matches(rule.first, rule.second)
-    assert rule.matches(rule.second, rule.first)
-    assert not rule.matches(rule.first, rule.first)
+    assert find_rule(rule.first, rule.second, RULES) is rule
+    assert find_rule(rule.second, rule.first, RULES) is rule
+    assert find_rule(rule.first, rule.first, [rule]) is None
 
 
-def test_rule_composed_signature_is_union():
+def _hand_derived(name, item, target):
+    """A one-item task at DIALOG's turn 1, for shapes no registered task has."""
+    return TaskInstance(
+        signature=signature_of((item.component,), target.component),
+        task_name=name,
+        instruction=build_instruction(target.component, (item.component,)),
+        context=DIALOG.turns[:1],
+        grounding_items=(item,),
+        target_item=target,
+        provenance=Provenance("hand", "pair-1", "train", 1, (name,), 0),
+    )
+
+
+def test_composed_signature_is_union_of_groundings():
     rule = RULES[6]  # display alias ICAES-A over ICE-A + ICS-A inputs
-    composed = rule.composed(rule.first, rule.second)
-    assert composed.canonical_string() == "ICSE-A"
+    act = TargetItem(A, "dialog_act", "inform")
+    persona = _hand_derived("persona_act", DIALOG.turns[1].items[2], act)
+    emotion = _hand_derived("emotion_act", DIALOG.turns[1].items[0], act)
+    assert (persona.signature, emotion.signature) == (rule.first, rule.second)
+    composed = compose(persona, emotion, RULES)
+    assert composed.signature.canonical_string() == "ICSE-A"
+    assert composed.instruction == build_instruction(A, (ComponentKind.STATE, ComponentKind.EVIDENCE))
     assert rule.composed_display == "ICAES-A"
+
+
+def test_load_rules_rejects_a_common_token_other_than_dc_or_the_target(tmp_path):
+    table = tmp_path / "rules.csv"
+    table.write_text("# header\n1,ICA-R,ICA-R,ICAA-R,dc;r,r\n2,ICE-R,ICE-R,ICEE-R,dc;a,r\n", encoding="utf-8")
+    with pytest.raises(RuleFormatError, match="'a'") as err:
+        load_rules(table)
+    assert err.value.line_number == 3
+    table.write_text("1,ICA-A,ICS-A,ICASA-A,DC;A,a\n", encoding="utf-8")
+    assert load_rules(table)[0].common == ("DC", "A")
 
 
 def test_load_rules_rejects_malformed_rows(tmp_path):
