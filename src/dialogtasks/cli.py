@@ -179,9 +179,11 @@ def join_constraints(
     A missing or mistyped ``id`` or constraint field raises SchemaError
     naming the line and the field path; so does an ``id`` an earlier row
     already has, as which constraints its output answers is then ambiguous.
+    Each distinct constraint is parsed once per call.
     """
     examples = []
     known = set()
+    parsed: Dict[Tuple[str, Any], Any] = {}
     missing = 0
     for line_number, record in constraint_rows:
         example_id = _string_field(record, "id", line_number)
@@ -193,7 +195,7 @@ def join_constraints(
         if not isinstance(constraints, list):
             raise SchemaError("constraints", line_number)
         try:
-            spec = ConstraintSpec.from_dicts(constraints)
+            spec = ConstraintSpec.from_dicts(constraints, parsed)
         except SchemaError as exc:
             raise SchemaError(exc.field_path, line_number) from exc
         known.add(example_id)

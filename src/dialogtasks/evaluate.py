@@ -107,6 +107,23 @@ def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
     return _CONSTRAINT_TYPES[kind](value)
 
 
+def _constraint_key(data: Dict[str, Any]) -> Optional[Tuple[str, Any]]:
+    """(type, field value) of a constraint dict whose type and value are exact strs,
+    or whose keywords are a list of exact strs (as a tuple); None otherwise."""
+    kind = data.get("type")
+    if type(kind) is not str:
+        return None
+    if kind == "contains_keywords":
+        keywords = data.get("keywords")
+        if type(keywords) is list and all(type(k) is str for k in keywords):
+            return (kind, tuple(keywords))
+    elif kind in _TEXT_FIELDS:
+        value = data.get(_TEXT_FIELDS[kind])
+        if type(value) is str:
+            return (kind, value)
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class ConstraintSpec:
     """The machine-checkable constraints one task instance puts on an output.
@@ -124,16 +141,31 @@ class ConstraintSpec:
         )
 
     @classmethod
-    def from_dicts(cls, data: Iterable[Dict[str, Any]]) -> "ConstraintSpec":
-        """Parse a constraint list; SchemaError paths read ``constraints[i].field``."""
+    def from_dicts(
+        cls, data: Iterable[Dict[str, Any]], memo: Optional[Dict[Tuple[str, Any], Constraint]] = None
+    ) -> "ConstraintSpec":
+        """Parse a constraint list; SchemaError paths read ``constraints[i].field``.
+
+        Lists parsed with one ``memo`` dict parse each distinct constraint
+        once and share it: the key is the type and the field value, taken
+        only when both have the exact type a valid constraint has (see
+        _constraint_key), so a mistyped one fails as it would alone.
+        """
+        memo = {} if memo is None else memo
         constraints = []
         for index, item in enumerate(data):
             if not isinstance(item, dict):
                 raise SchemaError(f"constraints[{index}]")
-            try:
-                constraints.append(constraint_from_dict(item))
-            except SchemaError as exc:
-                raise SchemaError(f"constraints[{index}].{exc.field_path}") from exc
+            key = _constraint_key(item)
+            constraint = memo.get(key) if key is not None else None
+            if constraint is None:
+                try:
+                    constraint = constraint_from_dict(item)
+                except SchemaError as exc:
+                    raise SchemaError(f"constraints[{index}].{exc.field_path}") from exc
+                if key is not None:
+                    memo[key] = constraint
+            constraints.append(constraint)
         return cls(frozenset(constraints))
 
     def union(self, other: "ConstraintSpec") -> "ConstraintSpec":

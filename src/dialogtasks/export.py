@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .evaluate import extract_constraints
 from .ingest import ExportManifest, SchemaError, read_jsonl, write_jsonl
-from .model import TaskInstance, Turn, example_id, instance_sort_key, turns_from_dicts
+from .model import ParseMemo, TaskInstance, Turn, example_id, instance_sort_key, turns_from_dicts
 from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
 
@@ -109,8 +109,7 @@ def _instance_rows(
         if inst.context != dialog[:n]:
             yield inst.to_dict()
             continue
-        row = replace(inst, context=()).to_dict()
-        del row["context"]
+        row = inst.to_dict(context=False)
         row["context_turns"] = n
         if key not in written:
             written.add(key)
@@ -129,32 +128,22 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
     Each dialog's turns are parsed once, and the rows referencing a prefix
     of them by ``context_turns`` share one context tuple per (dialog,
     length). Rows with an inline ``context`` load through from_dict alone.
-    Rows share one string object per distinct instruction, task name,
-    dataset and split. A malformed row raises SchemaError naming its
-    top-level field and line.
+    Every row parses through one ParseMemo, so each distinct signature,
+    item, target item and source_tasks list of the file is parsed once and
+    shared by the rows that hold it, as are repeated strings. A malformed
+    row raises SchemaError naming its top-level field and line.
     """
     dialogs: Dict[Tuple[str, str], _DialogTurns] = {}
-    strings: Dict[str, str] = {}
+    memo = ParseMemo()
     instances: List[TaskInstance] = []
     for line_number, data in read_jsonl(path):
         try:
-            _share_strings(data, ("instruction", "task_name"), strings)
-            _share_strings(data.get("provenance"), ("dataset", "split"), strings)
             if "context_turns" in data:
                 data["context"] = _shared_context(data, dialogs)
-            instances.append(TaskInstance.from_dict(data))
+            instances.append(TaskInstance.from_dict(data, memo))
         except SchemaError as exc:
             raise SchemaError(exc.field_path, line_number, exc.problem) from exc
     return instances
-
-
-def _share_strings(data: Any, keys: Tuple[str, ...], strings: Dict[str, str]) -> None:
-    """Replace each string ``data[key]`` by the first equal one in ``strings``."""
-    if type(data) is dict:
-        for key in keys:
-            value = data.get(key)
-            if type(value) is str:
-                data[key] = strings.setdefault(value, value)
 
 
 def _shared_context(data: Dict[str, Any], dialogs: Dict[Tuple[str, str], _DialogTurns]) -> Tuple[Turn, ...]:

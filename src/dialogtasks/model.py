@@ -79,6 +79,8 @@ def _checked(value: Any, kind: type, path: str) -> Any:
     and None is no value of any kind, so ``_checked(data.get(key), ...)``
     also rejects a missing key.
     """
+    if type(value) is kind:  # the common case, decided by one comparison
+        return value
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(path)
     return value
@@ -342,17 +344,83 @@ class Provenance:
         }
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Provenance":
+    def from_dict(cls, data: Dict[str, Any], memo: Optional[ParseMemo] = None) -> "Provenance":
+        """Parse a record as to_dict writes it, sharing its strings and task names through ``memo``."""
+        memo = ParseMemo() if memo is None else memo
         return cls(
-            dataset=_checked(data["dataset"], str, "dataset"),
-            dialog_id=_checked(data["dialog_id"], str, "dialog_id"),
-            split=_checked(data.get("split", "train"), str, "split"),
+            dataset=memo.string(data["dataset"], "dataset"),
+            dialog_id=memo.string(data["dialog_id"], "dialog_id"),
+            split=memo.string(data.get("split", "train"), "split"),
             target_turn_index=_checked(data["target_turn_index"], int, "target_turn_index"),
-            source_tasks=tuple(
-                _checked(t, str, "source_tasks") for t in _checked(data["source_tasks"], list, "source_tasks")
-            ),
+            source_tasks=memo.source_tasks(data["source_tasks"]),
             seed=_checked(data["seed"], int, "seed"),
         )
+
+
+class ParseMemo:
+    """The values parsed so far from the rows of one file, each held once.
+
+    TaskInstance.from_dict parses a signature string, a grounding, cot or
+    target item, or a source_tasks list only the first time a memo meets it,
+    and hands every later row the same object; task names, instructions,
+    datasets, dialog ids, splits and styles share one string per value. A value is
+    looked up only when every field of it has the exact type JSON gives a
+    valid one (str, or int and not bool), as ``true`` and ``1.0`` equal and
+    hash like ``1``: a row that would not parse on its own never reaches the
+    memo, and fails as it would without it. A memo grows with the distinct
+    values it meets, so keep one per file read.
+    """
+
+    __slots__ = ("signatures", "items", "targets", "tasks", "strings")
+
+    def __init__(self) -> None:
+        self.signatures: Dict[str, TaskSignature] = {}
+        self.items: Dict[Tuple[str, str, str, int], DialogItem] = {}
+        self.targets: Dict[Tuple[str, str, str], TargetItem] = {}
+        self.tasks: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self.strings: Dict[str, str] = {}
+
+    def string(self, value: Any, path: str) -> str:
+        if type(value) is str:
+            return self.strings.setdefault(value, value)
+        return _checked(value, str, path)
+
+    def signature(self, text: Any) -> TaskSignature:
+        if type(text) is not str:
+            return parse_signature(text)
+        signature = self.signatures.get(text)
+        if signature is None:
+            signature = self.signatures[text] = parse_signature(text)
+        return signature
+
+    def item(self, data: Any) -> DialogItem:
+        if type(data) is dict:
+            component, kind, value = data.get("component"), data.get("kind"), data.get("value")
+            turn_index = data.get("turn_index", 0)
+            if type(component) is str and type(kind) is str and type(value) is str and type(turn_index) is int:
+                key = (component, kind, value, turn_index)
+                item = self.items.get(key)
+                if item is None:
+                    item = self.items[key] = DialogItem.from_dict(data)
+                return item
+        return DialogItem.from_dict(data)
+
+    def target(self, data: Any) -> TargetItem:
+        if type(data) is dict:
+            component, kind, value = data.get("component"), data.get("kind"), data.get("value")
+            if type(component) is str and type(kind) is str and type(value) is str:
+                key = (component, kind, value)
+                target = self.targets.get(key)
+                if target is None:
+                    target = self.targets[key] = TargetItem.from_dict(data)
+                return target
+        return TargetItem.from_dict(data)
+
+    def source_tasks(self, names: Any) -> Tuple[str, ...]:
+        if type(names) is list and all(type(name) is str for name in names):
+            key = tuple(names)
+            return self.tasks.setdefault(key, key)
+        return tuple(_checked(name, str, "source_tasks") for name in _checked(names, list, "source_tasks"))
 
 
 def example_id(provenance: Provenance, style: str) -> str:
@@ -385,28 +453,33 @@ class TaskInstance:
     cot_items: Tuple[DialogItem, ...] = ()
     style: str = "standard"
 
-    def to_dict(self) -> Dict[str, Any]:
+    def to_dict(self, context: bool = True) -> Dict[str, Any]:
+        """The row of this instance; ``context=False`` leaves the context out,
+        for a writer that stores it elsewhere in the file."""
         data: Dict[str, Any] = {
             "signature": self.signature.canonical_string(),
             "task_name": self.task_name,
             "instruction": self.instruction,
-            "context": [t.to_dict() for t in self.context],
             "grounding_items": [i.to_dict() for i in self.grounding_items],
             "target_item": self.target_item.to_dict(),
             "provenance": self.provenance.to_dict(),
             "style": self.style,
         }
+        if context:
+            data["context"] = [t.to_dict() for t in self.context]
         if self.cot_items:
             data["cot_items"] = [i.to_dict() for i in self.cot_items]
         return data
 
     @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TaskInstance":
+    def from_dict(cls, data: Dict[str, Any], memo: Optional[ParseMemo] = None) -> "TaskInstance":
         """Parse one row as to_dict writes it.
 
         ``context`` may also be a tuple of Turn parsed beforehand, which the
         instance then holds as it is: read_instances resolves a row's
         ``context_turns`` that way, to one tuple shared per dialog prefix.
+        Rows parsed with one ``memo`` share every value it holds (see
+        ParseMemo); read_instances keeps one per file.
         A missing or mistyped field raises SchemaError naming the field.
         """
         if "context_turns" in data:
@@ -414,28 +487,29 @@ class TaskInstance:
                 "context_turns",
                 problem="context_turns refers to turns elsewhere in its file; read it with read_instances",
             )
+        memo = ParseMemo() if memo is None else memo
         # One try for the whole row; ``field`` names the field being parsed.
         field = "signature"
         try:
-            signature = parse_signature(data["signature"])
+            signature = memo.signature(data["signature"])
             field = "task_name"
-            task_name = _checked(data["task_name"], str, field)
+            task_name = memo.string(data["task_name"], field)
             field = "instruction"
-            instruction = _checked(data["instruction"], str, field)
+            instruction = memo.string(data["instruction"], field)
             field = "context"
             context = data.get("context", ())
             if type(context) is not tuple:
                 context = turns_from_dicts(context)
             field = "grounding_items"
-            grounding_items = tuple(DialogItem.from_dict(i) for i in _checked(data["grounding_items"], list, field))
+            grounding_items = tuple(map(memo.item, _checked(data["grounding_items"], list, field)))
             field = "target_item"
-            target_item = TargetItem.from_dict(data["target_item"])
+            target_item = memo.target(data["target_item"])
             field = "provenance"
-            provenance = Provenance.from_dict(data["provenance"])
+            provenance = Provenance.from_dict(data["provenance"], memo)
             field = "cot_items"
-            cot_items = tuple(DialogItem.from_dict(i) for i in _checked(data.get("cot_items", []), list, field))
+            cot_items = tuple(map(memo.item, _checked(data.get("cot_items", []), list, field)))
             field = "style"
-            style = _checked(data.get("style", "standard"), str, field)
+            style = memo.string(data.get("style", "standard"), field)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(field) from exc
         return cls(
@@ -497,9 +571,13 @@ def validate_instance(inst: TaskInstance) -> List[str]:
     return violations
 
 
-def instance_sort_key(inst: TaskInstance) -> Tuple[str, str]:
-    """Canonical ordering for corpora: provenance first, then task name."""
-    return (inst.provenance.key(), inst.task_name)
+def instance_sort_key(inst: TaskInstance) -> Tuple[str, str, str]:
+    """Canonical ordering for corpora: provenance, task name, then style.
+
+    A naive composite shares its provenance and task name with the standard
+    composite of the same pair, so style breaks that tie.
+    """
+    return (inst.provenance.key(), inst.task_name, inst.style)
 
 
 def item_sort_key(item: DialogItem) -> Tuple[int, str, str, int]:

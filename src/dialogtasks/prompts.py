@@ -22,6 +22,7 @@ from .model import (
     DialogItem,
     Provenance,
     TaskInstance,
+    Turn,
     example_id,
     item_sort_key,
     signature_of,
@@ -202,12 +203,16 @@ def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = Non
     blocks) ++ [target header]. Naive style: fixed order with each item on its
     own natively labeled line.
     """
-    options = options or RenderOptions()
+    return _render(inst, seed, options or RenderOptions(), _context_body(inst))
+
+
+def _render(inst: TaskInstance, seed: int, options: RenderOptions, context_body: str) -> RenderedExample:
+    """render, given the instance's context already joined into its section body."""
     if inst.style == "naive":
-        sections = _render_naive_sections(inst)
+        sections = _render_naive_sections(inst, context_body)
         input_text = _assemble_naive(sections)
     else:
-        middle: List[Tuple[str, str]] = [(SECTION_CONTEXT, _context_body(inst))]
+        middle: List[Tuple[str, str]] = [(SECTION_CONTEXT, context_body)]
         if inst.grounding_items:  # a middle of the context alone draws nothing
             rng = random.Random(seed)
             middle.extend(_grounding_blocks(inst, rng, options))
@@ -228,9 +233,9 @@ def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = Non
     )
 
 
-def _render_naive_sections(inst: TaskInstance) -> List[Tuple[str, str]]:
+def _render_naive_sections(inst: TaskInstance, context_body: str) -> List[Tuple[str, str]]:
     sections: List[Tuple[str, str]] = [(SECTION_INSTRUCTION, inst.instruction)]
-    sections.append((SECTION_CONTEXT, _context_body(inst)))
+    sections.append((SECTION_CONTEXT, context_body))
     for item in inst.grounding_items:
         label = NAIVE_LABELS.get(item.kind, item.kind.replace("_", " ").title())
         sections.append((f"{label}:", item.value))
@@ -314,14 +319,23 @@ def render_corpus(
     """Render every instance with a per-instance derived seed.
 
     Deterministic and order-preserving; per-instance failures are collected as
-    error records with provenance instead of aborting the batch.
+    error records with provenance instead of aborting the batch. Each
+    distinct context tuple is joined into its section body once per call:
+    instances of one position share one tuple, as derive, compose and
+    read_instances hand it out.
     """
+    options = options or RenderOptions()
     rendered: List[RenderedExample] = []
     errors: List[Dict[str, Any]] = []
+    # id(context) -> (context, body); holding the context keeps its id unused.
+    bodies: Dict[int, Tuple[Tuple[Turn, ...], str]] = {}
     for inst in instances:
         inst_seed = subseed(seed, "render", inst.provenance.key(), inst.task_name)
+        known = bodies.get(id(inst.context))
+        if known is None:
+            known = bodies[id(inst.context)] = (inst.context, _context_body(inst))
         try:
-            rendered.append(render(inst, inst_seed, options))
+            rendered.append(_render(inst, inst_seed, options, known[1]))
         except (UnknownKind, ValueError) as exc:
             errors.append(
                 {

@@ -35,6 +35,7 @@ from .model import (
     Provenance,
     TargetItem,
     TaskInstance,
+    Turn,
     item_sort_key,
     signature_of,
     validate_instance,
@@ -130,7 +131,12 @@ def _corrupt_tokens(tokens: Sequence[str], rng: random.Random) -> List[str]:
 # ---------------------------------------------------------------------------
 
 class _Position:
-    """Target turn t of a dialog, tokenized at most once however many tasks read it."""
+    """Target turn t of a dialog, tokenized at most once however many tasks read it.
+
+    Every task at the position takes its context from here, so all of them
+    share one tuple (turns[:t], or turns[:t+1] for tagging tasks): compose
+    and render then meet the same object, not equal copies.
+    """
 
     def __init__(self, dialog: Dialog, turn_index: int) -> None:
         self.dialog = dialog
@@ -140,6 +146,14 @@ class _Position:
     @cached_property
     def tokens(self) -> List[str]:
         return tokenize(self.turn.text)
+
+    @cached_property
+    def context(self) -> Tuple[Turn, ...]:
+        return self.dialog.turns[: self.t]
+
+    @cached_property
+    def tagging_context(self) -> Tuple[Turn, ...]:
+        return self.dialog.turns[: self.t + 1]
 
     def nonempty_tokens(self) -> List[str]:
         if not self.tokens:
@@ -278,7 +292,7 @@ class AtomicTaskDef:
             signature=signature_of(components, component),
             task_name=self.name,
             instruction=build_instruction(component, components),
-            context=dialog.turns[: turn_index + 1 if self.tagging else turn_index],
+            context=pos.tagging_context if self.tagging else pos.context,
             grounding_items=tuple(grounding),
             target_item=target,
             provenance=Provenance(

@@ -170,6 +170,47 @@ def test_eval_malformed_input_exits_two_with_line_and_field(
 
 
 @pytest.mark.parametrize(
+    "repeat, path",
+    [
+        # The first two would meet the parse of the row before if a memo
+        # keyed them loosely: "a" as a keyword list, and ["a"] as a phrase.
+        ({"type": "contains_keywords", "keywords": "a"}, "keywords"),
+        ({"type": "begins_with", "phrase": ["a"]}, "phrase"),
+        ({"type": "contains_keywords", "keywords": ["a", 1]}, "keywords"),
+        ({"type": "exact_match", "value": True}, "value"),
+        ({"type": "length_class", "label": 1}, "label"),
+        ({"type": "begins_with", "phrase": None}, "phrase"),
+    ],
+)
+def test_eval_repeated_constraint_with_a_mistyped_field_exits_two(tmp_path, repeat, path):
+    """A constraint repeating an earlier valid one but for its field's type still fails."""
+    valid = {
+        "contains_keywords": {"type": "contains_keywords", "keywords": ["a"]},
+        "begins_with": {"type": "begins_with", "phrase": "a"},
+        "exact_match": {"type": "exact_match", "value": "True"},
+        "length_class": {"type": "length_class", "label": "short"},
+    }
+    first = {"id": "x", "constraints": [valid[repeat["type"]], {"type": "begins_with", "phrase": "a"}]}
+    second = {"id": "y", "constraints": [{"type": "ends_with", "phrase": "b"}, repeat]}
+    code, out, err = _eval(tmp_path, [first, second], [{"id": "x", "output": "a"}])
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith(f"error: line 2: missing or invalid field constraints[1].{path} ")
+
+
+def test_join_constraints_parses_each_distinct_constraint_once():
+    rows = [
+        (1, {"id": "a", "constraints": [{"type": "begins_with", "phrase": "x"}, {"type": "contains_keywords", "keywords": ["k"]}]}),
+        (2, {"id": "b", "constraints": [{"type": "contains_keywords", "keywords": ["k"]}, {"type": "ends_with", "phrase": "x"}]}),
+        (3, {"id": "c", "constraints": [{"type": "begins_with", "phrase": "x"}, {"type": "ends_with", "phrase": "x"}]}),
+    ]
+    examples, _ = cli.join_constraints(rows, {})
+    constraints = [c for spec, _ in examples for c in spec.constraints]
+    assert len(constraints) == 6
+    assert len({id(c) for c in constraints}) == len(set(constraints)) == 3
+
+
+@pytest.mark.parametrize(
     "constraint_rows, output_rows, bad_file",
     [
         ([{"constraints": []}], OUTPUT_ROWS, "constraints.jsonl"),

@@ -9,7 +9,7 @@ from importlib import resources
 import pytest
 
 from dialogtasks import cli, pipeline
-from dialogtasks.composer import compose_corpus, load_rules
+from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
 from dialogtasks.export import (
     SamplingPlan,
     assign_splits,
@@ -26,7 +26,7 @@ from dialogtasks.export import (
 from dialogtasks.ingest import ParseError, SchemaError, SynthConfig, synth_corpus, write_corpus
 from dialogtasks.model import TaskInstance
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
-from dialogtasks.prompts import render_corpus
+from dialogtasks.prompts import apply_cot, render_corpus
 from dialogtasks.registry import derive_corpus
 
 
@@ -190,6 +190,77 @@ def test_read_instances_shares_one_string_per_distinct_value(tmp_path):
     assert objects(i.task_name for i in instances) == 18
     assert objects(i.provenance.dataset for i in instances) == 1
     assert objects(i.provenance.split for i in instances) == 3
+
+
+def test_read_instances_parses_each_distinct_value_once(tmp_path):
+    atomic = derive_corpus(synth_corpus(7, 10), 7)
+    instances = apply_cot(atomic + compose_corpus(atomic, load_rules())[0], "random-1", 7)
+    path = tmp_path / "instances.jsonl"
+    write_instances(instances, path)
+    again = read_instances(path)
+    assert again == instances
+
+    def objects(values):
+        values = list(values)
+        assert len({id(v) for v in values}) == len(set(values))
+        return len(set(values))
+
+    items = [item for inst in again for item in inst.grounding_items + inst.cot_items]
+    assert objects(inst.signature for inst in again) < 20
+    assert objects(items) < len(items) / 2
+    assert any(inst.cot_items for inst in again)
+    assert objects(inst.target_item for inst in again) < len(again) / 5
+    assert objects(inst.provenance.source_tasks for inst in again) < len(again) / 5
+    assert objects(inst.provenance.dialog_id for inst in again) == 10
+
+
+@pytest.mark.parametrize(
+    "field, change",
+    [
+        # true and 1.0 equal and hash like the 1 of the row before.
+        ("grounding_items", {"turn_index": True}),
+        ("grounding_items", {"turn_index": 1.0}),
+        ("grounding_items", {"value": 5}),
+        ("grounding_items", {"kind": None}),
+        ("cot_items", {"turn_index": True}),
+        ("cot_items", {"turn_index": 1.0}),
+        ("cot_items", {"value": ["x"]}),
+        ("target_item", {"value": 5}),
+        ("target_item", {"component": 1}),
+    ],
+)
+def test_row_repeating_a_parsed_item_but_mistyped_exits_two(tmp_path, capsys, field, change):
+    """A memo never answers for a value that would not parse on its own."""
+    good = _corpus(2, seed=8)[0].to_dict()
+    # The strings "5" and 5 would meet if a memo keyed values by str().
+    item = {"component": "A", "kind": "emotion", "value": "5", "turn_index": 1}
+    good.update(grounding_items=[item], cot_items=[{**item, "kind": "dialog_act"}])
+    good["target_item"] = {**good["target_item"], "value": "5"}
+    bad = json.loads(json.dumps(good))
+    if field == "target_item":
+        bad[field] = {**bad[field], **change}
+    else:
+        bad[field] = [{**bad[field][0], **change}]
+    path = tmp_path / "instances.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        read_instances(path)
+    assert (err.value.line_number, err.value.field_path) == (2, field)
+    assert cli.main(["stats", "--in", str(path)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == f"error: line 2: missing or invalid field {field}\n"
+
+
+@pytest.mark.parametrize("plan", [SamplingPlan(), SamplingPlan(atomic_quota=5, composite_quota=50)])
+def test_export_of_both_composite_styles_does_not_depend_on_row_order(tmp_path, plan):
+    """A naive composite and the standard one of the same pair sort by style."""
+    atomic = derive_corpus(synth_corpus(7, 20), 7)
+    rules = load_rules()
+    standard, naive = compose_corpus(atomic, rules)[0], naive_corpus(atomic, rules)
+    exported = []
+    for name, instances in (("standard-first", standard + naive), ("naive-first", naive + standard)):
+        export_corpus(instances, tmp_path / name, 7, plan=plan, emit_constraints=True)
+        exported.append({path.name: path.read_bytes() for path in (tmp_path / name).iterdir()})
+    assert exported[0] == exported[1]
 
 
 def test_instance_file_writes_each_dialogs_turns_once(tmp_path):

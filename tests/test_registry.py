@@ -352,3 +352,18 @@ def test_discriminative_variant_guards():
 def test_derivation_error_is_value_error():
     assert issubclass(DerivationError, ValueError)
     assert issubclass(TooShort, DerivationError)
+
+
+def test_tasks_at_one_position_share_one_context_object():
+    dialogs = synth_corpus(7, 10)
+    instances = derive_corpus(dialogs, 7)
+    turns = {d.dialog_id: d.turns for d in dialogs}
+    contexts = {}
+    for inst in instances:
+        t = inst.provenance.target_turn_index
+        tagging = REGISTRY[inst.task_name].tagging
+        assert inst.context == turns[inst.provenance.dialog_id][: t + 1 if tagging else t]
+        key = (inst.provenance.dialog_id, t, tagging)
+        assert contexts.setdefault(key, inst.context) is inst.context, inst.task_name
+    positions = sum(len(d.turns) - 1 for d in dialogs)
+    assert len(contexts) <= 2 * positions < len(instances)
