@@ -29,7 +29,7 @@ from .ingest import (
     write_corpus,
     write_json,
 )
-from .model import validate_instance
+from .model import _checked, example_id, validate_instance
 from .pipeline import CONFIG_TEMPLATE, PipelineConfig, run_pipeline
 from .prompts import RenderOptions, apply_cot
 from .registry import derive_corpus, list_tasks
@@ -135,13 +135,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _string_field(record: Dict[str, Any], key: str, line_number: int) -> str:
-    value = record.get(key)
-    if not isinstance(value, str):
-        raise SchemaError(key, line_number)
-    return value
-
-
 def collect_outputs(output_rows: Iterable[Tuple[int, Dict[str, Any]]]) -> Tuple[Dict[str, str], int]:
     """Map each output row's id to its output; also count repeated rows.
 
@@ -153,17 +146,20 @@ def collect_outputs(output_rows: Iterable[Tuple[int, Dict[str, Any]]]) -> Tuple[
     outputs: Dict[str, str] = {}
     duplicates = 0
     for line_number, record in output_rows:
-        example_id = _string_field(record, "id", line_number)
-        output = _string_field(record, "output", line_number)
-        first = outputs.get(example_id)
+        try:
+            row_id = _checked(record.get("id"), str, "id")
+            output = _checked(record.get("output"), str, "output")
+        except SchemaError as exc:
+            raise SchemaError(exc.field_path, line_number) from exc
+        first = outputs.get(row_id)
         if first is None:
-            outputs[example_id] = output
+            outputs[row_id] = output
         elif first == output:
             duplicates += 1
         else:
             raise SchemaError(
                 "output", line_number,
-                f"id {example_id!r} already has a different output on an earlier line",
+                f"id {row_id!r} already has a different output on an earlier line",
             )
     return outputs, duplicates
 
@@ -186,25 +182,20 @@ def join_constraints(
     parsed: Dict[Tuple[str, Any], Any] = {}
     missing = 0
     for line_number, record in constraint_rows:
-        example_id = _string_field(record, "id", line_number)
-        if example_id in known:
-            raise SchemaError(
-                "id", line_number, f"id {example_id!r} already has constraints on an earlier line"
-            )
-        constraints = record.get("constraints")
-        if not isinstance(constraints, list):
-            raise SchemaError("constraints", line_number)
         try:
-            spec = ConstraintSpec.from_dicts(constraints, parsed)
+            row_id = _checked(record.get("id"), str, "id")
+            if row_id in known:
+                raise SchemaError("id", problem=f"id {row_id!r} already has constraints on an earlier line")
+            spec = ConstraintSpec.from_dicts(_checked(record.get("constraints"), list, "constraints"), parsed)
         except SchemaError as exc:
-            raise SchemaError(exc.field_path, line_number) from exc
-        known.add(example_id)
-        if example_id not in outputs:
+            raise SchemaError(exc.field_path, line_number, exc.problem) from exc
+        known.add(row_id)
+        if row_id not in outputs:
             missing += 1
-        examples.append((spec, outputs.get(example_id, "")))
+        examples.append((spec, outputs.get(row_id, "")))
     counts = {
         "n_missing_outputs": missing,
-        "n_unknown_outputs": sum(1 for example_id in outputs if example_id not in known),
+        "n_unknown_outputs": sum(1 for row_id in outputs if row_id not in known),
     }
     return examples, counts
 
@@ -244,7 +235,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         problems = validate_instance(inst)
         if problems:
             bad += 1
-            print(f"{inst.provenance.key()}: {'; '.join(problems)}")
+            print(f"{example_id(inst.provenance, inst.style)}: {'; '.join(problems)}")
     print(f"{len(instances) - bad}/{len(instances)} instances valid")
     return EXIT_INVALID if bad else EXIT_OK
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ingest import SchemaError
-from .model import ComponentKind, TaskInstance
+from .model import ComponentKind, TaskInstance, _checked
 from .textutil import LENGTH_CLASSES, length_class, normalize, normalize_tokens, split_keyword_list
 
 
@@ -86,42 +86,31 @@ def constraint_to_dict(constraint: Constraint) -> Dict[str, Any]:
     return {"type": name, field: getattr(constraint, field)}
 
 
-def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
-    """Parse one constraint; a missing or mistyped field raises SchemaError naming it.
+def _type_and_value(data: Dict[str, Any]) -> Tuple[str, Union[str, Tuple[str, ...]]]:
+    """A constraint's type and the value of its one other field, keywords as a tuple.
 
-    A length_class label must be one that textutil.length_class gives, as no
-    output could meet any other.
+    A missing or mistyped field raises SchemaError naming it. A length_class
+    label must be one that textutil.length_class gives, as no output could
+    meet any other. Every part of the pair has passed _checked, so the pair
+    keys the memo of ConstraintSpec.from_dicts.
     """
-    kind = data.get("type")
-    if not isinstance(kind, str) or kind not in _CONSTRAINT_TYPES:
+    kind = _checked(data.get("type"), str, "type")
+    if kind not in _CONSTRAINT_TYPES:
         raise SchemaError("type")
     if kind == "contains_keywords":
-        keywords = data.get("keywords")
-        if not isinstance(keywords, (list, tuple)) or not all(isinstance(k, str) for k in keywords):
-            raise SchemaError("keywords")
-        return ContainsKeywords(tuple(keywords))
+        keywords = _checked(data.get("keywords"), list, "keywords")
+        return kind, tuple(_checked(keyword, str, "keywords") for keyword in keywords)
     field = _TEXT_FIELDS[kind]
-    value = data.get(field)
-    if not isinstance(value, str) or (kind == "length_class" and value not in LENGTH_CLASSES):
+    value = _checked(data.get(field), str, field)
+    if kind == "length_class" and value not in LENGTH_CLASSES:
         raise SchemaError(field)
+    return kind, value
+
+
+def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
+    """Parse one constraint; a missing or mistyped field raises SchemaError naming it."""
+    kind, value = _type_and_value(data)
     return _CONSTRAINT_TYPES[kind](value)
-
-
-def _constraint_key(data: Dict[str, Any]) -> Optional[Tuple[str, Any]]:
-    """(type, field value) of a constraint dict whose type and value are exact strs,
-    or whose keywords are a list of exact strs (as a tuple); None otherwise."""
-    kind = data.get("type")
-    if type(kind) is not str:
-        return None
-    if kind == "contains_keywords":
-        keywords = data.get("keywords")
-        if type(keywords) is list and all(type(k) is str for k in keywords):
-            return (kind, tuple(keywords))
-    elif kind in _TEXT_FIELDS:
-        value = data.get(_TEXT_FIELDS[kind])
-        if type(value) is str:
-            return (kind, value)
-    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,24 +136,21 @@ class ConstraintSpec:
         """Parse a constraint list; SchemaError paths read ``constraints[i].field``.
 
         Lists parsed with one ``memo`` dict parse each distinct constraint
-        once and share it: the key is the type and the field value, taken
-        only when both have the exact type a valid constraint has (see
-        _constraint_key), so a mistyped one fails as it would alone.
+        once and share it, keyed by its checked type and value (see
+        _type_and_value), so a mistyped one fails as it would alone.
         """
         memo = {} if memo is None else memo
         constraints = []
         for index, item in enumerate(data):
-            if not isinstance(item, dict):
+            if type(item) is not dict:
                 raise SchemaError(f"constraints[{index}]")
-            key = _constraint_key(item)
-            constraint = memo.get(key) if key is not None else None
+            try:
+                key = _type_and_value(item)
+            except SchemaError as exc:
+                raise SchemaError(f"constraints[{index}].{exc.field_path}") from exc
+            constraint = memo.get(key)
             if constraint is None:
-                try:
-                    constraint = constraint_from_dict(item)
-                except SchemaError as exc:
-                    raise SchemaError(f"constraints[{index}].{exc.field_path}") from exc
-                if key is not None:
-                    memo[key] = constraint
+                constraint = memo[key] = _CONSTRAINT_TYPES[key[0]](key[1])
             constraints.append(constraint)
         return cls(frozenset(constraints))
 

@@ -17,7 +17,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from .evaluate import extract_constraints
 from .ingest import ExportManifest, SchemaError, read_jsonl, write_jsonl
-from .model import ParseMemo, TaskInstance, Turn, example_id, instance_sort_key, turns_from_dicts
+from .model import ParseMemo, TaskInstance, Turn, example_id, instance_sort_key
 from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
 
@@ -117,63 +117,25 @@ def _instance_rows(
         yield row
 
 
-# A dialog's turns as read from an instance file, and the prefixes of them
-# handed out so far, by length.
-_DialogTurns = Tuple[Tuple[Turn, ...], Dict[int, Tuple[Turn, ...]]]
-
-
 def read_instances(path: str | Path) -> List[TaskInstance]:
     """Read an instance JSONL file written by write_instances.
 
-    Each dialog's turns are parsed once, and the rows referencing a prefix
-    of them by ``context_turns`` share one context tuple per (dialog,
-    length). Rows with an inline ``context`` load through from_dict alone.
-    Every row parses through one ParseMemo, so each distinct signature,
-    item, target item and source_tasks list of the file is parsed once and
-    shared by the rows that hold it, as are repeated strings. A malformed
-    row raises SchemaError naming its top-level field and line.
+    Every row parses through one ParseMemo, so each dialog's turns are
+    parsed once, the rows referencing a prefix of them by ``context_turns``
+    share one context tuple per (dialog, length), and each distinct
+    signature, item, target item and source_tasks list of the file is
+    parsed once and shared by the rows that hold it, as are repeated
+    strings. Rows with an inline ``context`` load as well. A malformed row
+    raises SchemaError naming its top-level field and line.
     """
-    dialogs: Dict[Tuple[str, str], _DialogTurns] = {}
     memo = ParseMemo()
     instances: List[TaskInstance] = []
     for line_number, data in read_jsonl(path):
         try:
-            if "context_turns" in data:
-                data["context"] = _shared_context(data, dialogs)
             instances.append(TaskInstance.from_dict(data, memo))
         except SchemaError as exc:
             raise SchemaError(exc.field_path, line_number, exc.problem) from exc
     return instances
-
-
-def _shared_context(data: Dict[str, Any], dialogs: Dict[Tuple[str, str], _DialogTurns]) -> Tuple[Turn, ...]:
-    """Resolve a row's ``context_turns``, first storing any ``dialog_turns`` it carries.
-
-    ``dialogs`` holds the turns of every dialog seen so far in the file.
-    """
-    try:
-        key = (str(data["provenance"]["dataset"]), str(data["provenance"]["dialog_id"]))
-    except (KeyError, TypeError) as exc:
-        raise SchemaError("provenance") from exc
-    if "dialog_turns" in data:
-        try:
-            dialogs[key] = (turns_from_dicts(data.pop("dialog_turns")), {})
-        except SchemaError as exc:
-            raise SchemaError("dialog_turns") from exc
-    n = data.pop("context_turns")
-    if key not in dialogs:
-        raise SchemaError(
-            "context_turns",
-            problem=f"context_turns refers to dialog {key[0]}/{key[1]}, "
-            "whose dialog_turns are on no earlier line",
-        )
-    turns, prefixes = dialogs[key]
-    if type(n) is not int or not 0 <= n <= len(turns):
-        raise SchemaError("context_turns")
-    context = prefixes.get(n)
-    if context is None:
-        context = prefixes[n] = turns[:n]
-    return context
 
 
 def instance_id(inst: TaskInstance) -> str:

@@ -181,8 +181,8 @@ def _corpus_manifest(dialogs: Sequence[Dialog], checksum: str) -> CorpusManifest
 
 def _require_turns(record: Dict[str, Any]) -> List[Dict[str, Any]]:
     """The record's non-empty turn list, every turn an object with a non-empty text."""
-    raw_turns = record.get("turns")
-    if not isinstance(raw_turns, list) or not raw_turns:
+    raw_turns = _checked(record.get("turns"), list, "turns")
+    if not raw_turns:
         raise SchemaError("turns")
     for t_index, raw_turn in enumerate(raw_turns):
         _checked(raw_turn, dict, f"turns[{t_index}]")
@@ -202,8 +202,10 @@ def split_for(dialog_id: str, ratios: Tuple[int, int, int] = (90, 5, 5)) -> str:
 
 
 def _adapter_split(record: Dict[str, Any], dialog_id: str) -> str:
-    """A record's split; split_for(dialog_id) when it is absent, null or empty."""
-    split = record.get("split") or split_for(dialog_id)
+    """A record's split; split_for(dialog_id) when it is absent, null or ``""``."""
+    split = record.get("split")
+    if split is None or split == "":
+        split = split_for(dialog_id)
     if split not in SPLITS:
         raise SchemaError("split")
     return split
@@ -250,11 +252,10 @@ def _parse_persona_list(record: Dict[str, Any]) -> Dialog:
     """
     dialog_id = _checked(record.get("dialog_id"), str, "dialog_id")
     dataset = _checked(record.get("dataset", "persona_list"), str, "dataset")
-    personas = record.get("personas", [])
-    if not isinstance(personas, list) or not all(
-        isinstance(lines, list) and all(isinstance(line, str) for line in lines) for lines in personas
-    ):
-        raise SchemaError("personas")
+    personas = _checked(record.get("personas", []), list, "personas")
+    for lines in personas:
+        for line in _checked(lines, list, "personas"):
+            _checked(line, str, "personas")
     speakers: List[str] = []
     texts: List[str] = []
     for t_index, raw_turn in enumerate(_require_turns(record)):

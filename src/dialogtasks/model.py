@@ -30,8 +30,6 @@ GROUNDING_ORDER = {
     ComponentKind.ACTION: 2,
 }
 
-GROUNDING_COMPONENTS = (ComponentKind.STATE, ComponentKind.EVIDENCE, ComponentKind.ACTION)
-
 TARGET_COMPONENTS = (
     ComponentKind.STATE,
     ComponentKind.EVIDENCE,
@@ -73,15 +71,16 @@ class SchemaError(ValueError):
 
 
 def _checked(value: Any, kind: type, path: str) -> Any:
-    """``value`` itself if it is a ``kind`` as JSON decodes one; SchemaError(path) otherwise.
+    """``value`` itself if its type is exactly ``kind``; SchemaError(path) otherwise.
 
-    A bool is not accepted as an int, so ``true`` is no turn index or seed,
-    and None is no value of any kind, so ``_checked(data.get(key), ...)``
-    also rejects a missing key.
+    JSON decodes to dict, list, str, int, float, bool and None and never to
+    a subclass, so the exact type is the whole test: a bool is no int, so
+    ``true`` is no turn index or seed, and None is no value of any kind, so
+    ``_checked(data.get(key), ...)`` also rejects a missing key. A value
+    that passes is safe to key a memo on, as ``true`` and ``1.0``, which
+    equal and hash like ``1``, never pass as an int.
     """
-    if type(value) is kind:  # the common case, decided by one comparison
-        return value
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if type(value) is not kind:
         raise SchemaError(path)
     return value
 
@@ -109,15 +108,6 @@ class DialogItem:
             "value": self.value,
             "turn_index": self.turn_index,
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "DialogItem":
-        return cls(
-            component=ComponentKind(data["component"]),
-            kind=_checked(data["kind"], str, "kind"),
-            value=_checked(data["value"], str, "value"),
-            turn_index=_checked(data.get("turn_index", 0), int, "turn_index"),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,14 +298,6 @@ class TargetItem:
     def to_dict(self) -> Dict[str, Any]:
         return {"component": self.component.value, "kind": self.kind, "value": self.value}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TargetItem":
-        return cls(
-            component=ComponentKind(data["component"]),
-            kind=_checked(data["kind"], str, "kind"),
-            value=_checked(data["value"], str, "value"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Provenance:
@@ -343,19 +325,6 @@ class Provenance:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any], memo: Optional[ParseMemo] = None) -> "Provenance":
-        """Parse a record as to_dict writes it, sharing its strings and task names through ``memo``."""
-        memo = ParseMemo() if memo is None else memo
-        return cls(
-            dataset=memo.string(data["dataset"], "dataset"),
-            dialog_id=memo.string(data["dialog_id"], "dialog_id"),
-            split=memo.string(data.get("split", "train"), "split"),
-            target_turn_index=_checked(data["target_turn_index"], int, "target_turn_index"),
-            source_tasks=memo.source_tasks(data["source_tasks"]),
-            seed=_checked(data["seed"], int, "seed"),
-        )
-
 
 class ParseMemo:
     """The values parsed so far from the rows of one file, each held once.
@@ -363,15 +332,17 @@ class ParseMemo:
     TaskInstance.from_dict parses a signature string, a grounding, cot or
     target item, or a source_tasks list only the first time a memo meets it,
     and hands every later row the same object; task names, instructions,
-    datasets, dialog ids, splits and styles share one string per value. A value is
-    looked up only when every field of it has the exact type JSON gives a
-    valid one (str, or int and not bool), as ``true`` and ``1.0`` equal and
-    hash like ``1``: a row that would not parse on its own never reaches the
-    memo, and fails as it would without it. A memo grows with the distinct
-    values it meets, so keep one per file read.
+    datasets, dialog ids, splits and styles share one string per value. A
+    value is looked up only after _checked has passed each of its fields,
+    so a key never holds ``true`` or ``1.0`` where a row had ``1``: a row
+    that would not parse on its own fails as it would without the memo.
+    The memo also holds the turns of every dialog whose ``dialog_turns`` it
+    has read, and one context tuple per (dialog, prefix length), for the
+    rows that refer to them by ``context_turns``. A memo grows with the
+    distinct values it meets, so keep one per file read.
     """
 
-    __slots__ = ("signatures", "items", "targets", "tasks", "strings")
+    __slots__ = ("signatures", "items", "targets", "tasks", "strings", "dialogs")
 
     def __init__(self) -> None:
         self.signatures: Dict[str, TaskSignature] = {}
@@ -379,48 +350,88 @@ class ParseMemo:
         self.targets: Dict[Tuple[str, str, str], TargetItem] = {}
         self.tasks: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self.strings: Dict[str, str] = {}
+        # A dialog's turns, and the prefixes of them handed out so far, by length.
+        self.dialogs: Dict[Tuple[str, str], Tuple[Tuple[Turn, ...], Dict[int, Tuple[Turn, ...]]]] = {}
 
     def string(self, value: Any, path: str) -> str:
-        if type(value) is str:
-            return self.strings.setdefault(value, value)
-        return _checked(value, str, path)
+        value = _checked(value, str, path)
+        return self.strings.setdefault(value, value)
 
     def signature(self, text: Any) -> TaskSignature:
-        if type(text) is not str:
-            return parse_signature(text)
+        text = _checked(text, str, "signature")
         signature = self.signatures.get(text)
         if signature is None:
             signature = self.signatures[text] = parse_signature(text)
         return signature
 
     def item(self, data: Any) -> DialogItem:
-        if type(data) is dict:
-            component, kind, value = data.get("component"), data.get("kind"), data.get("value")
-            turn_index = data.get("turn_index", 0)
-            if type(component) is str and type(kind) is str and type(value) is str and type(turn_index) is int:
-                key = (component, kind, value, turn_index)
-                item = self.items.get(key)
-                if item is None:
-                    item = self.items[key] = DialogItem.from_dict(data)
-                return item
-        return DialogItem.from_dict(data)
+        data = _checked(data, dict, "item")
+        key = (
+            _checked(data.get("component"), str, "component"),
+            _checked(data.get("kind"), str, "kind"),
+            _checked(data.get("value"), str, "value"),
+            _checked(data.get("turn_index", 0), int, "turn_index"),
+        )
+        item = self.items.get(key)
+        if item is None:
+            item = self.items[key] = DialogItem(ComponentKind(key[0]), *key[1:])
+        return item
 
     def target(self, data: Any) -> TargetItem:
-        if type(data) is dict:
-            component, kind, value = data.get("component"), data.get("kind"), data.get("value")
-            if type(component) is str and type(kind) is str and type(value) is str:
-                key = (component, kind, value)
-                target = self.targets.get(key)
-                if target is None:
-                    target = self.targets[key] = TargetItem.from_dict(data)
-                return target
-        return TargetItem.from_dict(data)
+        data = _checked(data, dict, "target_item")
+        key = (
+            _checked(data.get("component"), str, "component"),
+            _checked(data.get("kind"), str, "kind"),
+            _checked(data.get("value"), str, "value"),
+        )
+        target = self.targets.get(key)
+        if target is None:
+            target = self.targets[key] = TargetItem(ComponentKind(key[0]), *key[1:])
+        return target
 
     def source_tasks(self, names: Any) -> Tuple[str, ...]:
-        if type(names) is list and all(type(name) is str for name in names):
-            key = tuple(names)
-            return self.tasks.setdefault(key, key)
-        return tuple(_checked(name, str, "source_tasks") for name in _checked(names, list, "source_tasks"))
+        key = tuple(_checked(name, str, "source_tasks") for name in _checked(names, list, "source_tasks"))
+        return self.tasks.setdefault(key, key)
+
+    def provenance(self, data: Any) -> Provenance:
+        data = _checked(data, dict, "provenance")
+        return Provenance(
+            dataset=self.string(data.get("dataset"), "dataset"),
+            dialog_id=self.string(data.get("dialog_id"), "dialog_id"),
+            split=self.string(data.get("split", "train"), "split"),
+            target_turn_index=_checked(data.get("target_turn_index"), int, "target_turn_index"),
+            source_tasks=self.source_tasks(data.get("source_tasks")),
+            seed=_checked(data.get("seed"), int, "seed"),
+        )
+
+    def context(self, data: Dict[str, Any]) -> Tuple[Turn, ...]:
+        """The context a row's ``context_turns`` refers to, first storing any ``dialog_turns`` it carries.
+
+        SchemaError names ``provenance``, whose dataset and dialog id name
+        the dialog, ``dialog_turns`` or ``context_turns``.
+        """
+        provenance = _checked(data.get("provenance"), dict, "provenance")
+        dataset = self.string(provenance.get("dataset"), "provenance")
+        key = (dataset, self.string(provenance.get("dialog_id"), "provenance"))
+        if "dialog_turns" in data:
+            try:
+                self.dialogs[key] = (turns_from_dicts(data["dialog_turns"]), {})
+            except SchemaError as exc:
+                raise SchemaError("dialog_turns") from exc
+        if key not in self.dialogs:
+            raise SchemaError(
+                "context_turns",
+                problem=f"context_turns refers to dialog {key[0]}/{key[1]}, "
+                "whose dialog_turns are on no earlier line",
+            )
+        turns, prefixes = self.dialogs[key]
+        n = data["context_turns"]
+        if type(n) is not int or not 0 <= n <= len(turns):
+            raise SchemaError("context_turns")
+        context = prefixes.get(n)
+        if context is None:
+            context = prefixes[n] = turns[:n]
+        return context
 
 
 def example_id(provenance: Provenance, style: str) -> str:
@@ -473,44 +484,39 @@ class TaskInstance:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], memo: Optional[ParseMemo] = None) -> "TaskInstance":
-        """Parse one row as to_dict writes it.
+        """Parse one row as to_dict or write_instances writes it.
 
-        ``context`` may also be a tuple of Turn parsed beforehand, which the
-        instance then holds as it is: read_instances resolves a row's
-        ``context_turns`` that way, to one tuple shared per dialog prefix.
+        A row with ``context_turns`` takes its context from the turns of its
+        dialog that ``memo`` holds, read from the ``dialog_turns`` of this
+        row or an earlier one; a row with an inline ``context`` parses it.
         Rows parsed with one ``memo`` share every value it holds (see
         ParseMemo); read_instances keeps one per file.
         A missing or mistyped field raises SchemaError naming the field.
         """
-        if "context_turns" in data:
-            raise SchemaError(
-                "context_turns",
-                problem="context_turns refers to turns elsewhere in its file; read it with read_instances",
-            )
         memo = ParseMemo() if memo is None else memo
+        context = memo.context(data) if "context_turns" in data else None
         # One try for the whole row; ``field`` names the field being parsed.
         field = "signature"
         try:
-            signature = memo.signature(data["signature"])
+            signature = memo.signature(data.get("signature"))
             field = "task_name"
-            task_name = memo.string(data["task_name"], field)
+            task_name = memo.string(data.get("task_name"), field)
             field = "instruction"
-            instruction = memo.string(data["instruction"], field)
+            instruction = memo.string(data.get("instruction"), field)
             field = "context"
-            context = data.get("context", ())
-            if type(context) is not tuple:
-                context = turns_from_dicts(context)
+            if context is None:
+                context = turns_from_dicts(data.get("context", []))
             field = "grounding_items"
-            grounding_items = tuple(map(memo.item, _checked(data["grounding_items"], list, field)))
+            grounding_items = tuple(map(memo.item, _checked(data.get("grounding_items"), list, field)))
             field = "target_item"
-            target_item = memo.target(data["target_item"])
+            target_item = memo.target(data.get("target_item"))
             field = "provenance"
-            provenance = Provenance.from_dict(data["provenance"], memo)
+            provenance = memo.provenance(data.get("provenance"))
             field = "cot_items"
             cot_items = tuple(map(memo.item, _checked(data.get("cot_items", []), list, field)))
             field = "style"
             style = memo.string(data.get("style", "standard"), field)
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise SchemaError(field) from exc
         return cls(
             signature=signature,

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from dialogtasks import cli
-from dialogtasks.export import read_instances
+from dialogtasks.export import instance_id, read_instances
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import REGISTRY
 
@@ -173,6 +173,21 @@ def test_validate_flags_corrupted_instance(tmp_path, instances_path, capsys):
     assert code == cli.EXIT_INVALID
     assert "empty instruction" in out
     assert f"{len(lines) - 1}/{len(lines)} instances valid" in out
+
+
+def test_validate_names_a_broken_naive_composite_by_its_export_id(tmp_path, instances_path, capsys):
+    naive = tmp_path / "naive.jsonl"
+    assert _run(capsys, "compose", "--in", str(instances_path), "--naive", "--out", str(naive))[0] == cli.EXIT_OK
+    lines = naive.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[0])
+    record["instruction"] = ""
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(json.dumps(record) + "\n" + "\n".join(lines[1:]) + "\n", encoding="utf-8")
+    code, out, _ = _run(capsys, "validate", "--in", str(broken))
+    assert code == cli.EXIT_INVALID
+    expected = instance_id(read_instances(broken)[0])
+    assert expected.endswith("#naive")
+    assert out.splitlines()[0] == f"{expected}: empty instruction"
 
 
 @pytest.mark.parametrize("bad_row", ["[1]", '{"grounding_items": 5}'])

@@ -228,7 +228,11 @@ def test_absent_optional_fields_keep_their_defaults(tmp_path, adapter):
 
 
 @pytest.mark.parametrize("adapter", ["act_emotion", "persona_list"])
-@pytest.mark.parametrize("split", ["validation", "Train", [1], 5], ids=["word", "case", "list", "int"])
+@pytest.mark.parametrize(
+    "split",
+    ["validation", "Train", [1], 5, False, 0, [], {}],
+    ids=["word", "case", "list", "int", "false", "zero", "empty-list", "empty-object"],
+)
 def test_adapter_split_outside_train_dev_test_is_schema_error(tmp_path, capsys, adapter, split):
     record = {"dialog_id": "d", "split": split, "turns": [{"text": "hi ."}]}
     path = tmp_path / "raw.jsonl"

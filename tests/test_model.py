@@ -16,7 +16,9 @@ from dialogtasks.model import (
     DialogItem,
     InvalidGroundingComponent,
     InvalidTarget,
+    ParseMemo,
     Provenance,
+    SchemaError,
     TargetItem,
     TaskInstance,
     Turn,
@@ -200,6 +202,33 @@ def test_round_trip_restores_context_item_turn_index():
     )
     again = TaskInstance.from_dict(inst.to_dict())
     assert [i.turn_index for t in again.context for i in t.items] == [0, 1]
+
+
+def test_from_dict_with_one_memo_reads_a_rows_context_from_an_earlier_rows_dialog_turns():
+    turns = (
+        Turn("Speaker 1", "hi .", (DialogItem(S, "emotion", "happiness", 0),)),
+        Turn("Speaker 2", "hello .", (DialogItem(A, "dialog_act", "inform", 1),)),
+    )
+    whole = dataclasses.replace(_instance([], TargetItem(R, "response", "y")), context=turns)
+    prefix = dataclasses.replace(whole, task_name="other", context=turns[:1])
+    carrier = {**whole.to_dict(context=False), "context_turns": 2, "dialog_turns": [t.to_dict() for t in turns]}
+    referring = {**prefix.to_dict(context=False), "context_turns": 1}
+    memo = ParseMemo()
+    assert TaskInstance.from_dict(carrier, memo) == whole
+    first, again = TaskInstance.from_dict(referring, memo), TaskInstance.from_dict(referring, memo)
+    assert first == prefix
+    assert first.context is again.context
+    assert "context_turns" in referring and "dialog_turns" in carrier  # the rows are left as they were
+    # Alone, or naming its dialog by anything but strings, the row has no turns to refer to.
+    with pytest.raises(SchemaError) as exc:
+        TaskInstance.from_dict(referring)
+    assert exc.value.field_path == "context_turns"
+    assert "whose dialog_turns are on no earlier line" in str(exc.value)
+    for dataset in (7, None, ["ds"]):
+        mistyped = {**referring, "provenance": {**referring["provenance"], "dataset": dataset}}
+        with pytest.raises(SchemaError) as exc:
+            TaskInstance.from_dict(mistyped, memo)
+        assert exc.value.field_path == "provenance"
 
 
 def test_validate_clean_instance():
