@@ -103,15 +103,15 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _read_plan(path: str) -> SamplingPlan:
-    """A sampling plan from a JSON object; absent quotas keep their defaults."""
+    """A sampling plan from a JSON object; absent quotas keep their defaults, others must be JSON integers."""
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise SchemaError("(plan)", problem=f"plan file {path} does not hold a JSON object")
     quotas = SamplingPlan().to_dict()
     for key in quotas:
         try:
-            quotas[key] = int(data.get(key, quotas[key]))
-        except (OverflowError, TypeError, ValueError) as exc:
+            quotas[key] = _checked(data.get(key, quotas[key]), int, key)
+        except SchemaError as exc:
             raise SchemaError(key, problem=f"missing or invalid field {key} in plan file {path}") from exc
     return SamplingPlan(**quotas)
 
@@ -253,8 +253,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
 
     parser = argparse.ArgumentParser(
         prog="dialogtasks",
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[common], help="load or generate a dialog corpus")
+    p = sub.add_parser("ingest", parents=[seeded], help="load or generate a dialog corpus")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="source corpus file (JSONL)")
     source.add_argument("--synth", type=int, metavar="N", help="generate N synthetic dialogs")
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="canonical corpus output path")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("tasks", parents=[common], help="list task types or derive instances")
+    p = sub.add_parser("tasks", parents=[seeded], help="list task types or derive instances")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--list", action="store_true", help="print the task registry and exit")
     mode.add_argument("--derive", action="store_true", help="derive instances from --corpus")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="instance output path")
     p.set_defaults(func=cmd_tasks)
 
-    p = sub.add_parser("compose", parents=[common], help="compose atomic instances")
+    p = sub.add_parser("compose", help="compose atomic instances")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.add_argument("--rules", help="rule table CSV (default: packaged)")
     p.add_argument("--max-dim", type=int, default=2)
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="composite output path")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("render", parents=[common], help="render instances to prompts")
+    p = sub.add_parser("render", parents=[seeded], help="render instances to prompts")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.add_argument("--cot", default="none", help='"none" or "random-K"')
     p.add_argument("--block-shuffle", choices=("on", "off"), default="on")
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="rendered output path")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("export", parents=[common], help="sample, render, and write split corpora")
+    p = sub.add_parser("export", parents=[seeded], help="sample, render, and write split corpora")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.add_argument("--plan", help="sampling plan JSON file")
     p.add_argument("--atomic-quota", type=int, default=None)
@@ -305,21 +305,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("eval", parents=[common], help="score model outputs against constraints")
+    p = sub.add_parser("eval", help="score model outputs against constraints")
     p.add_argument("--constraints", required=True, help="constraint rows (JSONL)")
     p.add_argument("--outputs", required=True, help="model outputs keyed by id (JSONL)")
     p.add_argument("--report", help="write the metric report JSON here")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", parents=[common], help="summarize an instance file")
+    p = sub.add_parser("stats", help="summarize an instance file")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("validate", parents=[common], help="check instance invariants")
+    p = sub.add_parser("validate", help="check instance invariants")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("run", parents=[common], help="run the full pipeline from a config")
+    p = sub.add_parser("run", parents=[seeded], help="run the full pipeline from a config")
     p.add_argument("--config", help="pipeline INI file")
     p.add_argument("--print-config", action="store_true", help="print a template config and exit")
     p.set_defaults(func=cmd_run)

@@ -89,8 +89,6 @@ class Rejection:
     """Why a pair refused to compose."""
 
     reason: str
-    first_task: str = ""
-    second_task: str = ""
 
 
 def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
@@ -203,7 +201,7 @@ def compose(
     """
     rule = _verdict(a, b, rules)
     if isinstance(rule, str):  # no rule: the reason for the refusal
-        return Rejection(rule, a.task_name, b.task_name)
+        return Rejection(rule)
     items = tuple(sorted(a.grounding_items + b.grounding_items, key=item_sort_key))
     components = tuple(item.component for item in items)
     signature = signature_of(components, rule.target)
@@ -227,7 +225,7 @@ def compose(
     )
     problems = validate_instance(composed)
     if problems:  # pragma: no cover - guard should make this unreachable
-        return Rejection("; ".join(problems), a.task_name, b.task_name)
+        return Rejection("; ".join(problems))
     return composed
 
 

@@ -117,8 +117,8 @@ def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
 class ConstraintSpec:
     """The machine-checkable constraints one task instance puts on an output.
 
-    Held as a frozenset so unions and equality are order-free: a composite
-    instance's spec equals the union of its parents' specs.
+    Held as a frozenset so equality is order-free: a composite instance's
+    constraints equal the union of its parents' constraints.
     """
 
     constraints: FrozenSet[Constraint]
@@ -153,9 +153,6 @@ class ConstraintSpec:
                 constraint = memo[key] = _CONSTRAINT_TYPES[key[0]](key[1])
             constraints.append(constraint)
         return cls(frozenset(constraints))
-
-    def union(self, other: "ConstraintSpec") -> "ConstraintSpec":
-        return ConstraintSpec(self.constraints | other.constraints)
 
 
 def extract_constraints(inst: TaskInstance) -> ConstraintSpec:
@@ -237,14 +234,11 @@ def _prepare(constraint: Constraint) -> Union[_Check, _Reference]:
     return _Check(_TYPE_NAMES[type(constraint)], holds)
 
 
-def check_constraint(constraint: Constraint, output: Union[str, List[str]]) -> Optional[bool]:
-    """Boolean verdict for boolean constraints; None for overlap constraints.
-
-    ``output`` is text, or its token list as normalize_tokens splits it.
-    """
+def check_constraint(constraint: Constraint, output: str) -> Optional[bool]:
+    """Boolean verdict for boolean constraints; None for overlap constraints."""
     if isinstance(constraint, ReferenceOverlap):
         return None
-    return _prepare(constraint).holds(normalize_tokens(output) if isinstance(output, str) else output)
+    return _prepare(constraint).holds(normalize_tokens(output))
 
 
 # ---------------------------------------------------------------------------

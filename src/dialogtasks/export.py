@@ -17,11 +17,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 from .evaluate import extract_constraints
 from .ingest import ExportManifest, SchemaError, read_jsonl, write_jsonl
-from .model import ParseMemo, TaskInstance, Turn, example_id, instance_sort_key
+from .model import SPLITS, ParseMemo, TaskInstance, Turn, example_id, instance_sort_key
 from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
-
-SPLIT_NAMES = ("train", "dev", "test")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,10 +67,15 @@ def sample(instances: Iterable[TaskInstance], plan: SamplingPlan, seed: int) -> 
 
 
 def assign_splits(instances: Iterable[TaskInstance]) -> Dict[str, List[TaskInstance]]:
-    """Group instances by the split recorded in their provenance."""
-    by_split: Dict[str, List[TaskInstance]] = {name: [] for name in SPLIT_NAMES}
+    """Group instances by their provenance's split; ValueError names one whose split is not in SPLITS."""
+    by_split: Dict[str, List[TaskInstance]] = {name: [] for name in SPLITS}
     for inst in instances:
-        by_split.setdefault(inst.provenance.split, []).append(inst)
+        members = by_split.get(inst.provenance.split)
+        if members is None:
+            raise ValueError(
+                f"instance {example_id(inst.provenance, inst.style)} has split {inst.provenance.split!r}"
+            )
+        members.append(inst)
     return by_split
 
 
@@ -138,18 +141,13 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
     return instances
 
 
-def instance_id(inst: TaskInstance) -> str:
-    """Join key between rendered examples, constraint rows, and model outputs."""
-    return example_id(inst.provenance, inst.style)
-
-
 def constraint_records(instances: Iterable[TaskInstance]) -> List[Dict[str, Any]]:
     """One row per instance: id, task, signature, checkable constraints."""
     records = []
     for inst in instances:
         records.append(
             {
-                "id": instance_id(inst),
+                "id": example_id(inst.provenance, inst.style),
                 "task": inst.task_name,
                 "signature": inst.signature.canonical_string(),
                 "constraints": extract_constraints(inst).to_dicts(),
@@ -264,10 +262,10 @@ def export_corpus(
     counts and checksums and any render errors; the caller persists it.
     """
     plan = plan or SamplingPlan()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sampled = sample(instances, plan, seed)
     by_split = assign_splits(sampled)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     files: Dict[str, Dict[str, Any]] = {}
     all_errors: List[Dict[str, Any]] = []
     for split in sorted(by_split):

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .model import ComponentKind, Dialog, DialogItem, SchemaError, Turn, _checked
+from .model import SPLITS, ComponentKind, Dialog, DialogItem, SchemaError, Turn, _checked
 from .seeding import stable_hash, subseed
-
-SPLITS = ("train", "dev", "test")
 
 
 class ParseError(ValueError):
@@ -191,12 +189,12 @@ def _require_turns(record: Dict[str, Any]) -> List[Dict[str, Any]]:
     return raw_turns
 
 
-def split_for(dialog_id: str, ratios: Tuple[int, int, int] = (90, 5, 5)) -> str:
-    """Deterministic, seed-independent split assignment by dialog id."""
-    bucket = stable_hash("split", dialog_id) % sum(ratios)
-    if bucket < ratios[0]:
+def split_for(dialog_id: str) -> str:
+    """Deterministic, seed-independent 90/5/5 train/dev/test split by dialog id."""
+    bucket = stable_hash("split", dialog_id) % 100
+    if bucket < 90:
         return "train"
-    if bucket < ratios[0] + ratios[1]:
+    if bucket < 95:
         return "dev"
     return "test"
 
@@ -296,21 +294,28 @@ def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dial
     """Load a line-delimited corpus file through the adapter of that name.
 
     Raises ParseError (bad JSON, with line number), SchemaError (missing or
-    mistyped field, with line number and path), or EmptyCorpus.
+    mistyped field, or a dataset's dialog_id repeated, with line number and
+    path), or EmptyCorpus.
     """
     if adapter not in ADAPTERS:
         raise ValueError(f"unknown adapter: {adapter!r} (have: {', '.join(sorted(ADAPTERS))})")
     parse = ADAPTERS[adapter]
     dialogs: List[Dialog] = []
+    first_line: Dict[Tuple[str, str], int] = {}
     # The checksum covers every byte read, blank lines included, so the
     # file is read once.
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for line_number, record in _records(_hashed(handle, digest)):
             try:
-                dialogs.append(parse(record))
+                dialog = parse(record)
             except SchemaError as exc:
                 raise SchemaError(exc.field_path, line_number, exc.problem) from exc
+            earlier = first_line.setdefault((dialog.dataset, dialog.dialog_id), line_number)
+            if earlier != line_number:
+                raise SchemaError("dialog_id", line_number, f"dialog_id {dialog.dialog_id!r} "
+                                  f"of dataset {dialog.dataset!r} is already on line {earlier}")
+            dialogs.append(dialog)
     if not dialogs:
         raise EmptyCorpus(f"no records in {path}")
     return dialogs, _corpus_manifest(dialogs, digest.hexdigest())

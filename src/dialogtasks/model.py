@@ -45,6 +45,9 @@ FIELD_NAMES = {
     ComponentKind.RESPONSE: "response",
 }
 
+# The splits of dialogs and instances; export writes one file per split.
+SPLITS = ("train", "dev", "test")
+
 
 class InvalidTarget(ValueError):
     """Raised when a task target is Context or not a component at all."""
@@ -226,15 +229,8 @@ class TaskSignature:
     def is_atomic(self) -> bool:
         return self.dimension() <= 1
 
-    @property
-    def is_compositional(self) -> bool:
-        return self.dimension() >= 2
-
     def canonical_string(self) -> str:
         return self._text
-
-    def __str__(self) -> str:  # pragma: no cover - convenience
-        return self.canonical_string()
 
 
 # One shared TaskSignature per grounding shape and target; see signature_of.
@@ -394,11 +390,15 @@ class ParseMemo:
         return self.tasks.setdefault(key, key)
 
     def provenance(self, data: Any) -> Provenance:
+        """A row's provenance; its split must be one of SPLITS, as export names a file after it."""
         data = _checked(data, dict, "provenance")
+        split = self.string(data.get("split", "train"), "split")
+        if split not in SPLITS:
+            raise SchemaError("split")
         return Provenance(
             dataset=self.string(data.get("dataset"), "dataset"),
             dialog_id=self.string(data.get("dialog_id"), "dialog_id"),
-            split=self.string(data.get("split", "train"), "split"),
+            split=split,
             target_turn_index=_checked(data.get("target_turn_index"), int, "target_turn_index"),
             source_tasks=self.source_tasks(data.get("source_tasks")),
             seed=_checked(data.get("seed"), int, "seed"),

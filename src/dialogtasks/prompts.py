@@ -78,7 +78,6 @@ class RenderedExample:
     sections: Tuple[Tuple[str, str], ...]
     task_name: str
     signature: str
-    seed: int
     provenance: Provenance
     style: str = "standard"
 
@@ -227,7 +226,6 @@ def _render(inst: TaskInstance, seed: int, options: RenderOptions, context_body:
         sections=tuple(sections),
         task_name=inst.task_name,
         signature=inst.signature.canonical_string(),
-        seed=seed,
         provenance=inst.provenance,
         style=inst.style,
     )

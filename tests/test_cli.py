@@ -6,7 +6,8 @@ import os
 import pytest
 
 from dialogtasks import cli
-from dialogtasks.export import instance_id, read_instances
+from dialogtasks.export import read_instances
+from dialogtasks.model import example_id
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import REGISTRY
 
@@ -185,7 +186,8 @@ def test_validate_names_a_broken_naive_composite_by_its_export_id(tmp_path, inst
     broken.write_text(json.dumps(record) + "\n" + "\n".join(lines[1:]) + "\n", encoding="utf-8")
     code, out, _ = _run(capsys, "validate", "--in", str(broken))
     assert code == cli.EXIT_INVALID
-    expected = instance_id(read_instances(broken)[0])
+    first = read_instances(broken)[0]
+    expected = example_id(first.provenance, first.style)
     assert expected.endswith("#naive")
     assert out.splitlines()[0] == f"{expected}: empty instruction"
 
@@ -224,6 +226,10 @@ def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, ca
         ('"atomic_quota"', "does not hold a JSON object"),
         ('{"atomic_quota": [1]}', "missing or invalid field atomic_quota"),
         ('{"composite_quota": null}', "missing or invalid field composite_quota"),
+        # A quota is a JSON integer, not a value int() would convert.
+        ('{"atomic_quota": "5"}', "missing or invalid field atomic_quota"),
+        ('{"atomic_quota": 5, "composite_quota": true}', "missing or invalid field composite_quota"),
+        ('{"atomic_quota": 2.9}', "missing or invalid field atomic_quota"),
     ],
 )
 def test_export_plan_file_must_be_an_object(tmp_path, instances_path, capsys, plan, message):
@@ -237,6 +243,7 @@ def test_export_plan_file_must_be_an_object(tmp_path, instances_path, capsys, pl
     assert out == ""
     assert err.startswith("error: ") and message in err and str(plan_path) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "export").exists()
 
 
 def test_export_plan_file_sets_quotas(tmp_path, instances_path, capsys):
@@ -248,6 +255,61 @@ def test_export_plan_file_sets_quotas(tmp_path, instances_path, capsys):
     )
     assert code == cli.EXIT_OK
     assert json.loads(out)["plan"] == {"atomic_quota": 3, "composite_quota": 1000}
+
+
+@pytest.mark.parametrize("split", ["../escaped", "validation", "", "Train"])
+def test_instance_split_outside_train_dev_test_exits_two(tmp_path, instances_path, capsys, split):
+    # Export names a file after each split, so "../escaped" would write
+    # beside the output directory.
+    lines = instances_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record["provenance"]["split"] = split
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n", encoding="utf-8")
+    out_dir = tmp_path / "out" / "sub"
+    for command in ("export", "validate", "stats"):
+        argv = [command, "--in", str(broken)] + (["--out", str(out_dir)] if command == "export" else [])
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_IO, command
+        assert err.startswith("error: line 2: missing or invalid field provenance"), command
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_dialog_id_stops_tasks(tmp_path, corpus_path, capsys):
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    out = tmp_path / "atomic.jsonl"
+    code, _, err = _run(capsys, "tasks", "--derive", "--corpus", str(doubled), "--out", str(out))
+    assert code == cli.EXIT_IO
+    assert err.startswith(f"error: line {len(lines) + 1}: dialog_id ")
+    assert "already on line 1" in err
+    assert not out.exists()
+
+
+_REQUIRED_ARGS = {
+    "ingest": ["--synth", "1", "--out", "o"],
+    "tasks": ["--list"],
+    "compose": ["--in", "i", "--out", "o"],
+    "render": ["--in", "i", "--out", "o"],
+    "export": ["--in", "i", "--out", "o"],
+    "eval": ["--constraints", "c", "--outputs", "o"],
+    "stats": ["--in", "i"],
+    "validate": ["--in", "i"],
+    "run": ["--print-config"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_ARGS))
+def test_seed_only_where_the_output_depends_on_it(capsys, command):
+    argv = [command, *_REQUIRED_ARGS[command], "--seed", "1"]
+    if command in ("compose", "eval", "stats", "validate"):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    else:
+        assert cli.build_parser().parse_args(argv).seed == 1
 
 
 def test_export_then_eval_round_trip(tmp_path, instances_path, capsys):
@@ -299,7 +361,7 @@ def test_eval_missing_outputs_counted(tmp_path, instances_path, capsys):
     assert report["n_missing_outputs"] == report["n_examples"] > 0
 
 
-def test_run_print_config_emits_template(capsys):
+def test_run_print_config_emits_template(tmp_path, capsys):
     code, out, _ = _run(capsys, "run", "--print-config")
     assert code == cli.EXIT_OK
     assert "[run]" in out and "[sample]" in out
@@ -309,6 +371,10 @@ def test_run_print_config_emits_template(capsys):
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     parser.read_string(out)
     assert parser.getint("run", "seed") == 0
+    # Its values are the defaults it says they are.
+    template = tmp_path / "pipeline.ini"
+    template.write_text(out, encoding="utf-8")
+    assert PipelineConfig.from_ini(template) == PipelineConfig()
 
 
 def test_run_requires_config(capsys):

@@ -279,7 +279,7 @@ def test_compose_corpus_is_input_order_invariant():
         REASON_DUPLICATE_ITEM,
     }
     for inst in forward:
-        assert inst.signature.is_compositional
+        assert not inst.signature.is_atomic
         assert validate_instance(inst) == []
         assert inst.task_name == " + ".join(sorted(inst.provenance.source_tasks))
 
@@ -318,12 +318,6 @@ def test_naive_corpus_matches_accepted_pair_count():
     naive = naive_corpus(atomics, RULES)
     assert len(naive) == len(standard)
     assert all(inst.style == "naive" for inst in naive)
-
-
-def test_rejection_records_task_names():
-    bw = _derived("beginswith_controlled_generation")
-    result = compose(bw, bw, RULES)
-    assert (result.first_task, result.second_task) == (bw.task_name, bw.task_name)
 
 
 # --- The join against the all-pairs enumerator it replaced ------------------

@@ -178,10 +178,7 @@ def test_constraint_spec_is_order_free():
     a = ConstraintSpec(frozenset([BeginsWith("x"), LengthClass("short")]))
     b = ConstraintSpec(frozenset([LengthClass("short"), BeginsWith("x")]))
     assert a == b
-    assert a.union(b) == a
     assert ConstraintSpec.from_dicts(a.to_dicts()) == a
-    merged = a.union(ConstraintSpec(frozenset([EndsWith("y")])))
-    assert len(merged.constraints) == 3
 
 
 def test_split_keyword_list():

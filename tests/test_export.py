@@ -16,7 +16,6 @@ from dialogtasks.export import (
     constraint_records,
     corpus_stats,
     export_corpus,
-    instance_id,
     read_instances,
     sample,
     write_instances,
@@ -24,7 +23,7 @@ from dialogtasks.export import (
     write_rendered,
 )
 from dialogtasks.ingest import ParseError, SchemaError, SynthConfig, synth_corpus, write_corpus
-from dialogtasks.model import TaskInstance
+from dialogtasks.model import TaskInstance, example_id
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.prompts import apply_cot, render_corpus
 from dialogtasks.registry import derive_corpus
@@ -52,7 +51,8 @@ def test_sample_zero_quota_means_uncapped():
     instances = _corpus(6, seed=2)
     kept = sample(instances, SamplingPlan(atomic_quota=0, composite_quota=0), seed=9)
     assert len(kept) == len(instances)
-    assert sorted(instance_id(i) for i in kept) == sorted(instance_id(i) for i in instances)
+    ids = sorted(example_id(i.provenance, i.style) for i in kept)
+    assert ids == sorted(example_id(i.provenance, i.style) for i in instances)
 
 
 def test_sample_is_input_order_invariant_and_seeded():
@@ -376,9 +376,25 @@ def test_assign_splits_partitions_everything():
             assert inst.provenance.split == split
 
 
+def test_export_refuses_a_split_outside_train_dev_test(tmp_path):
+    # Built in code, past read_instances' check; each split names a file.
+    instances = _corpus(4, seed=9)
+    bad = dataclasses.replace(
+        instances[-1], provenance=dataclasses.replace(instances[-1].provenance, split="../escaped")
+    )
+    with pytest.raises(ValueError) as caught:
+        assign_splits([*instances[:-1], bad])
+    assert example_id(bad.provenance, bad.style) in str(caught.value)
+    assert "'../escaped'" in str(caught.value)
+    out_dir = tmp_path / "out" / "sub"
+    with pytest.raises(ValueError):
+        export_corpus([*instances[:-1], bad], out_dir, seed=1, plan=SamplingPlan(0, 0))
+    assert not (tmp_path / "out").exists()
+
+
 def test_instance_ids_unique_within_derived_corpus():
     instances = _corpus(10, seed=11)
-    ids = [instance_id(i) for i in instances]
+    ids = [example_id(i.provenance, i.style) for i in instances]
     assert len(ids) == len(set(ids))
 
 
@@ -387,7 +403,7 @@ def test_constraint_records_shape():
     records = constraint_records(instances)
     assert len(records) == 8
     for record, inst in zip(records, instances):
-        assert record["id"] == instance_id(inst)
+        assert record["id"] == example_id(inst.provenance, inst.style)
         assert record["task"] == inst.task_name
         assert record["signature"] == inst.signature.canonical_string()
         assert isinstance(record["constraints"], list) and record["constraints"]

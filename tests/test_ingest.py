@@ -260,6 +260,28 @@ def test_adapter_split_falls_back_only_when_absent_null_or_empty(tmp_path, adapt
     assert [d.split for d in dialogs] == [split_for("d0"), split_for("d1"), split_for("d2"), "dev"]
 
 
+@pytest.mark.parametrize("adapter", ["canonical", "act_emotion", "persona_list"])
+def test_repeated_dialog_id_of_a_dataset_is_schema_error(tmp_path, capsys, adapter):
+    # Two dialogs with one (dataset, dialog_id) would share every export id.
+    dialog = {
+        "dialog_id": "d", "dataset": "a", "split": "train",
+        "turns": [{"speaker": "s", "text": "hi .", "items": []}],
+    }
+    rows = [dialog, {**dialog, "dialog_id": "e"}, {**dialog, "dataset": "b"}, dialog]
+    path = tmp_path / "raw.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_corpus(path, adapter)
+    assert (err.value.field_path, err.value.line_number) == ("dialog_id", 4)
+    assert "already on line 1" in str(err.value)
+    code = cli.main(["ingest", "--input", str(path), "--adapter", adapter, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_IO
+    assert "line 4: dialog_id" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows[:3]), encoding="utf-8")
+    assert len(load_corpus(path, adapter)[0]) == 3
+
+
 def test_adapters_registry_shape():
     assert set(ADAPTERS) == {"canonical", "act_emotion", "persona_list"}
 

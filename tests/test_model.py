@@ -89,8 +89,7 @@ def test_signature_dimension_and_class():
     assert signature_of([], R).dimension() == 0
     assert signature_of([], R).is_atomic
     assert signature_of([A], R).is_atomic
-    assert signature_of([A, A], R).is_compositional
-    assert not signature_of([A], R).is_compositional
+    assert not signature_of([A, A], R).is_atomic
 
 
 def test_parse_signature_round_trip():

@@ -386,7 +386,6 @@ def _always_seeding_render_corpus(instances, seed, options):
                 sections=tuple(sections),
                 task_name=inst.task_name,
                 signature=inst.signature.canonical_string(),
-                seed=inst_seed,
                 provenance=inst.provenance,
             )
         )
