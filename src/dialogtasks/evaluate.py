@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ingest import SchemaError
 from .model import ComponentKind, TaskInstance, _checked
@@ -200,11 +200,17 @@ class _Check:
 
 @dataclass(frozen=True, slots=True)
 class _Reference:
-    """A reference's tokens with its unigram and bigram counts, for BLEU-2 and Rouge-L."""
+    """A reference prepared once for every output scored against it.
+
+    Its tokens; its unigram and bigram counts, which BLEU-2 clips against;
+    and its LCS bit masks (see _lcs_masks), which Rouge-L walks each
+    output's tokens over.
+    """
 
     tokens: List[str]
     unigrams: Dict[str, int]
     bigrams: Dict[Tuple[str, str], int]
+    masks: Dict[str, int]
 
 
 def _prepare(constraint: Constraint) -> Union[_Check, _Reference]:
@@ -215,7 +221,7 @@ def _prepare(constraint: Constraint) -> Union[_Check, _Reference]:
     """
     if isinstance(constraint, ReferenceOverlap):
         tokens = normalize_tokens(constraint.reference)
-        return _Reference(tokens, Counter(tokens), Counter(zip(tokens, tokens[1:])))
+        return _Reference(tokens, Counter(tokens), Counter(zip(tokens, tokens[1:])), _lcs_masks(tokens))
     if isinstance(constraint, BeginsWith):
         prefix = normalize_tokens(constraint.phrase)
         holds = lambda out: out[: len(prefix)] == prefix
@@ -245,14 +251,19 @@ def check_constraint(constraint: Constraint, output: str) -> Optional[bool]:
 # Overlap metrics
 # ---------------------------------------------------------------------------
 
-def _clipped_matches(candidate: Dict[Any, int], reference: Dict[Any, int]) -> int:
-    """Candidate n-grams found in ``reference``, each counted at most as often as there."""
-    get = reference.get
+def _clipped_count(grams: Iterable[Hashable], reference: Dict[Any, int]) -> int:
+    """Sum over distinct grams of min(count in ``grams``, count in ``reference``).
+
+    Each gram found uses up one of its count in a copy of ``reference``, so
+    no counts of ``grams`` are built.
+    """
+    left = dict(reference)
     matched = 0
-    for gram, n in candidate.items():
-        limit = get(gram)
-        if limit:
-            matched += n if n < limit else limit
+    for gram in grams:
+        n = left.get(gram)
+        if n:
+            left[gram] = n - 1
+            matched += 1
     return matched
 
 
@@ -261,8 +272,8 @@ def _bleu2_clip(
 ) -> Tuple[int, int, int, int, int, int]:
     """Clipped n-gram match/total counts plus candidate/effective-reference lengths."""
     cand_len = len(cand)
-    m1 = _clipped_matches(Counter(cand), ref_unigrams)
-    m2 = _clipped_matches(Counter(zip(cand, cand[1:])), ref_bigrams)
+    m1 = _clipped_count(cand, ref_unigrams)
+    m2 = _clipped_count(zip(cand, cand[1:]), ref_bigrams)
     return m1, cand_len, m2, max(cand_len - 1, 0), cand_len, ref_len
 
 
@@ -324,44 +335,52 @@ def corpus_bleu2(pairs: Sequence[Tuple[str, Sequence[str]]]) -> float:
     return _bleu2_from_counts(*totals)
 
 
-def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest common subsequence, bit-parallel.
-
-    Allison & Dix (IPL 1986), in the form of Hyyrö (2004): bit i of ``v``
-    stands for position i of the longer sequence, and each token of the
-    shorter one updates all of them in a few operations on one Python int.
-    The zero bits of ``v`` count the LCS, the same integer the O(n*m)
-    dynamic program gives.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    if not b:
-        return 0
+def _lcs_masks(reference: Sequence[str]) -> Dict[str, int]:
+    """One bit mask per distinct token: bit i is set where token i of ``reference`` is it."""
     masks: Dict[str, int] = {}
-    for i, token in enumerate(a):
+    for i, token in enumerate(reference):
         masks[token] = masks.get(token, 0) | (1 << i)
-    full = (1 << len(a)) - 1
+    return masks
+
+
+def _lcs_length(tokens: Iterable[str], masks: Dict[str, int], length: int) -> int:
+    """Length of the longest common subsequence of ``tokens`` and a reference.
+
+    The reference is given by its length and its _lcs_masks, so its masks
+    are built once however many outputs are scored against it. Allison &
+    Dix (IPL 1986), in the form of Hyyrö (2004): bit i of ``v`` stands for
+    position i of the reference, and each token walked updates all of them
+    in a few operations on one Python int. The zero bits of ``v`` count the
+    LCS, the same integer the O(n*m) dynamic program gives.
+    """
+    full = (1 << length) - 1
     v = full
-    for token in b:
+    for token in tokens:
         match = masks.get(token)
         if match:
             u = v & match
             v = ((v + u) | (v - u)) & full
-    return len(a) - v.bit_count()
+    return length - v.bit_count()
 
 
 def rouge_l(
-    candidate: Union[str, List[str]], reference: Union[str, List[str]], beta: float = 1.0
+    candidate: Union[str, List[str]], reference: Union[str, List[str], _Reference], beta: float = 1.0
 ) -> float:
     """Rouge-L F-score: (1 + b^2) * lcs / (len(candidate) + b^2 * len(reference)).
 
     The closed form avoids intermediate precision/recall rounding, so e.g.
     candidate "a b c" against reference "a c" is exactly 0.8 at beta=1.
-    Either side is text or its token list as normalize_tokens splits it.
+    Either side is text or its token list as normalize_tokens splits it;
+    the reference may also be one prepared by _prepare, whose masks are
+    reused rather than built for this call.
     """
     cand = normalize_tokens(candidate) if isinstance(candidate, str) else candidate
-    ref = normalize_tokens(reference) if isinstance(reference, str) else reference
-    lcs = _lcs_length(cand, ref)
+    if isinstance(reference, _Reference):
+        ref, masks = reference.tokens, reference.masks
+    else:
+        ref = normalize_tokens(reference) if isinstance(reference, str) else reference
+        masks = _lcs_masks(ref)
+    lcs = _lcs_length(cand, masks, len(ref))
     if lcs == 0:
         return 0.0
     return (1.0 + beta * beta) * lcs / (len(cand) + beta * beta * len(ref))
@@ -408,9 +427,11 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport
     Boolean constraints produce per-kind accuracies plus the conjunctive
     compositional accuracy; ReferenceOverlap constraints produce corpus
     BLEU-2 and mean Rouge-L. Each output is tokenized once per example, and
-    each distinct constraint is prepared (its text tokenized, a reference's
-    n-grams counted) once per call, however many examples carry it. BLEU
-    counts are pooled as the loop goes.
+    each distinct constraint is prepared (its text tokenized; a reference's
+    n-grams counted and its LCS bit masks built) once per call, however many
+    examples carry it. Each row's LCS walks the output's tokens over its
+    reference's masks, and its BLEU-2 clip walks the output's n-grams over
+    a copy of the reference's counts. BLEU counts are pooled as the loop goes.
     """
     n = len(examples)
     prepared: Dict[Constraint, Union[_Check, _Reference]] = {}
@@ -430,7 +451,7 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport
                 entry = prepared[constraint] = _prepare(constraint)
             if isinstance(entry, _Reference):
                 _add_counts(bleu_totals, _bleu2_clip(out, entry.unigrams, entry.bigrams, len(entry.tokens)))
-                rouge_scores.append(rouge_l(out, entry.tokens))
+                rouge_scores.append(rouge_l(out, entry))
                 continue
             present_kinds.add(entry.kind)
             if not entry.holds(out):

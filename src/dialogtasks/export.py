@@ -129,15 +129,23 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
     signature, item, target item and source_tasks list of the file is
     parsed once and shared by the rows that hold it, as are repeated
     strings. Rows with an inline ``context`` load as well. A malformed row
-    raises SchemaError naming its top-level field and line.
+    raises SchemaError naming its top-level field and line, and so does a
+    row whose example_id an earlier row already had, naming that row's line:
+    export would write the id twice.
     """
     memo = ParseMemo()
     instances: List[TaskInstance] = []
+    first_line: Dict[str, int] = {}
     for line_number, data in read_jsonl(path):
         try:
-            instances.append(TaskInstance.from_dict(data, memo))
+            inst = TaskInstance.from_dict(data, memo)
         except SchemaError as exc:
             raise SchemaError(exc.field_path, line_number, exc.problem) from exc
+        key = example_id(inst.provenance, inst.style)
+        earlier = first_line.setdefault(key, line_number)
+        if earlier != line_number:
+            raise SchemaError("provenance", line_number, f"instance {key!r} is already on line {earlier}")
+        instances.append(inst)
     return instances
 
 

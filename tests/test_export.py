@@ -323,6 +323,25 @@ def test_instance_row_without_its_dialogs_turns_exits_two(tmp_path, capsys):
     assert exc.value.field_path == "context_turns"
 
 
+def test_instance_file_holding_one_instance_twice_exits_two(tmp_path, capsys):
+    """Exported as it is, such a file would write every id twice."""
+    atomic = tmp_path / "atomic.jsonl"
+    write_instances(_corpus(2, seed=7), atomic)
+    lines = atomic.read_text(encoding="utf-8").splitlines()
+    twice = tmp_path / "twice.jsonl"
+    twice.write_text("\n".join(lines + lines) + "\n", encoding="utf-8")
+    first = example_id(TaskInstance.from_dict(json.loads(lines[0])).provenance, "standard")
+    expected = f"error: line {len(lines) + 1}: instance {first!r} is already on line 1\n"
+    capsys.readouterr()
+    out = tmp_path / "export"
+    argv = ["export", "--in", str(twice), "--seed", "7", "--emit-constraints", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_IO
+    assert capsys.readouterr().err == expected
+    assert not out.exists()
+    assert cli.main(["validate", "--in", str(twice)]) == cli.EXIT_IO
+    assert capsys.readouterr().err == expected
+
+
 @pytest.mark.parametrize(
     "config, smaller_by",
     [(SynthConfig(), 2), (SynthConfig(min_turns=6, max_turns=16), 3)],

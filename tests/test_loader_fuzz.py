@@ -45,11 +45,11 @@ VALID_ROWS = {
 
 
 def _instance_rows():
-    """Rows of a written instance file, plus one inline row as to_dict gives it."""
-    instances = derive_corpus(synth_corpus(5, 2, _SMALL), seed=5)[:6]
+    """Rows of a written instance file, plus one more instance inline as to_dict gives it."""
+    instances = derive_corpus(synth_corpus(5, 2, _SMALL), seed=5)[:7]
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "instances.jsonl"
-        write_instances(instances, path)
+        write_instances(instances[:-1], path)
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     return rows + [instances[-1].to_dict()]
 

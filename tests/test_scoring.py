@@ -1,8 +1,9 @@
 """The one-pass corpus scorer against the string-level implementation it replaced.
 
 Oracles here are copies of the original textbook algorithms: the O(n*m)
-LCS dynamic program and the per-string BLEU-2 count function. The golden
-report was captured from the string-level scorer on the same corpus.
+LCS dynamic program, the per-string BLEU-2 count function and the n-gram
+count min-sum that clipping is. The golden report was captured from the
+string-level scorer on the same corpus.
 """
 
 import dataclasses
@@ -24,7 +25,9 @@ from dialogtasks.evaluate import (
     ReferenceOverlap,
     _bleu2_from_counts,
     _bleu2_token_counts,
+    _clipped_count,
     _lcs_length,
+    _lcs_masks,
     bleu2,
     corpus_bleu2,
     extract_constraints,
@@ -77,11 +80,17 @@ def _string_bleu2_counts(candidate, references):
 _TOKENS = st.lists(st.sampled_from("abcde"), max_size=150)
 
 
+def _masked_lcs(tokens, reference):
+    """The LCS kernel as score_corpus runs it: ``tokens`` walked over the reference's masks."""
+    return _lcs_length(tokens, _lcs_masks(reference), len(reference))
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=_TOKENS, b=_TOKENS)
 def test_bit_parallel_lcs_matches_dp(a, b):
-    assert _lcs_length(a, b) == _dp_lcs_length(a, b)
-    assert _lcs_length(b, a) == _dp_lcs_length(a, b)
+    # Each side is the reference once, so the reference is both the shorter and the longer.
+    assert _masked_lcs(a, b) == _dp_lcs_length(a, b)
+    assert _masked_lcs(b, a) == _dp_lcs_length(a, b)
 
 
 def test_bit_parallel_lcs_past_one_machine_word():
@@ -89,7 +98,32 @@ def test_bit_parallel_lcs_past_one_machine_word():
     for _ in range(50):
         a = [rng.choice("xyz") for _ in range(rng.randint(60, 200))]
         b = [rng.choice("xyz") for _ in range(rng.randint(60, 200))]
-        assert _lcs_length(a, b) == _dp_lcs_length(a, b)
+        short = b[: rng.randint(0, 20)]
+        assert _masked_lcs(a, b) == _masked_lcs(b, a) == _dp_lcs_length(a, b)
+        assert _masked_lcs(a, short) == _masked_lcs(short, a) == _dp_lcs_length(a, short)
+
+
+_FEW_TOKENS = st.lists(st.sampled_from("abc"), max_size=20)
+
+
+def _min_sum(cand, refs, n):
+    """Clipped n-gram matches: each candidate n-gram counted at most its highest count in one reference."""
+    limits = Counter()
+    for ref in refs:
+        limits |= _ngram_counts(ref, n)
+    return sum(min(count, limits[gram]) for gram, count in _ngram_counts(cand, n).items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(cand=_FEW_TOKENS, refs=st.lists(_FEW_TOKENS, min_size=1, max_size=3))
+def test_clip_matches_the_min_sum_of_ngram_counts(cand, refs):
+    for n in (1, 2):
+        reference = dict(_ngram_counts(refs[0], n))
+        grams = [tuple(cand[i : i + n]) for i in range(len(cand) - n + 1)]
+        assert _clipped_count(grams, reference) == _min_sum(cand, refs[:1], n)
+        assert reference == _ngram_counts(refs[0], n)
+    m1, _, m2, _, _, _ = _bleu2_token_counts(cand, refs)
+    assert (m1, m2) == (_min_sum(cand, refs, 1), _min_sum(cand, refs, 2))
 
 
 _TEXT = st.lists(st.sampled_from(["a", "b", "c", "A", "b,", ".", "c!"]), max_size=30).map(" ".join)
@@ -289,5 +323,32 @@ def test_each_distinct_constraint_is_tokenized_once(monkeypatch):
     report = score_corpus(examples)
     prepared = ["the flat came furnished .", "the flat", "furnished .", "flat", "came furnished", "Inform"]
     assert sorted(texts) == sorted(outputs + prepared)
+    monkeypatch.undo()
+    assert report.to_dict() == _oracle_report(examples)
+
+
+def test_each_distinct_reference_gets_its_masks_once(monkeypatch):
+    from dialogtasks import evaluate
+
+    built = []
+
+    def counting(reference):
+        built.append(" ".join(reference))
+        return _lcs_masks(reference)
+
+    monkeypatch.setattr(evaluate, "_lcs_masks", counting)
+    references = ["the flat came furnished .", "a b a b a", "", "Flat, furnished!"]
+    outputs = [f"the flat {i} a b furnished" for i in range(40)]
+    # Equal references, new objects on every row, as a parsed file gives them.
+    examples = [
+        (ConstraintSpec(frozenset({ReferenceOverlap(references[i % 4]), LengthClass("short")})), output)
+        for i, output in enumerate(outputs)
+    ]
+    expected = sorted(" ".join(normalize_tokens(r)) for r in references)
+    report = score_corpus(examples)
+    assert sorted(built) == expected
+    built.clear()
+    assert score_corpus(examples) == report
+    assert sorted(built) == expected
     monkeypatch.undo()
     assert report.to_dict() == _oracle_report(examples)
