@@ -31,7 +31,7 @@ from .evaluate import (
     rouge_l,
     score_corpus,
 )
-from .export import CorpusStats, SamplingPlan, corpus_stats, export_corpus, sample
+from .export import SamplingPlan, corpus_stats, export_corpus, sample
 from .ingest import ADAPTERS, CorpusManifest, SynthConfig, load_corpus, synth_corpus, write_corpus
 from .model import (
     ComponentKind,
@@ -61,7 +61,6 @@ __all__ = [
     "ConstraintSpec",
     "ContainsKeywords",
     "CorpusManifest",
-    "CorpusStats",
     "Dialog",
     "DialogItem",
     "EndsWith",

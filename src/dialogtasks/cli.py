@@ -63,7 +63,7 @@ def cmd_tasks(args: argparse.Namespace) -> int:
             print(f"{task.name:36s} {task.signature:8s} {task.description}")
         return EXIT_OK
     dialogs, _ = load_corpus(args.corpus)
-    names = [n.strip() for n in args.tasks.split(",") if n.strip()] if args.tasks else None
+    names = None if args.tasks is None else [n.strip() for n in args.tasks.split(",") if n.strip()]
     instances = derive_corpus(dialogs, _seed(args), tasks=names)
     manifest = write_instances(instances, args.out)
     _print_json(manifest.to_dict())
@@ -104,7 +104,10 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def _read_plan(path: str) -> SamplingPlan:
     """A sampling plan from a JSON object; absent quotas keep their defaults, others must be JSON integers."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ParseError(1, f"plan file {path} nests deeper than the JSON reader allows") from exc
     if not isinstance(data, dict):
         raise SchemaError("(plan)", problem=f"plan file {path} does not hold a JSON object")
     quotas = SamplingPlan().to_dict()
@@ -224,7 +227,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     instances = read_instances(args.infile)
-    _print_json(corpus_stats(instances).to_dict())
+    _print_json(corpus_stats(instances))
     return EXIT_OK
 
 

@@ -57,33 +57,36 @@ class ReferenceOverlap:
 
 Constraint = Union[BeginsWith, EndsWith, ContainsKeywords, LengthClass, ExactMatch, ReferenceOverlap]
 
-_CONSTRAINT_TYPES = {
-    "begins_with": BeginsWith,
-    "ends_with": EndsWith,
-    "contains_keywords": ContainsKeywords,
-    "length_class": LengthClass,
-    "exact_match": ExactMatch,
-    "reference_overlap": ReferenceOverlap,
+
+@dataclass(frozen=True, slots=True)
+class _Kind:
+    cls: type
+    field: str  # the field of a constraint row that holds the value
+    item_kind: Optional[str]  # the grounding item family it is built from; None for target constraints
+
+
+# Every constraint kind, keyed by the type name a constraint row carries; the
+# boolean kinds come first, in the order reports list them.
+CONSTRAINT_KINDS: Dict[str, _Kind] = {
+    "begins_with": _Kind(BeginsWith, "phrase", "begins_with"),
+    "ends_with": _Kind(EndsWith, "phrase", "ends_with"),
+    "contains_keywords": _Kind(ContainsKeywords, "keywords", "keywords"),
+    "length_class": _Kind(LengthClass, "label", "length_class"),
+    "exact_match": _Kind(ExactMatch, "value", None),
+    "reference_overlap": _Kind(ReferenceOverlap, "reference", None),
 }
 
-_TYPE_NAMES = {cls: name for name, cls in _CONSTRAINT_TYPES.items()}
+BOOLEAN_KINDS = tuple(name for name, kind in CONSTRAINT_KINDS.items() if kind.cls is not ReferenceOverlap)
 
-# The one string field of every constraint type except contains_keywords.
-_TEXT_FIELDS = {
-    "begins_with": "phrase",
-    "ends_with": "phrase",
-    "length_class": "label",
-    "exact_match": "value",
-    "reference_overlap": "reference",
-}
+_KIND_NAMES = {kind.cls: name for name, kind in CONSTRAINT_KINDS.items()}
+_ITEM_CLASSES = {kind.item_kind: kind.cls for kind in CONSTRAINT_KINDS.values() if kind.item_kind}
 
 
 def constraint_to_dict(constraint: Constraint) -> Dict[str, Any]:
-    name = _TYPE_NAMES[type(constraint)]
-    if isinstance(constraint, ContainsKeywords):
-        return {"type": name, "keywords": list(constraint.keywords)}
-    field = _TEXT_FIELDS[name]
-    return {"type": name, field: getattr(constraint, field)}
+    name = _KIND_NAMES[type(constraint)]
+    field = CONSTRAINT_KINDS[name].field
+    value = getattr(constraint, field)
+    return {"type": name, field: list(value) if type(value) is tuple else value}
 
 
 def _type_and_value(data: Dict[str, Any]) -> Tuple[str, Union[str, Tuple[str, ...]]]:
@@ -94,23 +97,18 @@ def _type_and_value(data: Dict[str, Any]) -> Tuple[str, Union[str, Tuple[str, ..
     meet any other. Every part of the pair has passed _checked, so the pair
     keys the memo of ConstraintSpec.from_dicts.
     """
-    kind = _checked(data.get("type"), str, "type")
-    if kind not in _CONSTRAINT_TYPES:
+    name = _checked(data.get("type"), str, "type")
+    kind = CONSTRAINT_KINDS.get(name)
+    if kind is None:
         raise SchemaError("type")
-    if kind == "contains_keywords":
-        keywords = _checked(data.get("keywords"), list, "keywords")
-        return kind, tuple(_checked(keyword, str, "keywords") for keyword in keywords)
-    field = _TEXT_FIELDS[kind]
+    field = kind.field
+    if kind.cls is ContainsKeywords:
+        keywords = _checked(data.get(field), list, field)
+        return name, tuple(_checked(keyword, str, field) for keyword in keywords)
     value = _checked(data.get(field), str, field)
-    if kind == "length_class" and value not in LENGTH_CLASSES:
+    if kind.cls is LengthClass and value not in LENGTH_CLASSES:
         raise SchemaError(field)
-    return kind, value
-
-
-def constraint_from_dict(data: Dict[str, Any]) -> Constraint:
-    """Parse one constraint; a missing or mistyped field raises SchemaError naming it."""
-    kind, value = _type_and_value(data)
-    return _CONSTRAINT_TYPES[kind](value)
+    return name, value
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,7 +148,7 @@ class ConstraintSpec:
                 raise SchemaError(f"constraints[{index}].{exc.field_path}") from exc
             constraint = memo.get(key)
             if constraint is None:
-                constraint = memo[key] = _CONSTRAINT_TYPES[key[0]](key[1])
+                constraint = memo[key] = CONSTRAINT_KINDS[key[0]].cls(key[1])
             constraints.append(constraint)
         return cls(frozenset(constraints))
 
@@ -164,18 +162,11 @@ def extract_constraints(inst: TaskInstance) -> ConstraintSpec:
     """
     constraints: set = set()
     for item in inst.grounding_items:
-        if item.kind == "begins_with":
-            constraints.add(BeginsWith(item.value))
-        elif item.kind == "ends_with":
-            constraints.add(EndsWith(item.value))
-        elif item.kind == "keywords":
-            constraints.add(ContainsKeywords(split_keyword_list(item.value)))
-        elif item.kind == "length_class":
-            constraints.add(LengthClass(item.value))
-    if inst.signature.target == ComponentKind.RESPONSE:
-        constraints.add(ReferenceOverlap(inst.target_item.value))
-    else:
-        constraints.add(ExactMatch(inst.target_item.value))
+        cls = _ITEM_CLASSES.get(item.kind)
+        if cls is not None:
+            constraints.add(cls(split_keyword_list(item.value) if cls is ContainsKeywords else item.value))
+    target = ReferenceOverlap if inst.signature.target == ComponentKind.RESPONSE else ExactMatch
+    constraints.add(target(inst.target_item.value))
     return ConstraintSpec(frozenset(constraints))
 
 
@@ -237,7 +228,7 @@ def _prepare(constraint: Constraint) -> Union[_Check, _Reference]:
     else:
         value = normalize(constraint.value)
         holds = lambda out: " ".join(out) == value
-    return _Check(_TYPE_NAMES[type(constraint)], holds)
+    return _Check(_KIND_NAMES[type(constraint)], holds)
 
 
 def check_constraint(constraint: Constraint, output: str) -> Optional[bool]:
@@ -389,9 +380,6 @@ def rouge_l(
 # ---------------------------------------------------------------------------
 # Corpus scoring
 # ---------------------------------------------------------------------------
-
-BOOLEAN_KINDS = ("begins_with", "ends_with", "contains_keywords", "length_class", "exact_match")
-
 
 @dataclass(frozen=True, slots=True)
 class MetricReport:

@@ -151,75 +151,36 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
 
 def constraint_records(instances: Iterable[TaskInstance]) -> List[Dict[str, Any]]:
     """One row per instance: id, task, signature, checkable constraints."""
-    records = []
-    for inst in instances:
-        records.append(
-            {
-                "id": example_id(inst.provenance, inst.style),
-                "task": inst.task_name,
-                "signature": inst.signature.canonical_string(),
-                "constraints": extract_constraints(inst).to_dicts(),
-            }
-        )
-    return records
-
-
-@dataclass(frozen=True, slots=True)
-class CorpusStats:
-    """Shape of a corpus: counts by task, signature, dimension, split, dataset."""
-
-    n_instances: int
-    n_atomic: int
-    n_compositional: int
-    by_task: Dict[str, int]
-    by_signature: Dict[str, int]
-    by_dimension: Dict[int, int]
-    by_split: Dict[str, int]
-    by_dataset: Dict[str, int]
-    by_style: Dict[str, int]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_instances": self.n_instances,
-            "n_atomic": self.n_atomic,
-            "n_compositional": self.n_compositional,
-            "by_task": dict(sorted(self.by_task.items())),
-            "by_signature": dict(sorted(self.by_signature.items())),
-            "by_dimension": {str(k): v for k, v in sorted(self.by_dimension.items())},
-            "by_split": dict(sorted(self.by_split.items())),
-            "by_dataset": dict(sorted(self.by_dataset.items())),
-            "by_style": dict(sorted(self.by_style.items())),
+    return [
+        {
+            "id": example_id(inst.provenance, inst.style),
+            "task": inst.task_name,
+            "signature": inst.signature.canonical_string(),
+            "constraints": extract_constraints(inst).to_dicts(),
         }
+        for inst in instances
+    ]
 
 
-def corpus_stats(instances: Sequence[TaskInstance]) -> CorpusStats:
-    by_task: Counter = Counter()
-    by_signature: Counter = Counter()
-    by_dimension: Counter = Counter()
-    by_split: Counter = Counter()
-    by_dataset: Counter = Counter()
-    by_style: Counter = Counter()
-    n_atomic = 0
-    for inst in instances:
-        by_task[inst.task_name] += 1
-        by_signature[inst.signature.canonical_string()] += 1
-        by_dimension[inst.signature.dimension()] += 1
-        by_split[inst.provenance.split] += 1
-        by_dataset[inst.provenance.dataset] += 1
-        by_style[inst.style] += 1
-        if inst.signature.is_atomic:
-            n_atomic += 1
-    return CorpusStats(
-        n_instances=len(instances),
-        n_atomic=n_atomic,
-        n_compositional=len(instances) - n_atomic,
-        by_task=dict(by_task),
-        by_signature=dict(by_signature),
-        by_dimension=dict(by_dimension),
-        by_split=dict(by_split),
-        by_dataset=dict(by_dataset),
-        by_style=dict(by_style),
-    )
+def _counts(values: Iterable[Any]) -> Dict[Any, int]:
+    return dict(sorted(Counter(values).items()))
+
+
+def corpus_stats(instances: Sequence[TaskInstance]) -> Dict[str, Any]:
+    """Shape of a corpus as stats.json holds it: counts by task, signature, dimension, split, dataset, style."""
+    n_atomic = sum(1 for inst in instances if inst.signature.is_atomic)
+    dimensions = _counts(inst.signature.dimension() for inst in instances)
+    return {
+        "n_instances": len(instances),
+        "n_atomic": n_atomic,
+        "n_compositional": len(instances) - n_atomic,
+        "by_task": _counts(inst.task_name for inst in instances),
+        "by_signature": _counts(inst.signature.canonical_string() for inst in instances),
+        "by_dimension": {str(k): v for k, v in dimensions.items()},
+        "by_split": _counts(inst.provenance.split for inst in instances),
+        "by_dataset": _counts(inst.provenance.dataset for inst in instances),
+        "by_style": _counts(inst.style for inst in instances),
+    }
 
 
 def _by_dialog(instances: Iterable[TaskInstance]) -> Iterator[List[TaskInstance]]:
@@ -285,8 +246,7 @@ def export_corpus(
             rows = (row for group in _by_dialog(members) for row in constraint_records(group))
             manifest = write_jsonl(rows, out_dir / f"constraints-{split}.jsonl")
             files[manifest.name] = manifest.to_dict()
-    stats = corpus_stats(sampled)
-    stats_manifest = write_jsonl([stats.to_dict()], out_dir / "stats.json")
+    stats_manifest = write_jsonl([corpus_stats(sampled)], out_dir / "stats.json")
     files[stats_manifest.name] = stats_manifest.to_dict()
     return {
         "seed": seed,

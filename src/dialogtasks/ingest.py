@@ -54,7 +54,7 @@ def _records(lines: Iterable[bytes]) -> Iterator[Tuple[int, Dict[str, Any]]]:
             if not line.strip():
                 continue
             record = json.loads(line)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(line_number, str(exc)) from exc
         if not isinstance(record, dict):
             raise SchemaError("(record)", line_number)

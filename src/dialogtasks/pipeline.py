@@ -12,7 +12,7 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .composer import compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
@@ -80,34 +80,47 @@ class PipelineConfig:
 
     @classmethod
     def from_ini(cls, path: str | Path) -> "PipelineConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-        text = Path(path).read_text(encoding="utf-8")
-        parser.read_string(text, source=str(path))
+        """Read a config: values are literal (no ``%`` interpolation), ``[DEFAULT]`` is an ordinary
+        section, and ValueError names the file and any section or key that no ``get`` below reads."""
+        parser = configparser.ConfigParser(interpolation=None, default_section="",
+                                           inline_comment_prefixes=(";", "#"))
+        try:
+            parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
+        except configparser.Error as exc:
+            raise ValueError(f"config {path}: {exc}") from exc
+        read = set()
+
+        def get(section: str, key: str, fallback: Any = None, convert: Callable = parser.get) -> Any:
+            read.add((section, key))
+            return convert(section, key, fallback=fallback)
+
         defaults = cls()
-        include = parser.get("tasks", "include", fallback=None)
-        tasks = tuple(name.strip() for name in include.split(",") if name.strip()) if include else None
-        return cls(
-            seed=parser.getint("run", "seed", fallback=defaults.seed),
-            input_path=parser.get("corpus", "input", fallback=None),
-            adapter=parser.get("corpus", "adapter", fallback=defaults.adapter),
-            synth_dialogs=parser.getint("corpus", "synth_dialogs", fallback=defaults.synth_dialogs),
-            synth_dataset=parser.get("corpus", "synth_dataset", fallback=defaults.synth_dataset),
-            tasks=tasks,
-            compose_enabled=parser.getboolean("compose", "enabled", fallback=defaults.compose_enabled),
-            rules_path=parser.get("compose", "rules", fallback=None),
-            max_dim=parser.getint("compose", "max_dim", fallback=defaults.max_dim),
-            cot=parser.get("render", "cot", fallback=defaults.cot),
-            block_shuffle=parser.getboolean("render", "block_shuffle", fallback=defaults.block_shuffle),
-            generic_fallback=parser.getboolean(
-                "render", "generic_fallback", fallback=defaults.generic_fallback
-            ),
-            atomic_quota=parser.getint("sample", "atomic_quota", fallback=defaults.atomic_quota),
-            composite_quota=parser.getint("sample", "composite_quota", fallback=defaults.composite_quota),
-            out_dir=parser.get("output", "dir", fallback=defaults.out_dir),
-            emit_constraints=parser.getboolean(
-                "output", "emit_constraints", fallback=defaults.emit_constraints
-            ),
+        include = get("tasks", "include")
+        config = cls(
+            seed=get("run", "seed", defaults.seed, parser.getint),
+            input_path=get("corpus", "input"),
+            adapter=get("corpus", "adapter", defaults.adapter),
+            synth_dialogs=get("corpus", "synth_dialogs", defaults.synth_dialogs, parser.getint),
+            synth_dataset=get("corpus", "synth_dataset", defaults.synth_dataset),
+            tasks=None if include is None else tuple(name.strip() for name in include.split(",") if name.strip()),
+            compose_enabled=get("compose", "enabled", defaults.compose_enabled, parser.getboolean),
+            rules_path=get("compose", "rules"),
+            max_dim=get("compose", "max_dim", defaults.max_dim, parser.getint),
+            cot=get("render", "cot", defaults.cot),
+            block_shuffle=get("render", "block_shuffle", defaults.block_shuffle, parser.getboolean),
+            generic_fallback=get("render", "generic_fallback", defaults.generic_fallback, parser.getboolean),
+            atomic_quota=get("sample", "atomic_quota", defaults.atomic_quota, parser.getint),
+            composite_quota=get("sample", "composite_quota", defaults.composite_quota, parser.getint),
+            out_dir=get("output", "dir", defaults.out_dir),
+            emit_constraints=get("output", "emit_constraints", defaults.emit_constraints, parser.getboolean),
         )
+        for section in parser.sections():
+            if not any(known == section for known, _ in read):
+                raise ValueError(f"config {path}: unknown section [{section}]")
+            for key in parser[section]:
+                if (section, key) not in read:
+                    raise ValueError(f"config {path}: unknown key {key!r} in [{section}]")
+        return config
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)

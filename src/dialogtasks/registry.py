@@ -365,8 +365,10 @@ def list_tasks() -> List[AtomicTaskDef]:
 
 
 def task_names(tasks: Optional[Iterable[str]] = None) -> List[str]:
-    """The selected task names, sorted (all when none are given); KeyError on an unknown one."""
+    """The selected task names, sorted (all when not given); KeyError on an unknown one, ValueError on none."""
     names = sorted(tasks) if tasks is not None else sorted(REGISTRY)
+    if not names:
+        raise ValueError("the task selection names no task")
     for name in names:
         if name not in REGISTRY:
             raise KeyError(f"unknown task: {name!r}")

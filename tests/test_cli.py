@@ -79,6 +79,17 @@ def test_tasks_derive_unknown_task_is_error(tmp_path, corpus_path, capsys):
     assert "no_such_task" in err
 
 
+@pytest.mark.parametrize("tasks", [",", " , ", ""])
+def test_tasks_derive_selection_of_no_task_exits_two(tmp_path, corpus_path, capsys, tasks):
+    out_path = tmp_path / "x.jsonl"
+    code, out, err = _run(
+        capsys, "tasks", "--derive", "--corpus", str(corpus_path), "--tasks", tasks, "--out", str(out_path)
+    )
+    assert code == cli.EXIT_IO
+    assert out == "" and "names no task" in err
+    assert not out_path.exists()
+
+
 def test_compose_and_stats_round_trip(tmp_path, instances_path, capsys):
     out_path = tmp_path / "composites.jsonl"
     code, out, _ = _run(capsys, "compose", "--in", str(instances_path), "--out", str(out_path))
@@ -257,6 +268,31 @@ def test_export_plan_file_sets_quotas(tmp_path, instances_path, capsys):
     assert json.loads(out)["plan"] == {"atomic_quota": 3, "composite_quota": 1000}
 
 
+def test_export_plan_file_nested_too_deeply_exits_two(tmp_path, instances_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text("[" * 100_000, encoding="utf-8")
+    code, out, err = _run(
+        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
+        "--out", str(tmp_path / "export"),
+    )
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith("error: line 1: ") and "nests deeper" in err and str(plan_path) in err
+    assert not (tmp_path / "export").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "eval"])
+def test_row_nested_too_deeply_exits_two_naming_its_line(tmp_path, capsys, command):
+    rows = tmp_path / "rows.jsonl"
+    rows.write_text("\n" + "[" * 100_000 + "\n", encoding="utf-8")
+    argv = ["--in", str(rows)] if command == "validate" else ["--constraints", str(rows), "--outputs", str(rows)]
+    code, out, err = _run(capsys, command, *argv)
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith("error: line 2: ") and "recursion" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("split", ["../escaped", "validation", "", "Train"])
 def test_instance_split_outside_train_dev_test_exits_two(tmp_path, instances_path, capsys, split):
     # Export names a file after each split, so "../escaped" would write
@@ -425,6 +461,8 @@ def test_run_bad_cot_mode_exits_two_before_any_stage(tmp_path, capsys):
         ("[tasks]\ninclude = no_such_task\n", "no_such_task"),
         ("[compose]\nmax_dim = 1\n", "max_dim"),
         ("[compose]\nrules = missing-rules.csv\n", "missing-rules.csv"),
+        ("[tasks]\ninclude = ,\n", "names no task"),
+        ("[tasks]\ninclude =\n", "names no task"),
     ],
 )
 def test_run_config_error_exits_two_before_any_stage_writes(tmp_path, capsys, section, problem):
@@ -436,6 +474,35 @@ def test_run_config_error_exits_two_before_any_stage_writes(tmp_path, capsys, se
     assert out == ""
     assert problem in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[run]\nseed = 1\nseed = 2\n", "option 'seed' in section 'run' already exists"),
+        ("seed = 1\n[run]\n", "no section headers"),
+        ("[compose]\nmax-dim = 3\n", "unknown key 'max-dim' in [compose]"),
+        ("[sampel]\natomic_quota = 3\n", "unknown section [sampel]"),
+        ("[sampel]\n", "unknown section [sampel]"),
+        ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+    ],
+)
+def test_run_config_malformed_or_unknown_exits_two_before_any_stage_writes(tmp_path, capsys, text, problem):
+    out_dir = tmp_path / "out"
+    config = tmp_path / "pipeline.ini"
+    config.write_text(f"{text}\n[output]\ndir = {out_dir}\n", encoding="utf-8")
+    code, out, err = _run(capsys, "run", "--config", str(config))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith(f"error: config {config}: ") and problem in err
+    assert not out_dir.exists()
+
+
+def test_config_values_are_read_literally(tmp_path):
+    config = tmp_path / "pipeline.ini"
+    config.write_text("[corpus]\nsynth_dataset = 100%(x)s\n\n[output]\ndir = out%x\n", encoding="utf-8")
+    parsed = PipelineConfig.from_ini(config)
+    assert (parsed.synth_dataset, parsed.out_dir) == ("100%(x)s", "out%x")
 
 
 @pytest.mark.parametrize("mode", ["random--1", "random-one", "always"])

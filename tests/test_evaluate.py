@@ -1,6 +1,7 @@
 """Constraint extraction, boolean checks, overlap metrics, corpus scoring."""
 
 import math
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 from dialogtasks.evaluate import (
     BOOLEAN_KINDS,
+    CONSTRAINT_KINDS,
     BeginsWith,
+    Constraint,
     ConstraintSpec,
     ContainsKeywords,
     EndsWith,
@@ -17,7 +20,6 @@ from dialogtasks.evaluate import (
     ReferenceOverlap,
     bleu2,
     check_constraint,
-    constraint_from_dict,
     constraint_to_dict,
     corpus_bleu2,
     extract_constraints,
@@ -26,7 +28,7 @@ from dialogtasks.evaluate import (
     split_keyword_list,
 )
 from dialogtasks.model import ComponentKind, Dialog, DialogItem, SchemaError, Turn
-from dialogtasks.registry import derive_task
+from dialogtasks.registry import REGISTRY, derive_task
 
 S = ComponentKind.STATE
 A = ComponentKind.ACTION
@@ -157,21 +159,56 @@ def test_constraint_dict_round_trip():
         ReferenceOverlap("the flat came furnished ."),
     ]
     for c in constraints:
-        assert constraint_from_dict(constraint_to_dict(c)) == c
-    with pytest.raises(ValueError):
-        constraint_from_dict({"type": "mystery"})
+        assert ConstraintSpec.from_dicts([constraint_to_dict(c)]).constraints == {c}
+    spec = ConstraintSpec(frozenset(constraints))
+    assert ConstraintSpec.from_dicts(spec.to_dicts()) == spec
+    with pytest.raises(SchemaError) as caught:
+        ConstraintSpec.from_dicts([{"type": "mystery"}])
+    assert caught.value.field_path == "constraints[0].type"
 
 
 def test_length_class_label_outside_the_classes_is_refused():
     for label in ("short", "medium", "long"):
-        assert constraint_from_dict({"type": "length_class", "label": label}) == LengthClass(label)
+        parsed = ConstraintSpec.from_dicts([{"type": "length_class", "label": label}])
+        assert parsed.constraints == {LengthClass(label)}
     for label in ("huge", "Short", "", " short"):
         with pytest.raises(SchemaError) as caught:
-            constraint_from_dict({"type": "length_class", "label": label})
-        assert caught.value.field_path == "label"
+            ConstraintSpec.from_dicts([{"type": "length_class", "label": label}])
+        assert caught.value.field_path == "constraints[0].label"
     with pytest.raises(SchemaError) as caught:
         ConstraintSpec.from_dicts([{"type": "begins_with", "phrase": "a"}, {"type": "length_class", "label": "huge"}])
     assert caught.value.field_path == "constraints[1].label"
+
+
+def test_every_kind_in_the_table_round_trips():
+    assert {kind.cls for kind in CONSTRAINT_KINDS.values()} == set(typing.get_args(Constraint))
+    for name, kind in CONSTRAINT_KINDS.items():
+        value = ("thing", "the flat") if kind.cls is ContainsKeywords else "short"
+        row = {"type": name, kind.field: list(value) if kind.cls is ContainsKeywords else value}
+        assert constraint_to_dict(kind.cls(value)) == row
+        assert ConstraintSpec.from_dicts([row]).constraints == {kind.cls(value)}
+        # A row holding its value under any other kind's field is refused, naming the field it lacks.
+        with pytest.raises(SchemaError) as caught:
+            ConstraintSpec.from_dicts([{"type": name, "text": value}])
+        assert caught.value.field_path == f"constraints[0].{kind.field}"
+
+
+def test_boolean_kinds_are_the_table_without_reference_overlap():
+    assert BOOLEAN_KINDS == tuple(name for name in CONSTRAINT_KINDS if name != "reference_overlap")
+
+
+# Grounding item families no constraint checks: what an output should say
+# about them is not decidable from its tokens alone.
+UNCHECKED_FAMILIES = {"emotion", "dialog_act", "persona", "knowledge", "draft_response"}
+
+
+def test_every_grounding_family_is_checked_or_named_unchecked():
+    checked = {kind.item_kind for kind in CONSTRAINT_KINDS.values() if kind.item_kind}
+    assert not checked & UNCHECKED_FAMILIES
+    grounded = {task.grounding[1] for task in REGISTRY.values() if task.grounding is not None}
+    assert grounded - checked - UNCHECKED_FAMILIES == set()
+    # Neither list names a family that no task grounds on.
+    assert checked | UNCHECKED_FAMILIES == grounded
 
 
 def test_constraint_spec_is_order_free():

@@ -434,15 +434,14 @@ def test_corpus_stats_counts():
     base = _corpus(8, seed=13)
     composites, _ = compose_corpus(base, load_rules())
     stats = corpus_stats(base + composites)
-    assert stats.n_instances == len(base) + len(composites)
-    assert stats.n_atomic == len(base)
-    assert stats.n_compositional == len(composites)
-    assert sum(stats.by_task.values()) == stats.n_instances
-    assert sum(stats.by_split.values()) == stats.n_instances
-    assert stats.by_dimension.get(2, 0) == len(composites)
-    assert stats.by_style == {"standard": stats.n_instances}
-    data = stats.to_dict()
-    assert set(data["by_dimension"]) <= {"0", "1", "2"}
+    assert stats["n_instances"] == len(base) + len(composites)
+    assert stats["n_atomic"] == len(base)
+    assert stats["n_compositional"] == len(composites)
+    assert sum(stats["by_task"].values()) == stats["n_instances"]
+    assert sum(stats["by_split"].values()) == stats["n_instances"]
+    assert stats["by_dimension"].get("2", 0) == len(composites)
+    assert stats["by_style"] == {"standard": stats["n_instances"]}
+    assert set(stats["by_dimension"]) <= {"0", "1", "2"}
 
 
 def test_export_corpus_writes_files_and_manifest(tmp_path):
