@@ -24,7 +24,6 @@ from .evaluate import (
     EndsWith,
     ExactMatch,
     LengthClass,
-    MetricReport,
     ReferenceOverlap,
     bleu2,
     extract_constraints,
@@ -32,7 +31,7 @@ from .evaluate import (
     score_corpus,
 )
 from .export import SamplingPlan, corpus_stats, export_corpus, sample
-from .ingest import ADAPTERS, CorpusManifest, SynthConfig, load_corpus, synth_corpus, write_corpus
+from .ingest import ADAPTERS, SynthConfig, load_corpus, synth_corpus, write_corpus
 from .model import (
     ComponentKind,
     Dialog,
@@ -60,13 +59,11 @@ __all__ = [
     "CompositionRule",
     "ConstraintSpec",
     "ContainsKeywords",
-    "CorpusManifest",
     "Dialog",
     "DialogItem",
     "EndsWith",
     "ExactMatch",
     "LengthClass",
-    "MetricReport",
     "PipelineConfig",
     "Provenance",
     "REGISTRY",

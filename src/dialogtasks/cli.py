@@ -52,8 +52,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         dialogs = synth_corpus(_seed(args), args.synth, SynthConfig(dataset=args.dataset))
     else:
         dialogs, _ = load_corpus(args.input, args.adapter)
-    manifest = write_corpus(dialogs, args.out)
-    _print_json(manifest.to_dict())
+    _print_json(write_corpus(dialogs, args.out))
     return EXIT_OK
 
 
@@ -65,8 +64,7 @@ def cmd_tasks(args: argparse.Namespace) -> int:
     dialogs, _ = load_corpus(args.corpus)
     names = None if args.tasks is None else [n.strip() for n in args.tasks.split(",") if n.strip()]
     instances = derive_corpus(dialogs, _seed(args), tasks=names)
-    manifest = write_instances(instances, args.out)
-    _print_json(manifest.to_dict())
+    _print_json(write_instances(instances, args.out))
     return EXIT_OK
 
 
@@ -83,8 +81,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
             "style": "standard",
             "rejections": dict(sorted(reasons.items())),
         }
-    manifest = write_instances(composites, args.out)
-    _print_json({**summary, "file": manifest.to_dict()})
+    _print_json({**summary, "file": write_instances(composites, args.out)})
     return EXIT_OK
 
 
@@ -95,7 +92,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         block_shuffle=args.block_shuffle == "on", generic_fallback=args.generic_fallback
     )
     manifest, errors = write_rendered(instances, args.out, _seed(args), options)
-    _print_json({"file": manifest.to_dict(), "errors": errors})
+    _print_json({"file": manifest, "errors": errors})
     if errors:
         print(f"{len(errors)} instance(s) failed to render", file=sys.stderr)
         return EXIT_INVALID
@@ -218,7 +215,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         outputs, duplicates = collect_outputs(read_jsonl(args.outputs))
     with _naming_file(args.constraints):
         examples, counts = join_constraints(read_jsonl(args.constraints), outputs)
-    data = {"n_duplicate_outputs": duplicates, **counts, **score_corpus(examples).to_dict()}
+    data = {"n_duplicate_outputs": duplicates, **counts, **score_corpus(examples)}
     if args.report:
         write_json(data, args.report)
     _print_json(data)
@@ -340,7 +337,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (OSError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return EXIT_IO
 
 

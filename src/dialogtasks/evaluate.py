@@ -381,45 +381,25 @@ def rouge_l(
 # Corpus scoring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class MetricReport:
-    """Per-constraint and aggregate scores for a scored corpus.
-
-    per_constraint_accuracy counts an example as passing a constraint kind
-    when every constraint of that kind it carries holds; examples without the
-    kind pass vacuously. That makes the conjunction bound a theorem:
-    compositional_accuracy <= min(per-constraint accuracies).
-    """
-
-    n_examples: int
-    per_constraint_accuracy: Dict[str, float]
-    constraint_counts: Dict[str, int]
-    compositional_accuracy: float
-    bleu2: Optional[float]
-    rouge_l: Optional[float]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "n_examples": self.n_examples,
-            "per_constraint_accuracy": dict(sorted(self.per_constraint_accuracy.items())),
-            "constraint_counts": dict(sorted(self.constraint_counts.items())),
-            "compositional_accuracy": self.compositional_accuracy,
-            "bleu2": self.bleu2,
-            "rouge_l": self.rouge_l,
-        }
-
-
-def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport:
+def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, Any]:
     """Score model outputs against their constraint specs, in one pass.
 
+    Returns the report: ``n_examples``, ``per_constraint_accuracy`` and
+    ``constraint_counts`` (per kind, sorted), ``compositional_accuracy``, and
+    ``bleu2`` and ``rouge_l`` (None without a ReferenceOverlap constraint).
     Boolean constraints produce per-kind accuracies plus the conjunctive
     compositional accuracy; ReferenceOverlap constraints produce corpus
-    BLEU-2 and mean Rouge-L. Each output is tokenized once per example, and
-    each distinct constraint is prepared (its text tokenized; a reference's
-    n-grams counted and its LCS bit masks built) once per call, however many
-    examples carry it. Each row's LCS walks the output's tokens over its
-    reference's masks, and its BLEU-2 clip walks the output's n-grams over
-    a copy of the reference's counts. BLEU counts are pooled as the loop goes.
+    BLEU-2 and mean Rouge-L. An example passes a kind when every constraint
+    of that kind it carries holds, and one without the kind passes
+    vacuously. That makes the conjunction bound a theorem:
+    compositional_accuracy <= min(per-constraint accuracies).
+
+    Each output is tokenized once per example, and each distinct constraint
+    is prepared (its text tokenized; a reference's n-grams counted and its
+    LCS bit masks built) once per call, however many examples carry it.
+    Each row's LCS walks the output's tokens over its reference's masks,
+    and its BLEU-2 clip walks the output's n-grams over a copy of the
+    reference's counts. BLEU counts are pooled as the loop goes.
     """
     n = len(examples)
     prepared: Dict[Constraint, Union[_Check, _Reference]] = {}
@@ -451,16 +431,13 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> MetricReport
         if not failed_kinds:
             all_pass += 1
 
-    per_kind = {
-        kind: (n - kind_fail.get(kind, 0)) / n
-        for kind in BOOLEAN_KINDS
-        if kind_present.get(kind, 0) > 0
+    return {
+        "n_examples": n,
+        "per_constraint_accuracy": {
+            kind: (n - kind_fail.get(kind, 0)) / n for kind in sorted(kind_present)
+        },
+        "constraint_counts": dict(sorted(kind_present.items())),
+        "compositional_accuracy": (all_pass / n) if n else 1.0,
+        "bleu2": _bleu2_from_counts(*bleu_totals) if rouge_scores else None,
+        "rouge_l": (sum(rouge_scores) / len(rouge_scores)) if rouge_scores else None,
     }
-    return MetricReport(
-        n_examples=n,
-        per_constraint_accuracy=per_kind,
-        constraint_counts={k: v for k, v in sorted(kind_present.items())},
-        compositional_accuracy=(all_pass / n) if n else 1.0,
-        bleu2=_bleu2_from_counts(*bleu_totals) if rouge_scores else None,
-        rouge_l=(sum(rouge_scores) / len(rouge_scores)) if rouge_scores else None,
-    )

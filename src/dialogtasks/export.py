@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .evaluate import extract_constraints
-from .ingest import ExportManifest, SchemaError, read_jsonl, write_jsonl
+from .ingest import SchemaError, read_jsonl, write_jsonl
 from .model import SPLITS, ParseMemo, TaskInstance, Turn, example_id, instance_sort_key
 from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
@@ -83,7 +83,7 @@ def _dialog_key(inst: TaskInstance) -> Tuple[str, str]:
     return (inst.provenance.dataset, inst.provenance.dialog_id)
 
 
-def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> ExportManifest:
+def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> Dict[str, Any]:
     """Write one instance per line, serializing each dialog's turns once.
 
     Per (dataset, dialog id), the longest context among the dialog's
@@ -199,7 +199,7 @@ def write_rendered(
     path: str | Path,
     seed: int,
     options: Optional[RenderOptions] = None,
-) -> Tuple[ExportManifest, List[Dict[str, Any]]]:
+) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Render instances one dialog at a time, streaming the examples to a JSONL file.
 
     Returns the file's manifest and render_corpus's error records.
@@ -241,13 +241,13 @@ def export_corpus(
         members = by_split[split]
         manifest, errors = write_rendered(members, out_dir / f"{split}.jsonl", seed, options)
         all_errors.extend(errors)
-        files[manifest.name] = manifest.to_dict()
+        files[manifest["name"]] = manifest
         if emit_constraints:
             rows = (row for group in _by_dialog(members) for row in constraint_records(group))
             manifest = write_jsonl(rows, out_dir / f"constraints-{split}.jsonl")
-            files[manifest.name] = manifest.to_dict()
-    stats_manifest = write_jsonl([corpus_stats(sampled)], out_dir / "stats.json")
-    files[stats_manifest.name] = stats_manifest.to_dict()
+            files[manifest["name"]] = manifest
+    manifest = write_jsonl([corpus_stats(sampled)], out_dir / "stats.json")
+    files[manifest["name"]] = manifest
     return {
         "seed": seed,
         "plan": plan.to_dict(),

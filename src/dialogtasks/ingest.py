@@ -68,20 +68,10 @@ def _hashed(lines: Iterable[bytes], digest: Any) -> Iterator[bytes]:
         yield raw
 
 
-@dataclass(frozen=True, slots=True)
-class ExportManifest:
-    """One written file: name, record count, content checksum."""
-
-    name: str
-    count: int
-    sha256: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "count": self.count, "sha256": self.sha256}
-
-
-def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> ExportManifest:
+def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> Dict[str, Any]:
     """Write records one JSON object per line, sorted keys, ASCII only.
+
+    Returns the file's manifest: its ``name``, record ``count`` and ``sha256``.
 
     Each record is encoded, written and hashed as it arrives, so a generator
     is never held in memory as a whole. A regular file (or a new one) is
@@ -104,7 +94,7 @@ def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> ExportMa
             count += 1
 
     _write_whole(path, write_to)
-    return ExportManifest(name=path.name, count=count, sha256=digest.hexdigest())
+    return {"name": path.name, "count": count, "sha256": digest.hexdigest()}
 
 
 def write_json(data: Any, path: str | Path) -> None:
@@ -148,33 +138,16 @@ def _is_file_or_new(path: Path) -> bool:
         return True
 
 
-@dataclass(frozen=True, slots=True)
-class CorpusManifest:
-    """Summary of one loaded or written corpus file."""
-
-    dataset: str
-    count: int
-    split: str
-    checksum: str
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "dataset": self.dataset,
-            "count": self.count,
-            "split": self.split,
-            "checksum": self.checksum,
-        }
-
-
-def _corpus_manifest(dialogs: Sequence[Dialog], checksum: str) -> CorpusManifest:
+def _corpus_manifest(dialogs: Sequence[Dialog], checksum: str) -> Dict[str, Any]:
+    """Summary of one loaded or written corpus file: its dataset, count, split and checksum."""
     datasets = {d.dataset for d in dialogs}
     splits = {d.split for d in dialogs}
-    return CorpusManifest(
-        dataset=datasets.pop() if len(datasets) == 1 else "mixed",
-        count=len(dialogs),
-        split=splits.pop() if len(splits) == 1 else "mixed",
-        checksum=checksum,
-    )
+    return {
+        "dataset": datasets.pop() if len(datasets) == 1 else "mixed",
+        "count": len(dialogs),
+        "split": splits.pop() if len(splits) == 1 else "mixed",
+        "checksum": checksum,
+    }
 
 
 def _require_turns(record: Dict[str, Any]) -> List[Dict[str, Any]]:
@@ -290,16 +263,21 @@ ADAPTERS: Dict[str, Callable[[Dict[str, Any]], Dialog]] = {
 }
 
 
-def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dialog], CorpusManifest]:
+def get_adapter(name: str) -> Callable[[Dict[str, Any]], Dialog]:
+    """The adapter of that name; ValueError, listing the names there are, when there is none."""
+    if name not in ADAPTERS:
+        raise ValueError(f"unknown adapter: {name!r} (have: {', '.join(sorted(ADAPTERS))})")
+    return ADAPTERS[name]
+
+
+def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dialog], Dict[str, Any]]:
     """Load a line-delimited corpus file through the adapter of that name.
 
     Raises ParseError (bad JSON, with line number), SchemaError (missing or
     mistyped field, or a dataset's dialog_id repeated, with line number and
     path), or EmptyCorpus.
     """
-    if adapter not in ADAPTERS:
-        raise ValueError(f"unknown adapter: {adapter!r} (have: {', '.join(sorted(ADAPTERS))})")
-    parse = ADAPTERS[adapter]
+    parse = get_adapter(adapter)
     dialogs: List[Dialog] = []
     first_line: Dict[Tuple[str, str], int] = {}
     # The checksum covers every byte read, blank lines included, so the
@@ -321,9 +299,9 @@ def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dial
     return dialogs, _corpus_manifest(dialogs, digest.hexdigest())
 
 
-def write_corpus(dialogs: Sequence[Dialog], path: str | Path) -> CorpusManifest:
+def write_corpus(dialogs: Sequence[Dialog], path: str | Path) -> Dict[str, Any]:
     """Write dialogs in the canonical record format; inverse of canonical load."""
-    return _corpus_manifest(dialogs, write_jsonl((d.to_dict() for d in dialogs), path).sha256)
+    return _corpus_manifest(dialogs, write_jsonl((d.to_dict() for d in dialogs), path)["sha256"])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from .composer import compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
-from .ingest import SynthConfig, load_corpus, synth_corpus, write_corpus, write_json
+from .ingest import SynthConfig, get_adapter, load_corpus, synth_corpus, write_corpus, write_json
 from .prompts import apply_cot, parse_cot_mode
 from .registry import derive_corpus, task_names
 
@@ -92,7 +92,10 @@ class PipelineConfig:
 
         def get(section: str, key: str, fallback: Any = None, convert: Callable = parser.get) -> Any:
             read.add((section, key))
-            return convert(section, key, fallback=fallback)
+            try:
+                return convert(section, key, fallback=fallback)
+            except ValueError as exc:
+                raise ValueError(f"config {path}: [{section}] {key}: {exc}") from exc
 
         defaults = cls()
         include = get("tasks", "include")
@@ -130,21 +133,22 @@ class PipelineConfig:
 
 def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     """Run every stage and write the corpus plus manifest.json into out_dir."""
-    # A bad config raises here, before any stage runs or writes.
+    # A bad config or corpus raises here, before anything is written.
     cot_k = parse_cot_mode(config.cot)
     task_names(config.tasks)
+    get_adapter(config.adapter)
     rules = load_rules(config.rules_path) if config.compose_enabled else []
     if config.compose_enabled and config.max_dim < 2:
         raise ValueError("max_dim must be >= 2")
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     if config.input_path:
         dialogs, corpus_manifest = load_corpus(config.input_path, config.adapter)
     else:
         dialogs = synth_corpus(
             config.seed, config.synth_dialogs, SynthConfig(dataset=config.synth_dataset)
         )
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not config.input_path:
         corpus_manifest = write_corpus(dialogs, out_dir / "dialogs.jsonl")
 
     instances = derive_corpus(dialogs, config.seed, tasks=config.tasks)
@@ -177,7 +181,7 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
             config_data[key] = Path(config_data[key]).name
     manifest = {
         "config": config_data,
-        "corpus": corpus_manifest.to_dict(),
+        "corpus": corpus_manifest,
         "rejections": dict(sorted(rejections.items())),
         "export": export_manifest,
     }

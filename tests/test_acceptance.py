@@ -380,10 +380,10 @@ def test_criterion_6_metric_goldens_and_bound():
             )
             examples.append((spec, rng.choice(_CORPUS_OUTPUTS)))
         report = score_corpus(examples)
-        assert report.per_constraint_accuracy, "fuzz always includes boolean constraints"
-        bound = min(report.per_constraint_accuracy.values())
-        assert report.compositional_accuracy <= bound + 1e-12
-        assert 0.0 <= report.compositional_accuracy <= 1.0
+        assert report["per_constraint_accuracy"], "fuzz always includes boolean constraints"
+        bound = min(report["per_constraint_accuracy"].values())
+        assert report["compositional_accuracy"] <= bound + 1e-12
+        assert 0.0 <= report["compositional_accuracy"] <= 1.0
 
 
 # --- criterion 7: gold satisfies its own constraints -------------------------------

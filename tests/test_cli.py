@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and the end-to-end config-driven run."""
 
+import hashlib
 import json
 import os
 
@@ -485,6 +486,8 @@ def test_run_config_error_exits_two_before_any_stage_writes(tmp_path, capsys, se
         ("[sampel]\natomic_quota = 3\n", "unknown section [sampel]"),
         ("[sampel]\n", "unknown section [sampel]"),
         ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
+        ("[run]\nseed = x\n", "[run] seed: invalid literal for int()"),
+        ("[render]\nblock_shuffle = maybe\n", "[render] block_shuffle: Not a boolean: maybe"),
     ],
 )
 def test_run_config_malformed_or_unknown_exits_two_before_any_stage_writes(tmp_path, capsys, text, problem):
@@ -496,6 +499,58 @@ def test_run_config_malformed_or_unknown_exits_two_before_any_stage_writes(tmp_p
     assert out == ""
     assert err.startswith(f"error: config {config}: ") and problem in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "corpus, problem",
+    [
+        ("synth_dialogs = 0", "n_dialogs must be >= 1"),
+        ("input = {tmp}/missing.jsonl", "missing.jsonl"),
+        ("input = {tmp}/bad.jsonl", "line 2"),
+        ("input = {tmp}/good.jsonl\nadapter = nope", "unknown adapter: 'nope'"),
+        ("adapter = nope", "unknown adapter: 'nope'"),
+    ],
+)
+def test_run_corpus_error_exits_two_before_any_stage_writes(tmp_path, corpus_path, capsys, corpus, problem):
+    (tmp_path / "good.jsonl").write_bytes(corpus_path.read_bytes())
+    (tmp_path / "bad.jsonl").write_bytes(corpus_path.read_bytes().split(b"\n")[0] + b"\n{\n")
+    out_dir = tmp_path / "out"
+    config = tmp_path / "pipeline.ini"
+    config.write_text(f"[corpus]\n{corpus.format(tmp=tmp_path)}\n\n[output]\ndir = {out_dir}\n", encoding="utf-8")
+    code, out, err = _run(capsys, "run", "--config", str(config))
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert problem in err
+    assert not out_dir.exists()
+
+
+def test_unknown_task_error_prints_its_message_unquoted(tmp_path, corpus_path, capsys):
+    derive = ("tasks", "--derive", "--corpus", str(corpus_path), "--tasks", "nope", "--out", str(tmp_path / "x.jsonl"))
+    config = tmp_path / "pipeline.ini"
+    config.write_text(f"[tasks]\ninclude = nope\n\n[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
+    for argv in (derive, ("run", "--config", str(config))):
+        assert _run(capsys, *argv) == (cli.EXIT_IO, "", "error: unknown task: 'nope'\n")
+
+
+def test_manifest_names_and_hashes_every_file_it_lists(tmp_path):
+    out_dir = tmp_path / "out"
+    manifest = run_pipeline(PipelineConfig(synth_dialogs=8, atomic_quota=20, out_dir=str(out_dir)))
+    assert manifest == json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    files = manifest["export"]["files"]
+    assert set(files) == {
+        f"{prefix}{split}.jsonl" for prefix in ("", "constraints-") for split in ("train", "dev", "test")
+    } | {"stats.json"}
+    for name, entry in files.items():
+        data = (out_dir / name).read_bytes()
+        assert entry == {"name": name, "count": data.count(b"\n"), "sha256": hashlib.sha256(data).hexdigest()}
+    dialogs = (out_dir / "dialogs.jsonl").read_bytes()
+    assert dialogs.count(b"\n") == 8
+    assert manifest["corpus"] == {
+        "dataset": "synth",
+        "count": 8,
+        "split": "mixed",
+        "checksum": hashlib.sha256(dialogs).hexdigest(),
+    }
 
 
 def test_config_values_are_read_literally(tmp_path):

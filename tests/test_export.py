@@ -95,9 +95,9 @@ def test_write_and_read_instances_round_trip(tmp_path):
     instances = _corpus(4, seed=8)[:25]
     path = tmp_path / "instances.jsonl"
     manifest = write_instances(instances, path)
-    assert manifest.count == 25
-    assert manifest.name == "instances.jsonl"
-    assert len(manifest.sha256) == 64
+    assert manifest["count"] == 25
+    assert manifest["name"] == "instances.jsonl"
+    assert len(manifest["sha256"]) == 64
     again = read_instances(path)
     assert again == instances
 
@@ -267,7 +267,7 @@ def test_instance_file_writes_each_dialogs_turns_once(tmp_path):
     dialogs = synth_corpus(3, 6)
     instances = _atomic_and_composite(dialogs)
     path = tmp_path / "instances.jsonl"
-    assert write_instances(instances, path).count == len(instances)
+    assert write_instances(instances, path)["count"] == len(instances)
     rows = _rows(path)
     assert len(rows) == len(instances)
     assert all("context" not in row for row in rows)
@@ -359,11 +359,11 @@ def test_write_jsonl_is_byte_stable(tmp_path):
     records = [{"b": 2, "a": 1}, {"x": "y"}]
     first = write_jsonl(records, tmp_path / "one.jsonl")
     second = write_jsonl(records, tmp_path / "two.jsonl")
-    assert first.sha256 == second.sha256
+    assert first["sha256"] == second["sha256"]
     text = (tmp_path / "one.jsonl").read_text(encoding="utf-8")
     assert text == '{"a": 1, "b": 2}\n{"x": "y"}\n'
     empty = write_jsonl([], tmp_path / "empty.jsonl")
-    assert empty.count == 0
+    assert empty["count"] == 0
     assert (tmp_path / "empty.jsonl").read_text(encoding="utf-8") == ""
 
 
@@ -380,8 +380,8 @@ def test_write_rendered_equals_rendering_the_whole_list(tmp_path):
         whole = write_jsonl((example.to_record() for example in rendered), tmp_path / "whole.jsonl")
         streamed, streamed_errors = write_rendered(members, tmp_path / f"{name}.jsonl", 4)
         assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
-        assert streamed.sha256 == whole.sha256
-        assert streamed.count == whole.count == len(members) - 1
+        assert streamed["sha256"] == whole["sha256"]
+        assert streamed["count"] == whole["count"] == len(members) - 1
         assert streamed_errors == errors and len(errors) == 1
 
 

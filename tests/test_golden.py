@@ -68,8 +68,8 @@ def test_instance_files_match_golden_checksums(tmp_path):
     for name, instances in corpora.items():
         path = tmp_path / f"{name}.jsonl"
         manifest = write_instances(instances, path)
-        files[name] = (manifest.count, _sha256(path))
+        files[name] = (manifest["count"], _sha256(path))
         inline = write_jsonl((i.to_dict() for i in read_instances(path)), tmp_path / f"{name}-inline.jsonl")
-        contents[name] = (inline.count, inline.sha256)
+        contents[name] = (inline["count"], inline["sha256"])
     assert contents == INSTANCE_CONTENTS
     assert files == INSTANCE_FILES

@@ -30,11 +30,11 @@ def test_canonical_round_trip(tmp_path):
     dialogs = synth_corpus(1, 10)
     path = tmp_path / "corpus.jsonl"
     manifest = write_corpus(dialogs, path)
-    assert manifest.count == 10
-    assert manifest.dataset == "synth"
+    assert manifest["count"] == 10
+    assert manifest["dataset"] == "synth"
     loaded, loaded_manifest = load_corpus(path)
     assert [d.to_dict() for d in loaded] == [d.to_dict() for d in dialogs]
-    assert loaded_manifest.checksum == manifest.checksum
+    assert loaded_manifest["checksum"] == manifest["checksum"]
 
 
 def test_corpus_checksum_is_the_file_bytes(tmp_path):
@@ -45,7 +45,7 @@ def test_corpus_checksum_is_the_file_bytes(tmp_path):
     path.write_bytes(data)
     dialogs, manifest = load_corpus(path)
     assert [d.dialog_id for d in dialogs] == [d.dialog_id for d in synth_corpus(3, 3)]
-    assert manifest.checksum == hashlib.sha256(data).hexdigest()
+    assert manifest["checksum"] == hashlib.sha256(data).hexdigest()
 
 
 def test_parse_error_carries_line_number(tmp_path):
@@ -103,7 +103,7 @@ def test_act_emotion_adapter(tmp_path):
     path = tmp_path / "raw.jsonl"
     path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     dialogs, manifest = load_corpus(path, "act_emotion")
-    assert manifest.dataset == "act_emotion"
+    assert manifest["dataset"] == "act_emotion"
     turn0 = dialogs[0].turns[0]
     kinds = {(i.component, i.kind, i.value) for i in turn0.items}
     assert (ComponentKind.ACTION, "dialog_act", "question") in kinds
@@ -141,7 +141,7 @@ def test_unicode_line_separator_inside_a_string_loads(tmp_path, capsys):
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
     dialogs, manifest = load_corpus(path)
-    assert manifest.count == 1
+    assert manifest["count"] == 1
     assert dialogs[0].turns[0].text == "first half \u2028 second half ."
     canonical = tmp_path / "dialogs.jsonl"
     instances = tmp_path / "instances.jsonl"
@@ -353,7 +353,7 @@ def test_write_jsonl_streams_the_joined_bytes(tmp_path, name, as_generator):
     path = tmp_path / "out.jsonl"
     manifest = write_jsonl((r for r in records) if as_generator else records, path)
     assert path.read_bytes() == data
-    assert (manifest.name, manifest.count, manifest.sha256) == ("out.jsonl", count, hashlib.sha256(data).hexdigest())
+    assert (manifest["name"], manifest["count"], manifest["sha256"]) == ("out.jsonl", count, hashlib.sha256(data).hexdigest())
     assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
@@ -383,7 +383,7 @@ def test_write_jsonl_follows_a_symlink_to_a_file(tmp_path):
     manifest = write_jsonl(records, link)
     assert link.is_symlink()
     assert target.read_bytes() == _joined(records)[0]
-    assert (manifest.name, manifest.count) == ("link.jsonl", len(records))
+    assert (manifest["name"], manifest["count"]) == ("link.jsonl", len(records))
     assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
 
 
@@ -407,7 +407,7 @@ def test_write_jsonl_writes_a_pipe_in_place(tmp_path):
     assert not reader.is_alive()
     data, count = _joined(_RECORD_SETS["many"])
     assert received == [data]
-    assert (manifest.count, manifest.sha256) == (count, hashlib.sha256(data).hexdigest())
+    assert (manifest["count"], manifest["sha256"]) == (count, hashlib.sha256(data).hexdigest())
     assert link.is_symlink() and stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fifo", "stdout"]
 
@@ -421,7 +421,7 @@ def test_write_jsonl_memory_does_not_grow_with_the_file(tmp_path):
     finally:
         tracemalloc.stop()
     size = (tmp_path / "big.jsonl").stat().st_size
-    assert manifest.count == 20_000 and size > 20_000_000
+    assert manifest["count"] == 20_000 and size > 20_000_000
     assert peak < size / 4
 
 

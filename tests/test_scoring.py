@@ -165,7 +165,7 @@ def _golden_examples():
 
 
 def test_score_corpus_golden_report():
-    assert score_corpus(_golden_examples()).to_dict() == {
+    assert score_corpus(_golden_examples()) == {
         "n_examples": 6730,
         "per_constraint_accuracy": {
             "begins_with": 0.9435364041604755,
@@ -292,7 +292,7 @@ def _pooled_corpora(draw):
 @settings(max_examples=300, deadline=None)
 @given(examples=_pooled_corpora())
 def test_score_corpus_matches_a_from_scratch_scorer(examples):
-    assert score_corpus(examples).to_dict() == _oracle_report(examples)
+    assert score_corpus(examples) == _oracle_report(examples)
 
 
 def test_each_distinct_constraint_is_tokenized_once(monkeypatch):
@@ -324,7 +324,7 @@ def test_each_distinct_constraint_is_tokenized_once(monkeypatch):
     prepared = ["the flat came furnished .", "the flat", "furnished .", "flat", "came furnished", "Inform"]
     assert sorted(texts) == sorted(outputs + prepared)
     monkeypatch.undo()
-    assert report.to_dict() == _oracle_report(examples)
+    assert report == _oracle_report(examples)
 
 
 def test_each_distinct_reference_gets_its_masks_once(monkeypatch):
@@ -351,4 +351,4 @@ def test_each_distinct_reference_gets_its_masks_once(monkeypatch):
     assert score_corpus(examples) == report
     assert sorted(built) == expected
     monkeypatch.undo()
-    assert report.to_dict() == _oracle_report(examples)
+    assert report == _oracle_report(examples)
