@@ -33,6 +33,7 @@ from .model import _checked, example_id, validate_instance
 from .pipeline import CONFIG_TEMPLATE, PipelineConfig, run_pipeline
 from .prompts import RenderOptions, apply_cot
 from .registry import derive_corpus, list_tasks
+from .textutil import split_keyword_list
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -43,13 +44,9 @@ def _print_json(data: Any) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _seed(args: argparse.Namespace) -> int:
-    return 0 if args.seed is None else args.seed
-
-
 def cmd_ingest(args: argparse.Namespace) -> int:
     if args.synth is not None:
-        dialogs = synth_corpus(_seed(args), args.synth, SynthConfig(dataset=args.dataset))
+        dialogs = synth_corpus(args.seed, args.synth, SynthConfig(dataset=args.dataset))
     else:
         dialogs, _ = load_corpus(args.input, args.adapter)
     _print_json(write_corpus(dialogs, args.out))
@@ -62,8 +59,8 @@ def cmd_tasks(args: argparse.Namespace) -> int:
             print(f"{task.name:36s} {task.signature:8s} {task.description}")
         return EXIT_OK
     dialogs, _ = load_corpus(args.corpus)
-    names = None if args.tasks is None else [n.strip() for n in args.tasks.split(",") if n.strip()]
-    instances = derive_corpus(dialogs, _seed(args), tasks=names)
+    names = None if args.tasks is None else split_keyword_list(args.tasks)
+    instances = derive_corpus(dialogs, args.seed, tasks=names)
     _print_json(write_instances(instances, args.out))
     return EXIT_OK
 
@@ -87,11 +84,11 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     instances = read_instances(args.infile)
-    instances = apply_cot(instances, args.cot, _seed(args))
+    instances = apply_cot(instances, args.cot, args.seed)
     options = RenderOptions(
         block_shuffle=args.block_shuffle == "on", generic_fallback=args.generic_fallback
     )
-    manifest, errors = write_rendered(instances, args.out, _seed(args), options)
+    manifest, errors = write_rendered(instances, args.out, args.seed, options)
     _print_json({"file": manifest, "errors": errors})
     if errors:
         print(f"{len(errors)} instance(s) failed to render", file=sys.stderr)
@@ -126,7 +123,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     manifest = export_corpus(
         instances,
         args.out,
-        _seed(args),
+        args.seed,
         plan=plan,
         emit_constraints=args.emit_constraints,
     )
@@ -254,7 +251,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="run seed (default 0)")
+    seeded.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
 
     parser = argparse.ArgumentParser(
         prog="dialogtasks",
@@ -319,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("run", parents=[seeded], help="run the full pipeline from a config")
+    p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", help="pipeline INI file")
+    p.add_argument("--seed", type=int, help="run seed (default: the config's [run] seed)")
     p.add_argument("--print-config", action="store_true", help="print a template config and exit")
     p.set_defaults(func=cmd_run)
 
@@ -332,6 +330,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "tasks" and args.derive and not (args.corpus and args.out):
         parser.error("tasks --derive requires --corpus and --out")
+    if args.command == "ingest" and args.synth is not None and args.synth < 1:
+        parser.error("argument --synth: must be >= 1")
     if args.command == "run" and not args.print_config and not args.config:
         parser.error("run requires --config (or --print-config)")
     try:

@@ -12,68 +12,49 @@ import dataclasses
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .composer import compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
 from .ingest import SynthConfig, get_adapter, load_corpus, synth_corpus, write_corpus, write_json
 from .prompts import apply_cot, parse_cot_mode
 from .registry import derive_corpus, task_names
+from .textutil import split_keyword_list
 
-CONFIG_TEMPLATE = """\
-; Pipeline configuration. All keys are optional; values below are defaults.
-[run]
-seed = 0
 
-[corpus]
-; input = dialogs.jsonl      ; omit to generate a synthetic corpus
-adapter = canonical
-synth_dialogs = 200
-synth_dataset = synth
-
-[tasks]
-; include = act_prediction, emotion_tagging   ; omit for every task
-
-[compose]
-enabled = true
-; rules = custom_rules.csv   ; omit for the packaged rule table
-max_dim = 2
-
-[render]
-cot = none                   ; none or random-K
-block_shuffle = true
-generic_fallback = false
-
-[sample]
-atomic_quota = 5000
-composite_quota = 1000
-
-[output]
-dir = out
-emit_constraints = true
-"""
+def _key(section: str, default: Any, key: str = "", note: str = "", example: str = "",
+         read: Optional[Callable[[str], Any]] = None) -> Any:
+    """A config field read from ``[section] key`` (the field's name when key is empty): with
+    ``getboolean`` or ``getint`` when its default is a bool or an int, else as text passed to
+    ``read`` if given. The template prints it at its default, or commented out at ``example``
+    when the default is None, followed by ``note``."""
+    return dataclasses.field(default=default, metadata=dict(section=section, key=key, note=note,
+                                                            example=example, read=read))
 
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
-    """Typed view of one pipeline INI file."""
+    """Typed view of one pipeline INI file; each field names its own section and key."""
 
-    seed: int = 0
-    input_path: Optional[str] = None
-    adapter: str = "canonical"
-    synth_dialogs: int = 200
-    synth_dataset: str = "synth"
-    tasks: Optional[Tuple[str, ...]] = None
-    compose_enabled: bool = True
-    rules_path: Optional[str] = None
-    max_dim: int = 2
-    cot: str = "none"
-    block_shuffle: bool = True
-    generic_fallback: bool = False
-    atomic_quota: int = 5000
-    composite_quota: int = 1000
-    out_dir: str = "out"
-    emit_constraints: bool = True
+    seed: int = _key("run", 0)
+    input_path: Optional[str] = _key("corpus", None, "input", "omit to generate a synthetic corpus",
+                                     "dialogs.jsonl")
+    adapter: str = _key("corpus", "canonical")
+    synth_dialogs: int = _key("corpus", 200)
+    synth_dataset: str = _key("corpus", "synth")
+    tasks: Optional[Tuple[str, ...]] = _key("tasks", None, "include", "omit for every task",
+                                            "act_prediction, emotion_tagging", read=split_keyword_list)
+    compose_enabled: bool = _key("compose", True, "enabled")
+    rules_path: Optional[str] = _key("compose", None, "rules", "omit for the packaged rule table",
+                                     "custom_rules.csv")
+    max_dim: int = _key("compose", 2)
+    cot: str = _key("render", "none", note="none or random-K")
+    block_shuffle: bool = _key("render", True)
+    generic_fallback: bool = _key("render", False)
+    atomic_quota: int = _key("sample", 5000)
+    composite_quota: int = _key("sample", 1000)
+    out_dir: str = _key("output", "out", "dir")
+    emit_constraints: bool = _key("output", True)
 
     def __post_init__(self) -> None:
         parse_cot_mode(self.cot)
@@ -81,54 +62,60 @@ class PipelineConfig:
     @classmethod
     def from_ini(cls, path: str | Path) -> "PipelineConfig":
         """Read a config: values are literal (no ``%`` interpolation), ``[DEFAULT]`` is an ordinary
-        section, and ValueError names the file and any section or key that no ``get`` below reads."""
+        section, absent keys keep their defaults, and ValueError names the file and a value that
+        does not convert, then any section or key that no field names."""
         parser = configparser.ConfigParser(interpolation=None, default_section="",
                                            inline_comment_prefixes=(";", "#"))
         try:
             parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
         except configparser.Error as exc:
             raise ValueError(f"config {path}: {exc}") from exc
-        read = set()
-
-        def get(section: str, key: str, fallback: Any = None, convert: Callable = parser.get) -> Any:
-            read.add((section, key))
+        values = {}
+        for field, section, key in _ini_keys():
+            if not parser.has_option(section, key):
+                continue
+            convert = {bool: parser.getboolean, int: parser.getint}.get(type(field.default), parser.get)
             try:
-                return convert(section, key, fallback=fallback)
+                value = convert(section, key)
             except ValueError as exc:
                 raise ValueError(f"config {path}: [{section}] {key}: {exc}") from exc
-
-        defaults = cls()
-        include = get("tasks", "include")
-        config = cls(
-            seed=get("run", "seed", defaults.seed, parser.getint),
-            input_path=get("corpus", "input"),
-            adapter=get("corpus", "adapter", defaults.adapter),
-            synth_dialogs=get("corpus", "synth_dialogs", defaults.synth_dialogs, parser.getint),
-            synth_dataset=get("corpus", "synth_dataset", defaults.synth_dataset),
-            tasks=None if include is None else tuple(name.strip() for name in include.split(",") if name.strip()),
-            compose_enabled=get("compose", "enabled", defaults.compose_enabled, parser.getboolean),
-            rules_path=get("compose", "rules"),
-            max_dim=get("compose", "max_dim", defaults.max_dim, parser.getint),
-            cot=get("render", "cot", defaults.cot),
-            block_shuffle=get("render", "block_shuffle", defaults.block_shuffle, parser.getboolean),
-            generic_fallback=get("render", "generic_fallback", defaults.generic_fallback, parser.getboolean),
-            atomic_quota=get("sample", "atomic_quota", defaults.atomic_quota, parser.getint),
-            composite_quota=get("sample", "composite_quota", defaults.composite_quota, parser.getint),
-            out_dir=get("output", "dir", defaults.out_dir),
-            emit_constraints=get("output", "emit_constraints", defaults.emit_constraints, parser.getboolean),
-        )
+            values[field.name] = field.metadata["read"](value) if field.metadata["read"] else value
+        known = {(section, key) for _, section, key in _ini_keys()}
         for section in parser.sections():
-            if not any(known == section for known, _ in read):
+            if not any(known_section == section for known_section, _ in known):
                 raise ValueError(f"config {path}: unknown section [{section}]")
             for key in parser[section]:
-                if (section, key) not in read:
+                if (section, key) not in known:
                     raise ValueError(f"config {path}: unknown key {key!r} in [{section}]")
-        return config
+        return cls(**values)
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
         data["tasks"] = list(self.tasks) if self.tasks else None
         return data
+
+
+def _ini_keys() -> Iterator[Tuple[dataclasses.Field, str, str]]:
+    """Each config field with its section and key, in field order."""
+    for field in dataclasses.fields(PipelineConfig):
+        yield field, field.metadata["section"], field.metadata["key"] or field.name
+
+
+def _template() -> str:
+    sections: Dict[str, List[str]] = {}
+    for field, section, key in _ini_keys():
+        value = field.default
+        if value is None:
+            line = f"; {key} = {field.metadata['example']}"
+        else:
+            line = f"{key} = {str(value).lower() if isinstance(value, bool) else value}"
+        note = field.metadata["note"]
+        sections.setdefault(section, [f"[{section}]"]).append(f"{line:28} ; {note}" if note else line)
+    body = "\n\n".join("\n".join(lines) for lines in sections.values())
+    return f"; Pipeline configuration. All keys are optional; values below are defaults.\n{body}\n"
+
+
+CONFIG_TEMPLATE = _template()
 
 
 def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
@@ -140,6 +127,8 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     rules = load_rules(config.rules_path) if config.compose_enabled else []
     if config.compose_enabled and config.max_dim < 2:
         raise ValueError("max_dim must be >= 2")
+    if not config.input_path and config.synth_dialogs < 1:
+        raise ValueError("synth_dialogs must be >= 1 when no input is set")
     if config.input_path:
         dialogs, corpus_manifest = load_corpus(config.input_path, config.adapter)
     else:

@@ -93,7 +93,7 @@ def length_class(token_count: int) -> str:
 
 
 def split_keyword_list(value: str) -> tuple[str, ...]:
-    """Parse the comma-joined storage form of a keyword list."""
+    """Split a comma-separated list, such as the storage form of a keyword list, dropping blank entries."""
     return tuple(k.strip() for k in value.split(",") if k.strip())
 
 

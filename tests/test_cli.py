@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and the end-to-end config-driven run."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -54,6 +55,16 @@ def test_ingest_synth_writes_manifest_json(tmp_path, capsys):
     assert manifest["count"] == 7
     assert manifest["dataset"] == "synth"
     assert path.exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_ingest_synth_below_one_exits_two_naming_the_option(tmp_path, capsys, count):
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ingest", "--synth", count, "--out", str(path)])
+    assert exc.value.code == 2
+    assert "argument --synth: must be >= 1" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_ingest_missing_input_is_io_error(tmp_path, capsys):
@@ -504,7 +515,8 @@ def test_run_config_malformed_or_unknown_exits_two_before_any_stage_writes(tmp_p
 @pytest.mark.parametrize(
     "corpus, problem",
     [
-        ("synth_dialogs = 0", "n_dialogs must be >= 1"),
+        ("synth_dialogs = 0", "synth_dialogs must be >= 1"),
+        ("synth_dialogs = -3", "synth_dialogs must be >= 1"),
         ("input = {tmp}/missing.jsonl", "missing.jsonl"),
         ("input = {tmp}/bad.jsonl", "line 2"),
         ("input = {tmp}/good.jsonl\nadapter = nope", "unknown adapter: 'nope'"),
@@ -551,6 +563,32 @@ def test_manifest_names_and_hashes_every_file_it_lists(tmp_path):
         "split": "mixed",
         "checksum": hashlib.sha256(dialogs).hexdigest(),
     }
+
+
+def test_every_config_key_reads_back_at_a_non_default_value(tmp_path):
+    config = tmp_path / "pipeline.ini"
+    config.write_text(
+        "[run]\nseed = 11\n\n"
+        "[corpus]\ninput = dialogs.jsonl\nadapter = act_emotion\nsynth_dialogs = 7\nsynth_dataset = other\n\n"
+        "[tasks]\ninclude = act_prediction, emotion_tagging\n\n"
+        "[compose]\nenabled = false\nrules = rules.csv\nmax_dim = 3\n\n"
+        "[render]\ncot = random-2\nblock_shuffle = false\ngeneric_fallback = true\n\n"
+        "[sample]\natomic_quota = 9\ncomposite_quota = 4\n\n"
+        "[output]\ndir = elsewhere\nemit_constraints = false\n",
+        encoding="utf-8",
+    )
+    expected = PipelineConfig(
+        seed=11, input_path="dialogs.jsonl", adapter="act_emotion", synth_dialogs=7, synth_dataset="other",
+        tasks=("act_prediction", "emotion_tagging"), compose_enabled=False, rules_path="rules.csv", max_dim=3,
+        cot="random-2", block_shuffle=False, generic_fallback=True, atomic_quota=9, composite_quota=4,
+        out_dir="elsewhere", emit_constraints=False,
+    )
+    parsed = PipelineConfig.from_ini(config)
+    defaults = PipelineConfig()
+    for field in dataclasses.fields(PipelineConfig):
+        value = getattr(parsed, field.name)
+        assert value == getattr(expected, field.name) != getattr(defaults, field.name), field.name
+        assert type(value) is type(getattr(expected, field.name)), field.name
 
 
 def test_config_values_are_read_literally(tmp_path):

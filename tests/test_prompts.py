@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogtasks import prompts
+from dialogtasks import prompts, registry
 from dialogtasks.composer import compose, load_rules
 from dialogtasks.model import (
     ComponentKind,
@@ -147,6 +147,13 @@ def test_unknown_kind_raises_unless_fallback():
 
 def test_phrase_and_label_tables_cover_same_kinds():
     assert set(NAIVE_LABELS) == set(PHRASES)
+
+
+def test_every_grounding_family_a_task_produces_has_a_phrase_and_a_label():
+    # Composites carry only their members' grounding items, so these are all
+    # the kinds a run renders; none may need the generic fallback.
+    grounded = {task.grounding[1] for task in registry._DEFS if task.grounding is not None}
+    assert grounded and grounded <= set(PHRASES) and grounded <= set(NAIVE_LABELS)
 
 
 def test_render_layout_instruction_first_target_header_last():
