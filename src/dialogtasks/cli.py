@@ -13,7 +13,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .composer import compose_corpus, load_rules, naive_corpus
 from .evaluate import ConstraintSpec, score_corpus
@@ -132,15 +132,16 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def collect_outputs(output_rows: Iterable[Tuple[int, Dict[str, Any]]]) -> Tuple[Dict[str, str], int]:
+def collect_outputs(output_rows: Iterable[Tuple[int, Dict[str, Any]]]) -> Tuple[Dict[str, Optional[str]], int]:
     """Map each output row's id to its output; also count repeated rows.
 
-    A row repeating an earlier row's id and output is counted. The same id
-    with a different output is ambiguous and raises SchemaError naming the
-    id; a missing or non-string ``id`` or ``output`` raises SchemaError
-    naming the line and the field.
+    Equal outputs share one string object. A row repeating an earlier row's
+    id and output is counted. The same id with a different output is
+    ambiguous and raises SchemaError naming the id; a missing or non-string
+    ``id`` or ``output`` raises SchemaError naming the line and the field.
     """
-    outputs: Dict[str, str] = {}
+    outputs: Dict[str, Optional[str]] = {}
+    strings: Dict[str, str] = {}
     duplicates = 0
     for line_number, record in output_rows:
         try:
@@ -150,7 +151,7 @@ def collect_outputs(output_rows: Iterable[Tuple[int, Dict[str, Any]]]) -> Tuple[
             raise SchemaError(exc.field_path, line_number) from exc
         first = outputs.get(row_id)
         if first is None:
-            outputs[row_id] = output
+            outputs[row_id] = strings.setdefault(output, output)
         elif first == output:
             duplicates += 1
         else:
@@ -162,7 +163,7 @@ def collect_outputs(output_rows: Iterable[Tuple[int, Dict[str, Any]]]) -> Tuple[
 
 
 def join_constraints(
-    constraint_rows: Iterable[Tuple[int, Dict[str, Any]]], outputs: Dict[str, str]
+    constraint_rows: Iterable[Tuple[int, Dict[str, Any]]], outputs: Dict[str, Optional[str]]
 ) -> Tuple[List[Tuple[ConstraintSpec, str]], Dict[str, int]]:
     """Pair every constraint row with its output from collect_outputs.
 
@@ -172,27 +173,35 @@ def join_constraints(
     A missing or mistyped ``id`` or constraint field raises SchemaError
     naming the line and the field path; so does an ``id`` an earlier row
     already has, as which constraints its output answers is then ambiguous.
-    Each distinct constraint is parsed once per call.
+
+    The join consumes ``outputs``: it takes each id's output by setting the
+    id's value to None, so that dict holds every output id once and
+    afterwards maps exactly the unknown ids to their outputs. Only the ids
+    of rows without an output are kept beside it. Each distinct constraint
+    is parsed once per call, and rows holding the same constraints, in any
+    order, share one ConstraintSpec.
     """
     examples = []
-    known = set()
     parsed: Dict[Tuple[str, Any], Any] = {}
-    missing = 0
+    specs: Dict[FrozenSet[Any], ConstraintSpec] = {}
+    missing = set()
     for line_number, record in constraint_rows:
         try:
             row_id = _checked(record.get("id"), str, "id")
-            if row_id in known:
+            output = outputs.get(row_id, "")
+            if output is None or row_id in missing:
                 raise SchemaError("id", problem=f"id {row_id!r} already has constraints on an earlier line")
             spec = ConstraintSpec.from_dicts(_checked(record.get("constraints"), list, "constraints"), parsed)
         except SchemaError as exc:
             raise SchemaError(exc.field_path, line_number, exc.problem) from exc
-        known.add(row_id)
-        if row_id not in outputs:
-            missing += 1
-        examples.append((spec, outputs.get(row_id, "")))
+        if row_id in outputs:
+            outputs[row_id] = None
+        else:
+            missing.add(row_id)
+        examples.append((specs.setdefault(spec.constraints, spec), output))
     counts = {
-        "n_missing_outputs": missing,
-        "n_unknown_outputs": sum(1 for row_id in outputs if row_id not in known),
+        "n_missing_outputs": len(missing),
+        "n_unknown_outputs": sum(1 for output in outputs.values() if output is not None),
     }
     return examples, counts
 
@@ -322,6 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-config", action="store_true", help="print a template config and exit")
     p.set_defaults(func=cmd_run)
 
+    # main reports its own argument checks through the subcommand's parser,
+    # so that the usage line names the subcommand, as argparse's own do.
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -329,11 +342,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "tasks" and args.derive and not (args.corpus and args.out):
-        parser.error("tasks --derive requires --corpus and --out")
+        args.parser.error("tasks --derive requires --corpus and --out")
     if args.command == "ingest" and args.synth is not None and args.synth < 1:
-        parser.error("argument --synth: must be >= 1")
+        args.parser.error("argument --synth: must be >= 1")
     if args.command == "run" and not args.print_config and not args.config:
-        parser.error("run requires --config (or --print-config)")
+        args.parser.error("run requires --config (or --print-config)")
     try:
         return args.func(args)
     except (OSError, KeyError, ValueError) as exc:

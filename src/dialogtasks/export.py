@@ -150,16 +150,26 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
 
 
 def constraint_records(instances: Iterable[TaskInstance]) -> List[Dict[str, Any]]:
-    """One row per instance: id, task, signature, checkable constraints."""
-    return [
-        {
+    """One row per instance: id, task, signature, checkable constraints.
+
+    extract_constraints reads only an instance's grounding items, target
+    item and target component, so within one call the rows that hold the
+    same three share one constraint list, built and sorted once.
+    """
+    bodies: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
+    rows = []
+    for inst in instances:
+        key = (inst.grounding_items, inst.target_item, inst.signature.target)
+        body = bodies.get(key)
+        if body is None:
+            body = bodies[key] = extract_constraints(inst).to_dicts()
+        rows.append({
             "id": example_id(inst.provenance, inst.style),
             "task": inst.task_name,
             "signature": inst.signature.canonical_string(),
-            "constraints": extract_constraints(inst).to_dicts(),
-        }
-        for inst in instances
-    ]
+            "constraints": body,
+        })
+    return rows
 
 
 def _counts(values: Iterable[Any]) -> Dict[Any, int]:

@@ -63,7 +63,9 @@ def test_ingest_synth_below_one_exits_two_naming_the_option(tmp_path, capsys, co
     with pytest.raises(SystemExit) as exc:
         cli.main(["ingest", "--synth", count, "--out", str(path)])
     assert exc.value.code == 2
-    assert "argument --synth: must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dialogtasks ingest ")
+    assert "dialogtasks ingest: error: argument --synth: must be >= 1" in err
     assert not path.exists()
 
 
@@ -79,6 +81,9 @@ def test_tasks_derive_requires_corpus_and_out(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["tasks", "--derive"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dialogtasks tasks ")
+    assert "dialogtasks tasks: error: tasks --derive requires --corpus and --out" in err
 
 
 def test_tasks_derive_unknown_task_is_error(tmp_path, corpus_path, capsys):
@@ -429,6 +434,9 @@ def test_run_requires_config(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dialogtasks run ")
+    assert "dialogtasks run: error: run requires --config (or --print-config)" in err
 
 
 def test_run_full_pipeline_from_config(tmp_path, capsys):

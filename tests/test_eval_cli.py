@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialogtasks import cli
+from dialogtasks.evaluate import ConstraintSpec, score_corpus
 from dialogtasks.ingest import ParseError, SchemaError
 
 CONSTRAINT_ROWS = [
@@ -210,6 +211,47 @@ def test_join_constraints_parses_each_distinct_constraint_once():
     assert len({id(c) for c in constraints}) == len(set(constraints)) == 3
 
 
+def test_join_constraints_shares_one_spec_per_constraint_set_in_any_order():
+    begins = {"type": "begins_with", "phrase": "x"}
+    keywords = {"type": "contains_keywords", "keywords": ["k", "j"]}
+    reference = {"type": "reference_overlap", "reference": "x k j"}
+    rows = [
+        (1, {"id": "a", "constraints": [begins, keywords, reference]}),
+        (2, {"id": "b", "constraints": [reference, begins, keywords]}),
+        (3, {"id": "c", "constraints": [keywords, reference]}),
+        (4, {"id": "d", "constraints": json.loads(json.dumps([keywords, reference, begins]))}),
+    ]
+    examples, _ = cli.join_constraints(rows, {})
+    specs = [spec for spec, _ in examples]
+    assert specs[0] is specs[1] is specs[3]
+    assert specs[2] is not specs[0] and specs[2] != specs[0]
+
+
+def test_equal_outputs_share_one_string_and_the_join_takes_each_id_from_the_outputs():
+    rows = [
+        (1, {"id": "a", "output": "".join(["the ", "flat"])}),
+        (2, {"id": "b", "output": "".join(["the", " flat"])}),
+        (3, {"id": "a", "output": "".join(["th", "e flat"])}),
+        (4, {"id": "z", "output": "".join(["the f", "lat"])}),
+        (5, {"id": "c", "output": "other"}),
+    ]
+    outputs, duplicates = cli.collect_outputs(rows)
+    assert duplicates == 1
+    assert outputs["a"] is outputs["b"] is outputs["z"]
+    constraint_rows = [
+        (1, {"id": "b", "constraints": []}),
+        (2, {"id": "m", "constraints": []}),
+        (3, {"id": "a", "constraints": []}),
+        (4, {"id": "c", "constraints": []}),
+    ]
+    examples, counts = cli.join_constraints(constraint_rows, outputs)
+    assert [output for _, output in examples] == ["the flat", "", "the flat", "other"]
+    assert examples[0][1] is examples[2][1]
+    assert counts == {"n_missing_outputs": 1, "n_unknown_outputs": 1}
+    # The join consumes the dict: taken ids are marked None, unknown ones keep their output.
+    assert outputs == {"a": None, "b": None, "c": None, "z": "the flat"}
+
+
 @pytest.mark.parametrize(
     "constraint_rows, output_rows, bad_file",
     [
@@ -263,7 +305,8 @@ def _well_formed_constraint(kind):
 
 _CONSTRAINT = _spoiled(st.one_of([_well_formed_constraint(kind) for kind in sorted(_FIELD_VALUES)]))
 _CONSTRAINT_ROW = _spoiled(st.fixed_dictionaries({"id": _IDS, "constraints": st.lists(_CONSTRAINT, max_size=3)}))
-_OUTPUT_ROW = _spoiled(st.fixed_dictionaries({"id": _IDS, "output": st.sampled_from(["x", "the flat"]) | _TEXT}))
+_OUTPUT_TEXT = st.sampled_from(["x", "the flat"]) | _TEXT
+_OUTPUT_ROW = _spoiled(st.fixed_dictionaries({"id": _IDS, "output": _OUTPUT_TEXT}))
 _RAW_LINE = st.sampled_from(["{", "not json", "[1,", '"text"', "", "  "])
 
 
@@ -294,6 +337,75 @@ def test_eval_fuzz_constraint_rows(constraint_rows):
 @given(output_rows=_lines(_OUTPUT_ROW))
 def test_eval_fuzz_output_rows(output_rows):
     _assert_only_parse_and_schema_errors(CONSTRAINT_ROWS, output_rows)
+
+
+def _one_reference_at_most(constraints):
+    """Exported rows carry one reference; with two, Rouge-L's mean would depend on set order."""
+    return sum(1 for c in constraints if c["type"] == "reference_overlap") <= 1
+
+
+_CONSTRAINT_SET = st.lists(
+    st.one_of([_well_formed_constraint(kind) for kind in sorted(_FIELD_VALUES)]), max_size=3
+).filter(_one_reference_at_most)
+
+
+@st.composite
+def _join_files(draw):
+    """Well-formed constraint and output rows with repeated, missing, unknown and duplicated ids.
+
+    Constraint rows draw their lists from a few sets, each in any order.
+    Output rows repeat earlier rows; sometimes a constraint id is given a
+    second row, or an output id a second output, which eval refuses.
+    """
+    sets = draw(st.lists(_CONSTRAINT_SET, min_size=1, max_size=3))
+    ids = draw(st.lists(_IDS, unique=True, max_size=4))
+    if ids and draw(st.integers(0, 3)) == 0:
+        ids.append(draw(st.sampled_from(ids)))
+    constraint_rows = [{"id": i, "constraints": draw(st.permutations(draw(st.sampled_from(sets))))} for i in ids]
+    output_rows = [{"id": i, "output": draw(_OUTPUT_TEXT)} for i in draw(st.lists(_IDS, unique=True, max_size=4))]
+    if output_rows:
+        output_rows += draw(st.lists(st.sampled_from(output_rows), max_size=3))
+        if draw(st.integers(0, 3)) == 0:
+            output_rows.append({"id": draw(st.sampled_from(output_rows))["id"], "output": draw(_OUTPUT_TEXT)})
+    return constraint_rows, draw(st.permutations(output_rows))
+
+
+def _oracle_report(constraint_rows, output_rows):
+    """The eval report by a plain dict join, or None where eval must refuse the files."""
+    outputs = {}
+    duplicates = 0
+    for row in output_rows:
+        if row["id"] not in outputs:
+            outputs[row["id"]] = row["output"]
+        elif outputs[row["id"]] == row["output"]:
+            duplicates += 1
+        else:
+            return None
+    ids = [row["id"] for row in constraint_rows]
+    if len(set(ids)) < len(ids):
+        return None
+    examples = [(ConstraintSpec.from_dicts(row["constraints"]), outputs.get(row["id"], "")) for row in constraint_rows]
+    return {
+        "n_duplicate_outputs": duplicates,
+        "n_missing_outputs": sum(1 for i in ids if i not in outputs),
+        "n_unknown_outputs": len(set(outputs) - set(ids)),
+        **score_corpus(examples),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=_join_files())
+def test_eval_report_equals_a_plain_join(files):
+    constraint_rows, output_rows = files
+    expected = _oracle_report(constraint_rows, output_rows)
+    with tempfile.TemporaryDirectory() as directory:
+        code, out, err = _eval(directory, constraint_rows, output_rows)
+    if expected is None:
+        assert code == cli.EXIT_IO and out == ""
+        assert err.startswith("error: line ") and "Traceback" not in err
+    else:
+        assert code == cli.EXIT_OK
+        assert json.loads(out) == json.loads(json.dumps(expected))
 
 
 _WRONG_TYPES = (
