@@ -10,11 +10,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .ingest import SchemaError
 from .model import ComponentKind, TaskInstance, _checked
-from .textutil import LENGTH_CLASSES, length_class, normalize, normalize_tokens, split_keyword_list
+from .textutil import LENGTH_CLASSES, length_class, normalize_tokens, split_keyword_list
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +59,65 @@ class ReferenceOverlap:
 Constraint = Union[BeginsWith, EndsWith, ContainsKeywords, LengthClass, ExactMatch, ReferenceOverlap]
 
 
+def _contains_all(needles: List[List[str]], out: List[str]) -> bool:
+    """Whether each needle occurs in ``out`` as a run of consecutive tokens."""
+    return all(
+        any(out[i : i + len(needle)] == needle for i in range(len(out) - len(needle) + 1)) for needle in needles
+    )
+
+
+def _length_label(value: Any, field: str) -> str:
+    # Only a label textutil.length_class gives can be met by any output.
+    if _checked(value, str, field) not in LENGTH_CLASSES:
+        raise SchemaError(field)
+    return value
+
+
+@dataclass(frozen=True, slots=True)
+class _Shape:
+    """A kind's value: read from a row field, built from a grounding item's text, prepared for its check."""
+
+    parse: Callable[[Any, str], Any]  # (row field value, field name) -> value, or SchemaError naming the field
+    from_item: Callable[[str], Any]
+    prepare: Callable[[Any], Any]  # calls normalize_tokens by name, so a rebinding of it sees every call
+
+
+_TEXT = _Shape(lambda value, field: _checked(value, str, field), str, lambda text: normalize_tokens(text))
+_TEXT_LIST = _Shape(
+    lambda value, field: tuple(_checked(text, str, field) for text in _checked(value, list, field)),
+    split_keyword_list, lambda texts: [normalize_tokens(text) for text in texts],
+)
+_LABEL = _Shape(_length_label, str, lambda label: label)
+
+
 @dataclass(frozen=True, slots=True)
 class _Kind:
     cls: type
     field: str  # the field of a constraint row that holds the value
     item_kind: Optional[str]  # the grounding item family it is built from; None for target constraints
+    shape: _Shape
+    check: Optional[Callable[[Any, List[str]], bool]]  # (prepared value, output tokens); None: scored by overlap
 
 
 # Every constraint kind, keyed by the type name a constraint row carries; the
 # boolean kinds come first, in the order reports list them.
 CONSTRAINT_KINDS: Dict[str, _Kind] = {
-    "begins_with": _Kind(BeginsWith, "phrase", "begins_with"),
-    "ends_with": _Kind(EndsWith, "phrase", "ends_with"),
-    "contains_keywords": _Kind(ContainsKeywords, "keywords", "keywords"),
-    "length_class": _Kind(LengthClass, "label", "length_class"),
-    "exact_match": _Kind(ExactMatch, "value", None),
-    "reference_overlap": _Kind(ReferenceOverlap, "reference", None),
+    "begins_with": _Kind(BeginsWith, "phrase", "begins_with", _TEXT, lambda head, out: out[: len(head)] == head),
+    "ends_with": _Kind(
+        EndsWith, "phrase", "ends_with", _TEXT, lambda tail, out: not tail or out[-len(tail) :] == tail
+    ),
+    "contains_keywords": _Kind(ContainsKeywords, "keywords", "keywords", _TEXT_LIST, _contains_all),
+    "length_class": _Kind(
+        LengthClass, "label", "length_class", _LABEL, lambda label, out: length_class(len(out)) == label
+    ),
+    "exact_match": _Kind(ExactMatch, "value", None, _TEXT, lambda tokens, out: out == tokens),
+    "reference_overlap": _Kind(ReferenceOverlap, "reference", None, _TEXT, None),
 }
 
-BOOLEAN_KINDS = tuple(name for name, kind in CONSTRAINT_KINDS.items() if kind.cls is not ReferenceOverlap)
+BOOLEAN_KINDS = tuple(name for name, kind in CONSTRAINT_KINDS.items() if kind.check is not None)
 
 _KIND_NAMES = {kind.cls: name for name, kind in CONSTRAINT_KINDS.items()}
-_ITEM_CLASSES = {kind.item_kind: kind.cls for kind in CONSTRAINT_KINDS.values() if kind.item_kind}
+_ITEM_KINDS = {kind.item_kind: kind for kind in CONSTRAINT_KINDS.values() if kind.item_kind}
 
 
 def constraint_to_dict(constraint: Constraint) -> Dict[str, Any]:
@@ -89,26 +127,18 @@ def constraint_to_dict(constraint: Constraint) -> Dict[str, Any]:
     return {"type": name, field: list(value) if type(value) is tuple else value}
 
 
-def _type_and_value(data: Dict[str, Any]) -> Tuple[str, Union[str, Tuple[str, ...]]]:
-    """A constraint's type and the value of its one other field, keywords as a tuple.
+def _type_and_value(data: Dict[str, Any]) -> Tuple[str, Any]:
+    """A constraint's type and the value of its one other field, read by its kind's shape.
 
-    A missing or mistyped field raises SchemaError naming it. A length_class
-    label must be one that textutil.length_class gives, as no output could
-    meet any other. Every part of the pair has passed _checked, so the pair
-    keys the memo of ConstraintSpec.from_dicts.
+    A missing or mistyped field, or a label outside its closed set, raises
+    SchemaError naming it. Every part of the pair has passed _checked, so
+    the pair keys the memo of ConstraintSpec.from_dicts.
     """
     name = _checked(data.get("type"), str, "type")
     kind = CONSTRAINT_KINDS.get(name)
     if kind is None:
         raise SchemaError("type")
-    field = kind.field
-    if kind.cls is ContainsKeywords:
-        keywords = _checked(data.get(field), list, field)
-        return name, tuple(_checked(keyword, str, field) for keyword in keywords)
-    value = _checked(data.get(field), str, field)
-    if kind.cls is LengthClass and value not in LENGTH_CLASSES:
-        raise SchemaError(field)
-    return name, value
+    return name, kind.shape.parse(data.get(kind.field), kind.field)
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,9 +192,9 @@ def extract_constraints(inst: TaskInstance) -> ConstraintSpec:
     """
     constraints: set = set()
     for item in inst.grounding_items:
-        cls = _ITEM_CLASSES.get(item.kind)
-        if cls is not None:
-            constraints.add(cls(split_keyword_list(item.value) if cls is ContainsKeywords else item.value))
+        kind = _ITEM_KINDS.get(item.kind)
+        if kind is not None:
+            constraints.add(kind.cls(kind.shape.from_item(item.value)))
     target = ReferenceOverlap if inst.signature.target == ComponentKind.RESPONSE else ExactMatch
     constraints.add(target(inst.target_item.value))
     return ConstraintSpec(frozenset(constraints))
@@ -173,21 +203,6 @@ def extract_constraints(inst: TaskInstance) -> ConstraintSpec:
 # ---------------------------------------------------------------------------
 # Prepared constraints and boolean checks
 # ---------------------------------------------------------------------------
-
-def _contains_sequence(haystack: List[str], needle: List[str]) -> bool:
-    if not needle:
-        return True
-    n = len(needle)
-    return any(haystack[i : i + n] == needle for i in range(len(haystack) - n + 1))
-
-
-@dataclass(frozen=True, slots=True)
-class _Check:
-    """A boolean constraint's kind and its test on a normalized token list."""
-
-    kind: str
-    holds: Callable[[List[str]], bool]
-
 
 @dataclass(frozen=True, slots=True)
 class _Reference:
@@ -204,38 +219,23 @@ class _Reference:
     masks: Dict[str, int]
 
 
-def _prepare(constraint: Constraint) -> Union[_Check, _Reference]:
-    """The constraint with its own text normalized, ready to score any output.
+def _prepare(constraint: Constraint) -> Union[Callable[[List[str]], bool], _Reference]:
+    """The constraint's test on a normalized token list, or the reference of a kind with no check.
 
-    A constraint's phrase, keywords, value or reference is tokenized here,
-    so preparing each distinct constraint once tokenizes its text once.
+    The value is prepared by its kind's shape here, so preparing each
+    distinct constraint once tokenizes its text once.
     """
-    if isinstance(constraint, ReferenceOverlap):
-        tokens = normalize_tokens(constraint.reference)
-        return _Reference(tokens, Counter(tokens), Counter(zip(tokens, tokens[1:])), _lcs_masks(tokens))
-    if isinstance(constraint, BeginsWith):
-        prefix = normalize_tokens(constraint.phrase)
-        holds = lambda out: out[: len(prefix)] == prefix
-    elif isinstance(constraint, EndsWith):
-        suffix = normalize_tokens(constraint.phrase)
-        holds = lambda out: not suffix or out[-len(suffix):] == suffix
-    elif isinstance(constraint, ContainsKeywords):
-        needles = [normalize_tokens(k) for k in constraint.keywords]
-        holds = lambda out: all(_contains_sequence(out, needle) for needle in needles)
-    elif isinstance(constraint, LengthClass):
-        label = constraint.label
-        holds = lambda out: length_class(len(out)) == label
-    else:
-        value = normalize(constraint.value)
-        holds = lambda out: " ".join(out) == value
-    return _Check(_KIND_NAMES[type(constraint)], holds)
+    kind = CONSTRAINT_KINDS[_KIND_NAMES[type(constraint)]]
+    value = kind.shape.prepare(getattr(constraint, kind.field))
+    if kind.check is None:
+        return _Reference(value, Counter(value), Counter(zip(value, value[1:])), _lcs_masks(value))
+    return partial(kind.check, value)
 
 
 def check_constraint(constraint: Constraint, output: str) -> Optional[bool]:
     """Boolean verdict for boolean constraints; None for overlap constraints."""
-    if isinstance(constraint, ReferenceOverlap):
-        return None
-    return _prepare(constraint).holds(normalize_tokens(output))
+    entry = _prepare(constraint)
+    return None if isinstance(entry, _Reference) else entry(normalize_tokens(output))
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +402,7 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, An
     reference's counts. BLEU counts are pooled as the loop goes.
     """
     n = len(examples)
-    prepared: Dict[Constraint, Union[_Check, _Reference]] = {}
+    prepared: Dict[Constraint, Union[Callable[[List[str]], bool], _Reference]] = {}
     kind_fail: Dict[str, int] = {}
     kind_present: Dict[str, int] = {}
     all_pass = 0
@@ -413,6 +413,7 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, An
         out = normalize_tokens(output)
         present_kinds = set()
         failed_kinds = set()
+        row_start = len(rouge_scores)
         for constraint in spec.constraints:
             entry = prepared.get(constraint)
             if entry is None:
@@ -421,9 +422,12 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, An
                 _add_counts(bleu_totals, _bleu2_clip(out, entry.unigrams, entry.bigrams, len(entry.tokens)))
                 rouge_scores.append(rouge_l(out, entry))
                 continue
-            present_kinds.add(entry.kind)
-            if not entry.holds(out):
-                failed_kinds.add(entry.kind)
+            kind = _KIND_NAMES[type(constraint)]
+            present_kinds.add(kind)
+            if not entry(out):
+                failed_kinds.add(kind)
+        if len(rouge_scores) > row_start + 1:  # set order follows the hash seed
+            rouge_scores[row_start:] = sorted(rouge_scores[row_start:])
         for kind in present_kinds:
             kind_present[kind] = kind_present.get(kind, 0) + 1
         for kind in failed_kinds:

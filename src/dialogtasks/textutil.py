@@ -69,11 +69,6 @@ def normalize_tokens(text: str) -> list[str]:
     return [token.lower() for token in tokenize(text)]
 
 
-def normalize(text: str) -> str:
-    """Single normalized string: lowercase, punctuation split, single spaces."""
-    return " ".join(normalize_tokens(text))
-
-
 def is_content_token(token: str) -> bool:
     """True for alphabetic tokens outside the stopword list (keyword candidates)."""
     return token.isalpha() and token.lower() not in STOPWORDS

@@ -3,6 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -339,14 +343,7 @@ def test_eval_fuzz_output_rows(output_rows):
     _assert_only_parse_and_schema_errors(CONSTRAINT_ROWS, output_rows)
 
 
-def _one_reference_at_most(constraints):
-    """Exported rows carry one reference; with two, Rouge-L's mean would depend on set order."""
-    return sum(1 for c in constraints if c["type"] == "reference_overlap") <= 1
-
-
-_CONSTRAINT_SET = st.lists(
-    st.one_of([_well_formed_constraint(kind) for kind in sorted(_FIELD_VALUES)]), max_size=3
-).filter(_one_reference_at_most)
+_CONSTRAINT_SET = st.lists(st.one_of([_well_formed_constraint(kind) for kind in sorted(_FIELD_VALUES)]), max_size=3)
 
 
 @st.composite
@@ -406,6 +403,35 @@ def test_eval_report_equals_a_plain_join(files):
     else:
         assert code == cli.EXIT_OK
         assert json.loads(out) == json.loads(json.dumps(expected))
+
+
+def test_eval_report_is_the_same_under_every_hash_seed(tmp_path):
+    # A row's constraints are a frozenset, whose order follows the string hash
+    # seed; with several references a row, that order must not reach the report.
+    rng = random.Random(0)
+    words = "the flat came furnished rent includes heating garden river music coffee window".split()
+
+    def text():
+        return " ".join(rng.choice(words) for _ in range(rng.randint(3, 30)))
+
+    constraint_rows, output_rows = [], []
+    for i in range(100):
+        references = [{"type": "reference_overlap", "reference": text()} for _ in range(3)]
+        constraint_rows.append({"id": f"r{i}", "constraints": references})
+        output_rows.append({"id": f"r{i}", "output": text()})
+    _write(tmp_path / "constraints.jsonl", constraint_rows)
+    _write(tmp_path / "outputs.jsonl", output_rows)
+    command = [sys.executable, "-m", "dialogtasks.cli", "eval", "--constraints", "constraints.jsonl"]
+    source = str(Path(cli.__file__).resolve().parents[1])
+    reports = set()
+    for hash_seed in range(1, 7):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": source}
+        done = subprocess.run(
+            command + ["--outputs", "outputs.jsonl"], cwd=tmp_path, env=env, capture_output=True, timeout=120
+        )
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        reports.add(done.stdout)
+    assert len(reports) == 1
 
 
 _WRONG_TYPES = (

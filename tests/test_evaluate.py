@@ -1,5 +1,6 @@
 """Constraint extraction, boolean checks, overlap metrics, corpus scoring."""
 
+import dataclasses
 import math
 import typing
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dialogtasks import evaluate
 from dialogtasks.evaluate import (
+    _TEXT_LIST,
     BOOLEAN_KINDS,
     CONSTRAINT_KINDS,
     BeginsWith,
@@ -183,14 +186,51 @@ def test_length_class_label_outside_the_classes_is_refused():
 def test_every_kind_in_the_table_round_trips():
     assert {kind.cls for kind in CONSTRAINT_KINDS.values()} == set(typing.get_args(Constraint))
     for name, kind in CONSTRAINT_KINDS.items():
-        value = ("thing", "the flat") if kind.cls is ContainsKeywords else "short"
-        row = {"type": name, kind.field: list(value) if kind.cls is ContainsKeywords else value}
+        value = ("thing", "the flat") if kind.shape is _TEXT_LIST else "short"
+        row = {"type": name, kind.field: list(value) if kind.shape is _TEXT_LIST else value}
         assert constraint_to_dict(kind.cls(value)) == row
         assert ConstraintSpec.from_dicts([row]).constraints == {kind.cls(value)}
         # A row holding its value under any other kind's field is refused, naming the field it lacks.
         with pytest.raises(SchemaError) as caught:
             ConstraintSpec.from_dicts([{"type": name, "text": value}])
         assert caught.value.field_path == f"constraints[0].{kind.field}"
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class AvoidKeywords:
+    keywords: typing.Tuple[str, ...]
+
+
+def test_a_kind_is_one_row_of_the_table(monkeypatch):
+    # A second list-valued kind, registered as a row alone: it parses from a
+    # constraint row, serializes back, is built from a grounding item of its
+    # family and is scored. Besides the table, the two lookups evaluate derives
+    # from it at import get the row too.
+    kind = evaluate._Kind(
+        AvoidKeywords, "keywords", "avoid_keywords", CONSTRAINT_KINDS["contains_keywords"].shape,
+        lambda needles, out: not any(evaluate._contains_all([needle], out) for needle in needles),
+    )
+    monkeypatch.setitem(CONSTRAINT_KINDS, "avoid_keywords", kind)
+    monkeypatch.setitem(evaluate._KIND_NAMES, AvoidKeywords, "avoid_keywords")
+    monkeypatch.setitem(evaluate._ITEM_KINDS, "avoid_keywords", kind)
+    constraint = AvoidKeywords(("garden", "the rent"))
+
+    row = {"type": "avoid_keywords", "keywords": ["garden", "the rent"]}
+    spec = ConstraintSpec.from_dicts([row])
+    assert spec.constraints == {constraint}
+    assert spec.to_dicts() == [row]
+    with pytest.raises(SchemaError) as caught:
+        ConstraintSpec.from_dicts([{"type": "avoid_keywords", "keywords": "garden"}])
+    assert caught.value.field_path == "constraints[0].keywords"
+
+    plain = derive_task("response_generation", DIALOG, 1, 0)
+    grounded = dataclasses.replace(plain, grounding_items=(DialogItem(A, "avoid_keywords", "garden, the rent", 1),))
+    assert extract_constraints(grounded).constraints == {constraint, ReferenceOverlap(DIALOG.turns[1].text)}
+
+    report = score_corpus([(spec, "the flat came furnished"), (spec, "The rent, and the garden.")])
+    assert report["per_constraint_accuracy"] == {"avoid_keywords": 0.5}
+    assert report["constraint_counts"] == {"avoid_keywords": 2}
+    assert report["compositional_accuracy"] == 0.5
 
 
 def test_boolean_kinds_are_the_table_without_reference_overlap():

@@ -156,6 +156,16 @@ def test_every_grounding_family_a_task_produces_has_a_phrase_and_a_label():
     assert grounded and grounded <= set(PHRASES) and grounded <= set(NAIVE_LABELS)
 
 
+def test_every_phrase_row_is_a_family_something_produces():
+    # The adapters' and the synthetic corpus's families are all grounding
+    # families of some task; discriminative variants add their candidates item.
+    grounded = {task.grounding[1] for task in registry._DEFS if task.grounding is not None}
+    inst = registry.derive_task("emotion_prediction", DIALOG, 1, 0)
+    variant = registry.discriminative_variant(inst, [inst.target_item.value])
+    added = {item.kind for item in variant.grounding_items} - {item.kind for item in inst.grounding_items}
+    assert set(PHRASES) <= grounded | added
+
+
 def test_render_layout_instruction_first_target_header_last():
     inst = _instance([DialogItem(A, "emotion", "surprise", 1)], RESPONSE_TARGET)
     for seed in range(12):

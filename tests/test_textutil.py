@@ -13,7 +13,7 @@ from dialogtasks.textutil import (
     is_content_token,
     join_natural,
     length_class,
-    normalize,
+    normalize_tokens,
     split_token,
     tokenize,
 )
@@ -41,13 +41,13 @@ def test_tokenize_splits_trailing_punctuation():
 
 
 def test_normalize_lowercases_and_respaces():
-    assert normalize("Hello,  World!") == "hello , world !"
+    assert normalize_tokens("Hello,  World!") == ["hello", ",", "world", "!"]
 
 
 @given(st.text(alphabet=string.printable, max_size=80))
 def test_normalize_idempotent(text):
-    once = normalize(text)
-    assert normalize(once) == once
+    once = normalize_tokens(text)
+    assert normalize_tokens(" ".join(once)) == once
 
 
 def test_stopwords_cover_discourse_words():
