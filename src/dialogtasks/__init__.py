@@ -17,19 +17,7 @@ from .composer import (
     naive_compose,
     naive_corpus,
 )
-from .evaluate import (
-    BeginsWith,
-    ConstraintSpec,
-    ContainsKeywords,
-    EndsWith,
-    ExactMatch,
-    LengthClass,
-    ReferenceOverlap,
-    bleu2,
-    extract_constraints,
-    rouge_l,
-    score_corpus,
-)
+from .evaluate import Constraint, ConstraintSpec, bleu2, extract_constraints, rouge_l, score_corpus
 from .export import SamplingPlan, corpus_stats, export_corpus, sample
 from .ingest import ADAPTERS, SynthConfig, load_corpus, synth_corpus, write_corpus
 from .model import (
@@ -47,27 +35,22 @@ from .model import (
 )
 from .pipeline import PipelineConfig, run_pipeline
 from .prompts import RenderOptions, RenderedExample, apply_cot, cot_transform, render, render_corpus
-from .registry import REGISTRY, AtomicTaskDef, derive_corpus, derive_task, discriminative_variant, list_tasks
+from .registry import REGISTRY, AtomicTaskDef, derive_corpus, derive_task, list_tasks
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ADAPTERS",
     "AtomicTaskDef",
-    "BeginsWith",
     "ComponentKind",
     "CompositionRule",
+    "Constraint",
     "ConstraintSpec",
-    "ContainsKeywords",
     "Dialog",
     "DialogItem",
-    "EndsWith",
-    "ExactMatch",
-    "LengthClass",
     "PipelineConfig",
     "Provenance",
     "REGISTRY",
-    "ReferenceOverlap",
     "Rejection",
     "RenderOptions",
     "RenderedExample",
@@ -85,7 +68,6 @@ __all__ = [
     "cot_transform",
     "derive_corpus",
     "derive_task",
-    "discriminative_variant",
     "export_corpus",
     "extract_constraints",
     "infeasibility_guard",

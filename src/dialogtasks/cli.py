@@ -72,7 +72,9 @@ def cmd_compose(args: argparse.Namespace) -> int:
         composites = naive_corpus(instances, rules)
         summary: Dict[str, Any] = {"composites": len(composites), "style": "naive"}
     else:
-        composites, reasons = compose_corpus(instances, rules, max_dim=args.max_dim)
+        # --max-dim defaults to None, not 2, so that argparse refuses "--naive --max-dim 2" too.
+        max_dim = 2 if args.max_dim is None else args.max_dim
+        composites, reasons = compose_corpus(instances, rules, max_dim=max_dim)
         summary = {
             "composites": len(composites),
             "style": "standard",
@@ -98,10 +100,14 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def _read_plan(path: str) -> SamplingPlan:
     """A sampling plan from a JSON object; absent quotas keep their defaults, others must be JSON integers."""
+    raw = Path(path).read_bytes()
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except RecursionError as exc:
-        raise ParseError(1, f"plan file {path} nests deeper than the JSON reader allows") from exc
+        data = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # A JSON error knows its line and a decoding error its byte; too deep a nesting knows neither.
+        line = getattr(exc, "lineno", None) or raw.count(b"\n", 0, getattr(exc, "start", 0)) + 1
+        problem = "is not UTF-8 JSON, or nests deeper than the JSON reader allows"
+        raise ParseError(line, f"plan file {path} {problem}: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError("(plan)", problem=f"plan file {path} does not hold a JSON object")
     quotas = SamplingPlan().to_dict()
@@ -289,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="compose atomic instances")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     p.add_argument("--rules", help="rule table CSV (default: packaged)")
-    p.add_argument("--max-dim", type=int, default=2)
-    p.add_argument("--naive", action="store_true", help="naive concatenation baseline")
+    style = p.add_mutually_exclusive_group()
+    style.add_argument("--max-dim", type=int, help="largest composite dimension (default 2)")
+    style.add_argument("--naive", action="store_true", help="naive concatenation baseline")
     p.add_argument("--out", required=True, help="composite output path")
     p.set_defaults(func=cmd_compose)
 

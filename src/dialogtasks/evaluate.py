@@ -23,40 +23,16 @@ from .textutil import LENGTH_CLASSES, length_class, normalize_tokens, split_keyw
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
-class BeginsWith:
-    phrase: str
+class Constraint:
+    """One constraint on an output: a CONSTRAINT_KINDS key and its value.
 
+    The value is a str, or a tuple of str for a kind of the text-list shape.
+    exact_match holds a label-valued target (state/evidence/action tasks),
+    reference_overlap a free-text target scored by overlap.
+    """
 
-@dataclass(frozen=True, slots=True)
-class EndsWith:
-    phrase: str
-
-
-@dataclass(frozen=True, slots=True)
-class ContainsKeywords:
-    keywords: Tuple[str, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class LengthClass:
-    label: str
-
-
-@dataclass(frozen=True, slots=True)
-class ExactMatch:
-    """Label-valued targets (state/evidence/action tasks) score as exact match."""
-
-    value: str
-
-
-@dataclass(frozen=True, slots=True)
-class ReferenceOverlap:
-    """Free-text targets score as overlap against the gold reference."""
-
-    reference: str
-
-
-Constraint = Union[BeginsWith, EndsWith, ContainsKeywords, LengthClass, ExactMatch, ReferenceOverlap]
+    type: str
+    value: Union[str, Tuple[str, ...]]
 
 
 def _contains_all(needles: List[List[str]], out: List[str]) -> bool:
@@ -92,7 +68,6 @@ _LABEL = _Shape(_length_label, str, lambda label: label)
 
 @dataclass(frozen=True, slots=True)
 class _Kind:
-    cls: type
     field: str  # the field of a constraint row that holds the value
     item_kind: Optional[str]  # the grounding item family it is built from; None for target constraints
     shape: _Shape
@@ -102,29 +77,23 @@ class _Kind:
 # Every constraint kind, keyed by the type name a constraint row carries; the
 # boolean kinds come first, in the order reports list them.
 CONSTRAINT_KINDS: Dict[str, _Kind] = {
-    "begins_with": _Kind(BeginsWith, "phrase", "begins_with", _TEXT, lambda head, out: out[: len(head)] == head),
-    "ends_with": _Kind(
-        EndsWith, "phrase", "ends_with", _TEXT, lambda tail, out: not tail or out[-len(tail) :] == tail
-    ),
-    "contains_keywords": _Kind(ContainsKeywords, "keywords", "keywords", _TEXT_LIST, _contains_all),
-    "length_class": _Kind(
-        LengthClass, "label", "length_class", _LABEL, lambda label, out: length_class(len(out)) == label
-    ),
-    "exact_match": _Kind(ExactMatch, "value", None, _TEXT, lambda tokens, out: out == tokens),
-    "reference_overlap": _Kind(ReferenceOverlap, "reference", None, _TEXT, None),
+    "begins_with": _Kind("phrase", "begins_with", _TEXT, lambda head, out: out[: len(head)] == head),
+    "ends_with": _Kind("phrase", "ends_with", _TEXT, lambda tail, out: not tail or out[-len(tail) :] == tail),
+    "contains_keywords": _Kind("keywords", "keywords", _TEXT_LIST, _contains_all),
+    "length_class": _Kind("label", "length_class", _LABEL, lambda label, out: length_class(len(out)) == label),
+    "exact_match": _Kind("value", None, _TEXT, lambda tokens, out: out == tokens),
+    "reference_overlap": _Kind("reference", None, _TEXT, None),
 }
 
 BOOLEAN_KINDS = tuple(name for name, kind in CONSTRAINT_KINDS.items() if kind.check is not None)
 
-_KIND_NAMES = {kind.cls: name for name, kind in CONSTRAINT_KINDS.items()}
-_ITEM_KINDS = {kind.item_kind: kind for kind in CONSTRAINT_KINDS.values() if kind.item_kind}
+_ITEM_KINDS = {kind.item_kind: (name, kind) for name, kind in CONSTRAINT_KINDS.items() if kind.item_kind}
 
 
 def constraint_to_dict(constraint: Constraint) -> Dict[str, Any]:
-    name = _KIND_NAMES[type(constraint)]
-    field = CONSTRAINT_KINDS[name].field
-    value = getattr(constraint, field)
-    return {"type": name, field: list(value) if type(value) is tuple else value}
+    value = constraint.value
+    field = CONSTRAINT_KINDS[constraint.type].field
+    return {"type": constraint.type, field: list(value) if type(value) is tuple else value}
 
 
 def _type_and_value(data: Dict[str, Any]) -> Tuple[str, Any]:
@@ -178,7 +147,7 @@ class ConstraintSpec:
                 raise SchemaError(f"constraints[{index}].{exc.field_path}") from exc
             constraint = memo.get(key)
             if constraint is None:
-                constraint = memo[key] = CONSTRAINT_KINDS[key[0]].cls(key[1])
+                constraint = memo[key] = Constraint(*key)
             constraints.append(constraint)
         return cls(frozenset(constraints))
 
@@ -187,16 +156,17 @@ def extract_constraints(inst: TaskInstance) -> ConstraintSpec:
     """Deterministically derive the constraint set for an instance.
 
     Grounding items with checkable semantics contribute boolean constraints;
-    response-target instances always carry a ReferenceOverlap on the gold
-    response, and label-target instances an ExactMatch on the gold label.
+    response-target instances always carry a reference_overlap on the gold
+    response, and label-target instances an exact_match on the gold label.
     """
     constraints: set = set()
     for item in inst.grounding_items:
-        kind = _ITEM_KINDS.get(item.kind)
-        if kind is not None:
-            constraints.add(kind.cls(kind.shape.from_item(item.value)))
-    target = ReferenceOverlap if inst.signature.target == ComponentKind.RESPONSE else ExactMatch
-    constraints.add(target(inst.target_item.value))
+        entry = _ITEM_KINDS.get(item.kind)
+        if entry is not None:
+            name, kind = entry
+            constraints.add(Constraint(name, kind.shape.from_item(item.value)))
+    target = "reference_overlap" if inst.signature.target == ComponentKind.RESPONSE else "exact_match"
+    constraints.add(Constraint(target, inst.target_item.value))
     return ConstraintSpec(frozenset(constraints))
 
 
@@ -225,8 +195,8 @@ def _prepare(constraint: Constraint) -> Union[Callable[[List[str]], bool], _Refe
     The value is prepared by its kind's shape here, so preparing each
     distinct constraint once tokenizes its text once.
     """
-    kind = CONSTRAINT_KINDS[_KIND_NAMES[type(constraint)]]
-    value = kind.shape.prepare(getattr(constraint, kind.field))
+    kind = CONSTRAINT_KINDS[constraint.type]
+    value = kind.shape.prepare(constraint.value)
     if kind.check is None:
         return _Reference(value, Counter(value), Counter(zip(value, value[1:])), _lcs_masks(value))
     return partial(kind.check, value)
@@ -386,9 +356,9 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, An
 
     Returns the report: ``n_examples``, ``per_constraint_accuracy`` and
     ``constraint_counts`` (per kind, sorted), ``compositional_accuracy``, and
-    ``bleu2`` and ``rouge_l`` (None without a ReferenceOverlap constraint).
+    ``bleu2`` and ``rouge_l`` (None without a reference_overlap constraint).
     Boolean constraints produce per-kind accuracies plus the conjunctive
-    compositional accuracy; ReferenceOverlap constraints produce corpus
+    compositional accuracy; reference_overlap constraints produce corpus
     BLEU-2 and mean Rouge-L. An example passes a kind when every constraint
     of that kind it carries holds, and one without the kind passes
     vacuously. That makes the conjunction bound a theorem:
@@ -422,10 +392,9 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, An
                 _add_counts(bleu_totals, _bleu2_clip(out, entry.unigrams, entry.bigrams, len(entry.tokens)))
                 rouge_scores.append(rouge_l(out, entry))
                 continue
-            kind = _KIND_NAMES[type(constraint)]
-            present_kinds.add(kind)
+            present_kinds.add(constraint.type)
             if not entry(out):
-                failed_kinds.add(kind)
+                failed_kinds.add(constraint.type)
         if len(rouge_scores) > row_start + 1:  # set order follows the hash seed
             rouge_scores[row_start:] = sorted(rouge_scores[row_start:])
         for kind in present_kinds:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -42,7 +42,7 @@ from .model import (
 )
 from .prompts import build_instruction
 from .seeding import subseed
-from .textutil import is_content_token, join_natural, length_class, tokenize
+from .textutil import is_content_token, length_class, tokenize
 
 S = ComponentKind.STATE
 E = ComponentKind.EVIDENCE
@@ -408,40 +408,3 @@ def derive_corpus(
                 except DerivationError:
                     continue
     return instances
-
-
-# Plural family names for the candidate sentence of discriminative variants.
-_FAMILY_PLURALS = {
-    "emotion": "emotions",
-    "dialog_act": "dialog acts",
-    "length_class": "length classes",
-}
-
-
-def discriminative_variant(inst: TaskInstance, candidates: Sequence[str]) -> TaskInstance:
-    """Recast a label-target instance as a discriminative (multiple choice) one.
-
-    Adds a State grounding item spelling out the candidate labels, e.g.
-    "Candidate emotions are sad, happy, and mad." The gold value must be among
-    the candidates; candidate order is preserved as given.
-    """
-    if inst.target_item.component == R:
-        raise ValueError("discriminative variant requires a label target, not a response")
-    if inst.target_item.value not in candidates:
-        raise ValueError("gold value missing from candidates")
-    family = _FAMILY_PLURALS.get(
-        inst.target_item.kind, inst.target_item.kind.replace("_", " ") + " values"
-    )
-    sentence = f"Candidate {family} are {join_natural(list(candidates))}."
-    extra = DialogItem(S, "candidates", sentence, inst.provenance.target_turn_index)
-    grounding = tuple(sorted(inst.grounding_items + (extra,), key=item_sort_key))
-    components = tuple(item.component for item in grounding)
-    name = inst.task_name + "_discriminative"
-    return replace(
-        inst,
-        signature=signature_of(components, inst.target_item.component),
-        task_name=name,
-        instruction=build_instruction(inst.target_item.component, components),
-        grounding_items=grounding,
-        provenance=replace(inst.provenance, source_tasks=(name,)),
-    )

@@ -23,12 +23,8 @@ from dialogtasks.composer import (
     naive_compose,
 )
 from dialogtasks.evaluate import (
-    BeginsWith,
+    Constraint,
     ConstraintSpec,
-    ContainsKeywords,
-    EndsWith,
-    ExactMatch,
-    LengthClass,
     bleu2,
     check_constraint,
     extract_constraints,
@@ -340,16 +336,16 @@ def test_criterion_5_cot_transform_over_fuzzed_instances():
 # --- criterion 6: metric oracles -------------------------------------------------
 
 _CORPUS_CONSTRAINTS = (
-    BeginsWith("the flat"),
-    BeginsWith("a garden"),
-    EndsWith("furnished"),
-    EndsWith("today"),
-    ContainsKeywords(("flat",)),
-    ContainsKeywords(("garden", "flat")),
-    LengthClass("short"),
-    LengthClass("medium"),
-    ExactMatch("inform"),
-    ExactMatch("question"),
+    Constraint("begins_with", "the flat"),
+    Constraint("begins_with", "a garden"),
+    Constraint("ends_with", "furnished"),
+    Constraint("ends_with", "today"),
+    Constraint("contains_keywords", ("flat",)),
+    Constraint("contains_keywords", ("garden", "flat")),
+    Constraint("length_class", "short"),
+    Constraint("length_class", "medium"),
+    Constraint("exact_match", "inform"),
+    Constraint("exact_match", "question"),
 )
 
 _CORPUS_OUTPUTS = (

@@ -133,6 +133,19 @@ def test_compose_naive_baseline(tmp_path, instances_path, capsys):
     assert all(inst.style == "naive" for inst in read_instances(out_path))
 
 
+@pytest.mark.parametrize("max_dim", ["1", "2", "5"])
+def test_compose_naive_refuses_max_dim(tmp_path, instances_path, capsys, max_dim):
+    # Naive composition has no dimension bound, so a --max-dim beside --naive
+    # would be ignored; argparse refuses the pair, even at the default value.
+    out_path = tmp_path / "naive.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compose", "--in", str(instances_path), "--naive", "--max-dim", max_dim, "--out", str(out_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dialogtasks compose ") and "not allowed with argument" in err
+    assert not out_path.exists()
+
+
 def test_standard_and_naive_composites_export_and_score_together(tmp_path, capsys):
     corpus, atomic = tmp_path / "dialogs.jsonl", tmp_path / "atomic.jsonl"
     assert _run(capsys, "ingest", "--synth", "5", "--seed", "7", "--out", str(corpus))[0] == cli.EXIT_OK
@@ -271,6 +284,28 @@ def test_export_plan_file_must_be_an_object(tmp_path, instances_path, capsys, pl
     assert out == ""
     assert err.startswith("error: ") and message in err and str(plan_path) in err
     assert "Traceback" not in err
+    assert not (tmp_path / "export").exists()
+
+
+@pytest.mark.parametrize(
+    "plan, line",
+    [
+        (b"{bad", 1),
+        (b"\xff\xfe", 1),
+        (b'{\n  "atomic_quota": 3,\n  "composite_quota": \xff\n}', 3),
+        (b'{\n  "atomic_quota": 3,\n  "composite_quota": x\n}', 3),
+    ],
+)
+def test_export_plan_file_not_utf8_json_names_the_file_and_line(tmp_path, instances_path, capsys, plan, line):
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_bytes(plan)
+    code, out, err = _run(
+        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
+        "--out", str(tmp_path / "export"),
+    )
+    assert code == cli.EXIT_IO
+    assert out == ""
+    assert err.startswith(f"error: line {line}: plan file {plan_path} is not UTF-8 JSON")
     assert not (tmp_path / "export").exists()
 
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import typing
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +12,8 @@ from dialogtasks.evaluate import (
     _TEXT_LIST,
     BOOLEAN_KINDS,
     CONSTRAINT_KINDS,
-    BeginsWith,
     Constraint,
     ConstraintSpec,
-    ContainsKeywords,
-    EndsWith,
-    ExactMatch,
-    LengthClass,
-    ReferenceOverlap,
     bleu2,
     check_constraint,
     constraint_to_dict,
@@ -114,52 +107,52 @@ def test_rouge_is_not_order_sensitive_but_lcs_is():
 # --- boolean checks ---------------------------------------------------------
 
 def test_checks_normalize_case_and_punctuation():
-    assert check_constraint(BeginsWith("the flat ,"), "The flat, came furnished.")
-    assert not check_constraint(BeginsWith("the flat"), "flat came")
-    assert check_constraint(EndsWith("Furnished ."), "It came furnished.")
-    assert check_constraint(EndsWith(""), "anything")
-    assert check_constraint(ContainsKeywords(("flat", "furnished")), "The flat came furnished.")
-    assert not check_constraint(ContainsKeywords(("flat", "garden")), "The flat came furnished.")
-    assert check_constraint(ContainsKeywords(("raft",)), "inflatable raft")
-    assert not check_constraint(ContainsKeywords(("flat",)), "inflatable raft")  # token, not substring
-    assert check_constraint(ExactMatch("inform"), "Inform")
-    assert not check_constraint(ExactMatch("question"), "inform")
+    assert check_constraint(Constraint("begins_with", "the flat ,"), "The flat, came furnished.")
+    assert not check_constraint(Constraint("begins_with", "the flat"), "flat came")
+    assert check_constraint(Constraint("ends_with", "Furnished ."), "It came furnished.")
+    assert check_constraint(Constraint("ends_with", ""), "anything")
+    assert check_constraint(Constraint("contains_keywords", ("flat", "furnished")), "The flat came furnished.")
+    assert not check_constraint(Constraint("contains_keywords", ("flat", "garden")), "The flat came furnished.")
+    assert check_constraint(Constraint("contains_keywords", ("raft",)), "inflatable raft")
+    assert not check_constraint(Constraint("contains_keywords", ("flat",)), "inflatable raft")  # token, not substring
+    assert check_constraint(Constraint("exact_match", "inform"), "Inform")
+    assert not check_constraint(Constraint("exact_match", "question"), "inform")
 
 
 def test_check_keywords_multiword_needs_contiguous_run():
-    assert check_constraint(ContainsKeywords(("flat came",)), "the flat came furnished")
-    assert not check_constraint(ContainsKeywords(("flat came",)), "the flat quickly came")
+    assert check_constraint(Constraint("contains_keywords", ("flat came",)), "the flat came furnished")
+    assert not check_constraint(Constraint("contains_keywords", ("flat came",)), "the flat quickly came")
 
 
 def test_check_length_class_boundaries():
     short = " ".join(["w"] * 10)
     medium = " ".join(["w"] * 11)
     long_ = " ".join(["w"] * 21)
-    assert check_constraint(LengthClass("short"), short)
-    assert check_constraint(LengthClass("medium"), medium)
-    assert check_constraint(LengthClass("long"), long_)
-    assert not check_constraint(LengthClass("short"), medium)
+    assert check_constraint(Constraint("length_class", "short"), short)
+    assert check_constraint(Constraint("length_class", "medium"), medium)
+    assert check_constraint(Constraint("length_class", "long"), long_)
+    assert not check_constraint(Constraint("length_class", "short"), medium)
 
 
 def test_check_constraint_dispatch():
-    assert check_constraint(BeginsWith("a"), "a b") is True
-    assert check_constraint(EndsWith("b"), "a b") is True
-    assert check_constraint(ContainsKeywords(("b",)), "a b") is True
-    assert check_constraint(LengthClass("short"), "a b") is True
-    assert check_constraint(ExactMatch("a b"), "a b") is True
-    assert check_constraint(ReferenceOverlap("a b"), "a b") is None
+    assert check_constraint(Constraint("begins_with", "a"), "a b") is True
+    assert check_constraint(Constraint("ends_with", "b"), "a b") is True
+    assert check_constraint(Constraint("contains_keywords", ("b",)), "a b") is True
+    assert check_constraint(Constraint("length_class", "short"), "a b") is True
+    assert check_constraint(Constraint("exact_match", "a b"), "a b") is True
+    assert check_constraint(Constraint("reference_overlap", "a b"), "a b") is None
 
 
 # --- constraint serialization -----------------------------------------------
 
 def test_constraint_dict_round_trip():
     constraints = [
-        BeginsWith("the flat"),
-        EndsWith("furnished ."),
-        ContainsKeywords(("thing", "flat")),
-        LengthClass("medium"),
-        ExactMatch("inform"),
-        ReferenceOverlap("the flat came furnished ."),
+        Constraint("begins_with", "the flat"),
+        Constraint("ends_with", "furnished ."),
+        Constraint("contains_keywords", ("thing", "flat")),
+        Constraint("length_class", "medium"),
+        Constraint("exact_match", "inform"),
+        Constraint("reference_overlap", "the flat came furnished ."),
     ]
     for c in constraints:
         assert ConstraintSpec.from_dicts([constraint_to_dict(c)]).constraints == {c}
@@ -173,7 +166,7 @@ def test_constraint_dict_round_trip():
 def test_length_class_label_outside_the_classes_is_refused():
     for label in ("short", "medium", "long"):
         parsed = ConstraintSpec.from_dicts([{"type": "length_class", "label": label}])
-        assert parsed.constraints == {LengthClass(label)}
+        assert parsed.constraints == {Constraint("length_class", label)}
     for label in ("huge", "Short", "", " short"):
         with pytest.raises(SchemaError) as caught:
             ConstraintSpec.from_dicts([{"type": "length_class", "label": label}])
@@ -184,36 +177,29 @@ def test_length_class_label_outside_the_classes_is_refused():
 
 
 def test_every_kind_in_the_table_round_trips():
-    assert {kind.cls for kind in CONSTRAINT_KINDS.values()} == set(typing.get_args(Constraint))
     for name, kind in CONSTRAINT_KINDS.items():
         value = ("thing", "the flat") if kind.shape is _TEXT_LIST else "short"
         row = {"type": name, kind.field: list(value) if kind.shape is _TEXT_LIST else value}
-        assert constraint_to_dict(kind.cls(value)) == row
-        assert ConstraintSpec.from_dicts([row]).constraints == {kind.cls(value)}
+        assert constraint_to_dict(Constraint(name, value)) == row
+        assert ConstraintSpec.from_dicts([row]).constraints == {Constraint(name, value)}
         # A row holding its value under any other kind's field is refused, naming the field it lacks.
         with pytest.raises(SchemaError) as caught:
             ConstraintSpec.from_dicts([{"type": name, "text": value}])
         assert caught.value.field_path == f"constraints[0].{kind.field}"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class AvoidKeywords:
-    keywords: typing.Tuple[str, ...]
-
-
 def test_a_kind_is_one_row_of_the_table(monkeypatch):
     # A second list-valued kind, registered as a row alone: it parses from a
     # constraint row, serializes back, is built from a grounding item of its
-    # family and is scored. Besides the table, the two lookups evaluate derives
-    # from it at import get the row too.
+    # family and is scored. Besides the table, the grounding-family lookup
+    # evaluate derives from it at import gets the row too; no class is defined.
     kind = evaluate._Kind(
-        AvoidKeywords, "keywords", "avoid_keywords", CONSTRAINT_KINDS["contains_keywords"].shape,
+        "keywords", "avoid_keywords", CONSTRAINT_KINDS["contains_keywords"].shape,
         lambda needles, out: not any(evaluate._contains_all([needle], out) for needle in needles),
     )
     monkeypatch.setitem(CONSTRAINT_KINDS, "avoid_keywords", kind)
-    monkeypatch.setitem(evaluate._KIND_NAMES, AvoidKeywords, "avoid_keywords")
-    monkeypatch.setitem(evaluate._ITEM_KINDS, "avoid_keywords", kind)
-    constraint = AvoidKeywords(("garden", "the rent"))
+    monkeypatch.setitem(evaluate._ITEM_KINDS, "avoid_keywords", ("avoid_keywords", kind))
+    constraint = Constraint("avoid_keywords", ("garden", "the rent"))
 
     row = {"type": "avoid_keywords", "keywords": ["garden", "the rent"]}
     spec = ConstraintSpec.from_dicts([row])
@@ -225,7 +211,8 @@ def test_a_kind_is_one_row_of_the_table(monkeypatch):
 
     plain = derive_task("response_generation", DIALOG, 1, 0)
     grounded = dataclasses.replace(plain, grounding_items=(DialogItem(A, "avoid_keywords", "garden, the rent", 1),))
-    assert extract_constraints(grounded).constraints == {constraint, ReferenceOverlap(DIALOG.turns[1].text)}
+    reference = Constraint("reference_overlap", DIALOG.turns[1].text)
+    assert extract_constraints(grounded).constraints == {constraint, reference}
 
     report = score_corpus([(spec, "the flat came furnished"), (spec, "The rent, and the garden.")])
     assert report["per_constraint_accuracy"] == {"avoid_keywords": 0.5}
@@ -252,8 +239,8 @@ def test_every_grounding_family_is_checked_or_named_unchecked():
 
 
 def test_constraint_spec_is_order_free():
-    a = ConstraintSpec(frozenset([BeginsWith("x"), LengthClass("short")]))
-    b = ConstraintSpec(frozenset([LengthClass("short"), BeginsWith("x")]))
+    a = ConstraintSpec(frozenset([Constraint("begins_with", "x"), Constraint("length_class", "short")]))
+    b = ConstraintSpec(frozenset([Constraint("length_class", "short"), Constraint("begins_with", "x")]))
     assert a == b
     assert ConstraintSpec.from_dicts(a.to_dicts()) == a
 
@@ -269,23 +256,22 @@ def test_split_keyword_list():
 def test_extract_constraints_per_task_kind():
     bw = derive_task("beginswith_controlled_generation", DIALOG, 1, 0)
     spec = extract_constraints(bw)
-    kinds = {type(c) for c in spec.constraints}
-    assert kinds == {BeginsWith, ReferenceOverlap}
-    (phrase,) = [c.phrase for c in spec.constraints if isinstance(c, BeginsWith)]
+    assert {c.type for c in spec.constraints} == {"begins_with", "reference_overlap"}
+    (phrase,) = [c.value for c in spec.constraints if c.type == "begins_with"]
     assert DIALOG.turns[1].text.startswith(phrase)
 
     kw = derive_task("keyword_controlled_generation", DIALOG, 1, 0)
     kw_spec = extract_constraints(kw)
-    assert any(isinstance(c, ContainsKeywords) for c in kw_spec.constraints)
+    assert {c.type for c in kw_spec.constraints} == {"contains_keywords", "reference_overlap"}
 
     pred = derive_task("emotion_prediction", DIALOG, 1, 0)
     pred_spec = extract_constraints(pred)
-    assert ExactMatch("happiness") in pred_spec.constraints
-    assert not any(isinstance(c, ReferenceOverlap) for c in pred_spec.constraints)
+    assert Constraint("exact_match", "happiness") in pred_spec.constraints
+    assert {c.type for c in pred_spec.constraints} == {"exact_match"}
 
     plain = derive_task("response_generation", DIALOG, 1, 0)
     assert extract_constraints(plain).constraints == frozenset(
-        [ReferenceOverlap(DIALOG.turns[1].text)]
+        [Constraint("reference_overlap", DIALOG.turns[1].text)]
     )
 
 
@@ -321,13 +307,13 @@ def test_score_corpus_empty():
 def test_score_corpus_hand_oracle():
     examples = [
         # passes both constraints
-        (_spec(BeginsWith("the flat"), LengthClass("short")), "the flat came furnished"),
+        (_spec(Constraint("begins_with", "the flat"), Constraint("length_class", "short")), "the flat came furnished"),
         # fails begins_with, passes length
-        (_spec(BeginsWith("the flat"), LengthClass("short")), "it came furnished"),
+        (_spec(Constraint("begins_with", "the flat"), Constraint("length_class", "short")), "it came furnished"),
         # no begins_with constraint at all: vacuous pass for that kind
-        (_spec(LengthClass("short")), "tiny"),
+        (_spec(Constraint("length_class", "short")), "tiny"),
         # fails everything it carries
-        (_spec(LengthClass("short")), " ".join(["w"] * 30)),
+        (_spec(Constraint("length_class", "short")), " ".join(["w"] * 30)),
     ]
     report = score_corpus(examples)
     assert report["n_examples"] == 4
@@ -341,15 +327,15 @@ def test_score_corpus_hand_oracle():
 
 
 def test_score_corpus_reports_only_present_kinds():
-    report = score_corpus([(_spec(ExactMatch("inform")), "inform")])
+    report = score_corpus([(_spec(Constraint("exact_match", "inform")), "inform")])
     assert set(report["per_constraint_accuracy"]) == {"exact_match"}
     assert report["per_constraint_accuracy"]["exact_match"] == 1.0
 
 
 def test_score_corpus_overlap_metrics():
     examples = [
-        (_spec(ReferenceOverlap("a b c")), "a c"),
-        (_spec(ReferenceOverlap("hello there")), "hello there"),
+        (_spec(Constraint("reference_overlap", "a b c")), "a c"),
+        (_spec(Constraint("reference_overlap", "hello there")), "hello there"),
     ]
     report = score_corpus(examples)
     assert report["rouge_l"] == pytest.approx((0.8 + 1.0) / 2)
@@ -359,7 +345,7 @@ def test_score_corpus_overlap_metrics():
 
 
 def test_score_corpus_report_serializes():
-    data = score_corpus([(_spec(LengthClass("short")), "ok")])
+    data = score_corpus([(_spec(Constraint("length_class", "short")), "ok")])
     assert data["n_examples"] == 1
     assert data["per_constraint_accuracy"] == {"length_class": 1.0}
     assert sorted(data) == [
@@ -370,19 +356,21 @@ def test_score_corpus_report_serializes():
         "per_constraint_accuracy",
         "rouge_l",
     ]
-    mixed = score_corpus([(_spec(LengthClass("short"), BeginsWith("o"), EndsWith("k")), "ok")])
+    mixed = score_corpus(
+        [(_spec(Constraint("length_class", "short"), Constraint("begins_with", "o"), Constraint("ends_with", "k")), "ok")]
+    )
     kinds = ["begins_with", "ends_with", "length_class"]
     assert list(mixed["per_constraint_accuracy"]) == list(mixed["constraint_counts"]) == kinds
 
 
 _CONSTRAINT_POOL = [
-    BeginsWith("the flat"),
-    EndsWith("furnished"),
-    ContainsKeywords(("flat",)),
-    ContainsKeywords(("garden",)),
-    LengthClass("short"),
-    LengthClass("long"),
-    ExactMatch("inform"),
+    Constraint("begins_with", "the flat"),
+    Constraint("ends_with", "furnished"),
+    Constraint("contains_keywords", ("flat",)),
+    Constraint("contains_keywords", ("garden",)),
+    Constraint("length_class", "short"),
+    Constraint("length_class", "long"),
+    Constraint("exact_match", "inform"),
 ]
 
 _OUTPUT_POOL = [

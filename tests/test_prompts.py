@@ -123,12 +123,9 @@ def test_phrase_table_goldens():
         ("draft_response", "teh flat"): (
             "The previous version of the response to be corrected: teh flat"
         ),
-        ("candidates", "Candidate emotions are sad and mad."): (
-            "Candidate emotions are sad and mad."
-        ),
     }
     for (kind, value), expected in cases.items():
-        item = DialogItem(A if kind != "candidates" else S, kind, value, 1)
+        item = DialogItem(A, kind, value, 1)
         assert phrase_for_item(item) == expected, kind
 
 
@@ -158,12 +155,9 @@ def test_every_grounding_family_a_task_produces_has_a_phrase_and_a_label():
 
 def test_every_phrase_row_is_a_family_something_produces():
     # The adapters' and the synthetic corpus's families are all grounding
-    # families of some task; discriminative variants add their candidates item.
+    # families of some task.
     grounded = {task.grounding[1] for task in registry._DEFS if task.grounding is not None}
-    inst = registry.derive_task("emotion_prediction", DIALOG, 1, 0)
-    variant = registry.discriminative_variant(inst, [inst.target_item.value])
-    added = {item.kind for item in variant.grounding_items} - {item.kind for item in inst.grounding_items}
-    assert set(PHRASES) <= grounded | added
+    assert set(PHRASES) <= grounded
 
 
 def test_render_layout_instruction_first_target_header_last():

@@ -15,7 +15,6 @@ from dialogtasks.registry import (
     TooShort,
     derive_corpus,
     derive_task,
-    discriminative_variant,
     list_tasks,
     rank_keywords,
 )
@@ -310,43 +309,6 @@ def test_derive_corpus_shares_signatures_and_instructions():
     instances = derive_corpus(synth_corpus(7, 10), seed=7)
     assert len({id(i.signature) for i in instances}) == len({i.signature for i in instances})
     assert len({id(i.instruction) for i in instances}) == len({i.instruction for i in instances})
-
-
-def test_discriminative_variant_candidate_sentence():
-    mad = Dialog(
-        dialog_id="mad", dataset="hand",
-        turns=(
-            Turn("Speaker 1", "hi there ."),
-            Turn("Speaker 2", "i am very upset .", (DialogItem(S, "emotion", "mad", 1),)),
-        ),
-    )
-    inst = derive_task("emotion_tagging", mad, 1, seed=0)
-    variant = discriminative_variant(inst, ["sad", "happy", "mad"])
-    candidates = [i for i in variant.grounding_items if i.kind == "candidates"]
-    assert candidates[0].value == "Candidate emotions are sad, happy, and mad."
-    assert candidates[0].component is S
-    assert variant.signature.canonical_string() == "ICS-S"
-    assert variant.task_name == "emotion_tagging_discriminative"
-    assert variant.provenance.source_tasks == ("emotion_tagging_discriminative",)
-    assert "state" in variant.instruction
-    assert validate_instance(variant) == []
-
-
-def test_discriminative_variant_dialog_act_plural():
-    inst = derive_task("act_prediction", DIALOG, 1, seed=0)
-    variant = discriminative_variant(inst, ["inform", "question"])
-    item = [i for i in variant.grounding_items if i.kind == "candidates"][0]
-    assert item.value == "Candidate dialog acts are inform and question."
-    assert variant.signature.canonical_string() == "ICS-A"
-
-
-def test_discriminative_variant_guards():
-    inst = derive_task("emotion_prediction", DIALOG, 1, seed=0)
-    with pytest.raises(ValueError):
-        discriminative_variant(inst, ["sad", "happy"])  # gold missing
-    resp = derive_task("response_generation", DIALOG, 1, seed=0)
-    with pytest.raises(ValueError):
-        discriminative_variant(resp, [RESPONSE])
 
 
 def test_derivation_error_is_value_error():
