@@ -4,14 +4,15 @@ Determinism is otherwise only checked run-to-run, which a refactor that
 changes outputs consistently still passes. These sha256 values pin the
 files themselves: the pipeline's exports for synth_corpus(7, 30) with
 cot=random-1, and the instance files of its atomic, composite and naive
-corpora together with the instances they hold. A change that alters any
-of them on purpose must say so and re-pin them here.
+corpora together with the instances they hold, and the rendered naive
+composites. A change that alters any of them on purpose must say so and
+re-pin them here.
 """
 
 import hashlib
 
 from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
-from dialogtasks.export import read_instances, write_instances, write_jsonl
+from dialogtasks.export import read_instances, write_instances, write_jsonl, write_rendered
 from dialogtasks.ingest import synth_corpus
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import derive_corpus
@@ -48,6 +49,9 @@ INSTANCE_FILES = {
     "naive": (4380, "8986b4554aef6b2dc14dd92f4d6701a902373fc3b9ba0c84c79d8483e8f5b89d"),
 }
 
+# The bytes write_rendered writes for the naive composites at seed 7.
+NAIVE_RENDERED = (4380, "1d31ebedae74c0e069d06df9b88bd3ab2c43ce7591b659573bfd976a2426862e")
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -73,3 +77,13 @@ def test_instance_files_match_golden_checksums(tmp_path):
         contents[name] = (inline["count"], inline["sha256"])
     assert contents == INSTANCE_CONTENTS
     assert files == INSTANCE_FILES
+
+
+def test_naive_rendered_file_matches_golden_checksum(tmp_path):
+    atomic = derive_corpus(synth_corpus(SEED, N_DIALOGS), SEED)
+    naive = naive_corpus(atomic, load_rules())
+    # The naive layout is unshuffled, so the render seed changes no byte.
+    for seed in (SEED, SEED + 1):
+        manifest, errors = write_rendered(naive, tmp_path / f"naive-{seed}.jsonl", seed)
+        assert errors == []
+        assert (manifest["count"], manifest["sha256"]) == NAIVE_RENDERED
