@@ -352,6 +352,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.parser.error("tasks --derive requires --corpus and --out")
     if args.command == "ingest" and args.synth is not None and args.synth < 1:
         args.parser.error("argument --synth: must be >= 1")
+    if args.command == "compose" and args.max_dim is not None and args.max_dim < 2:
+        args.parser.error("argument --max-dim: must be >= 2")
     if args.command == "run" and not args.print_config and not args.config:
         args.parser.error("run requires --config (or --print-config)")
     try:

@@ -4,6 +4,8 @@ reasoning-prefix (chain-of-thought) transforms, and corpus-level rendering.
 Layout contract: the Instruction section always comes first and the target
 header always comes last; the dialog context and the grounding blocks in
 between are shuffled per seed, so trained consumers become order invariant.
+A naive prompt keeps that layout unshuffled: the dialog context, then one
+"Label: value" line per grounding item.
 """
 
 from __future__ import annotations
@@ -180,21 +182,6 @@ def _assemble(sections: List[Tuple[str, str]]) -> str:
     return "\n".join(parts)
 
 
-def _assemble_naive(sections: List[Tuple[str, str]]) -> str:
-    """Naive layout: native "Label: value" lines, no section blocks."""
-    parts = []
-    for label, body in sections:
-        if label == SECTION_INSTRUCTION:
-            parts.append(f"{label} {body}")
-        elif label == SECTION_CONTEXT:
-            parts.append(f"{label}\n{body}" if body else label)
-        elif body:
-            parts.append(f"{label} {body}")
-        else:
-            parts.append(label)
-    return "\n".join(parts)
-
-
 def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = None) -> RenderedExample:
     """Render one instance to a prompt/completion pair.
 
@@ -207,21 +194,18 @@ def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = Non
 
 def _render(inst: TaskInstance, seed: int, options: RenderOptions, context_body: str) -> RenderedExample:
     """render, given the instance's context already joined into its section body."""
-    if inst.style == "naive":
-        sections = _render_naive_sections(inst, context_body)
-        input_text = _assemble_naive(sections)
-    else:
-        middle: List[Tuple[str, str]] = [(SECTION_CONTEXT, context_body)]
-        if inst.grounding_items:  # a middle of the context alone draws nothing
-            rng = random.Random(seed)
-            middle.extend(_grounding_blocks(inst, rng, options))
-            rng.shuffle(middle)
-        sections = [(SECTION_INSTRUCTION, inst.instruction)]
-        sections.extend(middle)
-        sections.append((SECTION_HEADERS[inst.signature.target], ""))
-        input_text = _assemble(sections)
+    middle: List[Tuple[str, str]] = [(SECTION_CONTEXT, context_body)]
+    if inst.style == "naive":  # one natively labeled line per item, in the instance's order
+        for item in inst.grounding_items:
+            label = NAIVE_LABELS.get(item.kind, item.kind.replace("_", " ").title())
+            middle.append((f"{label}: {item.value}" if item.value else f"{label}:", ""))
+    elif inst.grounding_items:  # a middle of the context alone draws nothing
+        rng = random.Random(seed)
+        middle.extend(_grounding_blocks(inst, rng, options))
+        rng.shuffle(middle)
+    sections = [(SECTION_INSTRUCTION, inst.instruction), *middle, (SECTION_HEADERS[inst.signature.target], "")]
     return RenderedExample(
-        input_text=input_text,
+        input_text=_assemble(sections),
         output_text=_output_text(inst),
         sections=tuple(sections),
         task_name=inst.task_name,
@@ -229,16 +213,6 @@ def _render(inst: TaskInstance, seed: int, options: RenderOptions, context_body:
         provenance=inst.provenance,
         style=inst.style,
     )
-
-
-def _render_naive_sections(inst: TaskInstance, context_body: str) -> List[Tuple[str, str]]:
-    sections: List[Tuple[str, str]] = [(SECTION_INSTRUCTION, inst.instruction)]
-    sections.append((SECTION_CONTEXT, context_body))
-    for item in inst.grounding_items:
-        label = NAIVE_LABELS.get(item.kind, item.kind.replace("_", " ").title())
-        sections.append((f"{label}:", item.value))
-    sections.append((SECTION_HEADERS[inst.signature.target], ""))
-    return sections
 
 
 def cot_transform(inst: TaskInstance, shift: Iterable[DialogItem]) -> TaskInstance:

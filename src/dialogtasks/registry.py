@@ -365,13 +365,18 @@ def list_tasks() -> List[AtomicTaskDef]:
 
 
 def task_names(tasks: Optional[Iterable[str]] = None) -> List[str]:
-    """The selected task names, sorted (all when not given); KeyError on an unknown one, ValueError on none."""
+    """The selected task names, sorted (all when not given).
+
+    KeyError on an unknown one, ValueError on none or on one named twice.
+    """
     names = sorted(tasks) if tasks is not None else sorted(REGISTRY)
     if not names:
         raise ValueError("the task selection names no task")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in REGISTRY:
             raise KeyError(f"unknown task: {name!r}")
+        if names[i + 1 : i + 2] == [name]:
+            raise ValueError(f"the task selection names {name!r} more than once")
     return names
 
 

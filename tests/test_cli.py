@@ -107,6 +107,18 @@ def test_tasks_derive_selection_of_no_task_exits_two(tmp_path, corpus_path, caps
     assert not out_path.exists()
 
 
+def test_tasks_derive_task_named_twice_exits_two(tmp_path, corpus_path, capsys):
+    # Deriving the task twice would write each of its ids twice.
+    out_path = tmp_path / "x.jsonl"
+    code, out, err = _run(
+        capsys, "tasks", "--derive", "--corpus", str(corpus_path),
+        "--tasks", "act_prediction,emotion_prediction,act_prediction", "--out", str(out_path),
+    )
+    assert code == cli.EXIT_IO
+    assert out == "" and "'act_prediction' more than once" in err
+    assert not out_path.exists()
+
+
 def test_compose_and_stats_round_trip(tmp_path, instances_path, capsys):
     out_path = tmp_path / "composites.jsonl"
     code, out, _ = _run(capsys, "compose", "--in", str(instances_path), "--out", str(out_path))
@@ -143,6 +155,17 @@ def test_compose_naive_refuses_max_dim(tmp_path, instances_path, capsys, max_dim
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: dialogtasks compose ") and "not allowed with argument" in err
+    assert not out_path.exists()
+
+
+def test_compose_max_dim_below_two_is_a_usage_error(tmp_path, instances_path, capsys):
+    out_path = tmp_path / "composites.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compose", "--in", str(instances_path), "--max-dim", "1", "--out", str(out_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dialogtasks compose ")
+    assert "dialogtasks compose: error: argument --max-dim: must be >= 2" in err
     assert not out_path.exists()
 
 
@@ -517,6 +540,7 @@ def test_run_bad_cot_mode_exits_two_before_any_stage(tmp_path, capsys):
         ("[compose]\nmax_dim = 1\n", "max_dim"),
         ("[compose]\nrules = missing-rules.csv\n", "missing-rules.csv"),
         ("[tasks]\ninclude = ,\n", "names no task"),
+        ("[tasks]\ninclude = act_prediction, act_prediction, emotion_prediction\n", "'act_prediction' more than once"),
         ("[tasks]\ninclude =\n", "names no task"),
     ],
 )
