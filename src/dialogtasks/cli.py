@@ -99,7 +99,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _read_plan(path: str) -> SamplingPlan:
-    """A sampling plan from a JSON object; absent quotas keep their defaults, others must be JSON integers."""
+    """A sampling plan from a JSON object of the two quotas; absent ones keep their defaults, others must be JSON integers."""
     raw = Path(path).read_bytes()
     try:
         data = json.loads(raw.decode("utf-8"))
@@ -111,6 +111,9 @@ def _read_plan(path: str) -> SamplingPlan:
     if not isinstance(data, dict):
         raise SchemaError("(plan)", problem=f"plan file {path} does not hold a JSON object")
     quotas = SamplingPlan().to_dict()
+    for key in data:
+        if key not in quotas:
+            raise SchemaError(key, problem=f"unknown field {key!r} in plan file {path}")
     for key in quotas:
         try:
             quotas[key] = _checked(data.get(key, quotas[key]), int, key)

@@ -274,12 +274,12 @@ def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dial
     """Load a line-delimited corpus file through the adapter of that name.
 
     Raises ParseError (bad JSON, with line number), SchemaError (missing or
-    mistyped field, or a dataset's dialog_id repeated, with line number and
-    path), or EmptyCorpus.
+    mistyped field, or a "dataset/dialog_id" id prefix repeated, with line
+    number and path), or EmptyCorpus.
     """
     parse = get_adapter(adapter)
     dialogs: List[Dialog] = []
-    first_line: Dict[Tuple[str, str], int] = {}
+    first_line: Dict[str, int] = {}
     # The checksum covers every byte read, blank lines included, so the
     # file is read once.
     digest = hashlib.sha256()
@@ -289,10 +289,12 @@ def load_corpus(path: str | Path, adapter: str = "canonical") -> Tuple[List[Dial
                 dialog = parse(record)
             except SchemaError as exc:
                 raise SchemaError(exc.field_path, line_number, exc.problem) from exc
-            earlier = first_line.setdefault((dialog.dataset, dialog.dialog_id), line_number)
+            prefix = f"{dialog.dataset}/{dialog.dialog_id}"
+            earlier = first_line.setdefault(prefix, line_number)
             if earlier != line_number:
                 raise SchemaError("dialog_id", line_number, f"dialog_id {dialog.dialog_id!r} "
-                                  f"of dataset {dialog.dataset!r} is already on line {earlier}")
+                                  f"of dataset {dialog.dataset!r} gives the id prefix {prefix!r}, "
+                                  f"which is already on line {earlier}")
             dialogs.append(dialog)
     if not dialogs:
         raise EmptyCorpus(f"no records in {path}")

@@ -200,10 +200,12 @@ class Dialog:
 
 @dataclass(frozen=True, slots=True)
 class TaskSignature:
-    """A canonicalized grounding multiset plus one target component.
+    """A grounding multiset plus one target component, canonical however it is built.
 
-    grounding is kept sorted in canonical S < E < A order; build signatures
-    through signature_of so permuted inputs canonicalize identically.
+    The constructor checks the grounding components, then the target, and
+    stores members with the grounding sorted S < E < A, so permuted inputs,
+    members or letters, give equal signatures. signature_of shares one
+    object per shape.
     """
 
     grounding: Tuple[ComponentKind, ...]
@@ -212,15 +214,17 @@ class TaskSignature:
     _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        components = tuple(self.grounding)  # any iterable, read once
+        for component in components:
+            if component not in GROUNDING_ORDER:
+                raise InvalidGroundingComponent(f"grounding may only contain S, E, A, not {component!r}")
         if self.target not in TARGET_COMPONENTS:
             raise InvalidTarget(f"target must be one of S, E, A, R, not {self.target!r}")
-        for component in self.grounding:
-            if component not in GROUNDING_ORDER:
-                raise InvalidGroundingComponent(
-                    f"grounding may only contain S, E, A, not {component!r}"
-                )
-        letters = "".join(ComponentKind(c).value for c in self.grounding)
-        object.__setattr__(self, "_text", f"IC{letters}-{ComponentKind(self.target).value}")
+        grounding = tuple(sorted(map(ComponentKind, components), key=GROUNDING_ORDER.__getitem__))
+        target = ComponentKind(self.target)
+        object.__setattr__(self, "grounding", grounding)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_text", f"IC{''.join(c.value for c in grounding)}-{target.value}")
 
     def dimension(self) -> int:
         return len(self.grounding)
@@ -234,53 +238,35 @@ class TaskSignature:
 
 
 # One shared TaskSignature per grounding shape and target; see signature_of.
-# Keys hold the grounding in the order callers passed it, sorted or not.
+# Keys hold the grounding as callers passed it (in any order, as members or
+# letters) and as the signature stores it.
 _SIGNATURES: Dict[Tuple[Tuple[ComponentKind, ...], ComponentKind], TaskSignature] = {}
 
 
 def signature_of(grounding: Iterable[ComponentKind], target: ComponentKind) -> TaskSignature:
-    """The canonical signature for a grounding multiset and target.
+    """The shared canonical signature for a grounding multiset and target.
 
     Idempotent under permutation of the grounding: ([E, A], R) and ([A, E], R)
-    both canonicalize to ICEA-R. Every call with the same shape returns the
-    same shared object; compare signatures with ==, which also holds for
-    ones built directly.
+    both give ICEA-R. Every call with the same shape returns the same shared
+    object; compare signatures with ==, which also holds for ones built directly.
     """
-    components = tuple(grounding)
-    signature = _SIGNATURES.get((components, target))
-    if signature is not None:  # a shape validated and sorted before
-        return signature
-    for component in components:
-        if component not in GROUNDING_ORDER:
-            raise InvalidGroundingComponent(
-                f"grounding may only contain S, E, A, not {component!r}"
-            )
-    if target not in TARGET_COMPONENTS:
-        raise InvalidTarget(f"target must be one of S, E, A, R, not {target!r}")
-    key = (tuple(sorted(components, key=GROUNDING_ORDER.__getitem__)), target)
+    key = (tuple(grounding), target)
     signature = _SIGNATURES.get(key)
     if signature is None:
-        # A letter such as "A" equals and hashes like its member, so the
-        # shared object is built from members whatever the first caller passed.
-        signature = _SIGNATURES[key] = TaskSignature(
-            grounding=tuple(map(ComponentKind, key[0])), target=ComponentKind(target)
-        )
-    _SIGNATURES[components, target] = signature
+        signature = TaskSignature(*key)
+        signature = _SIGNATURES[key] = _SIGNATURES.setdefault((signature.grounding, signature.target), signature)
     return signature
 
 
 def parse_signature(text: str) -> TaskSignature:
-    """Parse a signature string like "ICEA-R" into a canonical TaskSignature."""
+    """Parse a signature string like "ICEA-R" into the shared canonical TaskSignature."""
     if not text.startswith("IC") or "-" not in text:
         raise ValueError(f"not a task signature: {text!r}")
     body, _, target_letter = text.partition("-")
-    letters = body[2:]
     try:
-        grounding = [ComponentKind(ch) for ch in letters]
-        target = ComponentKind(target_letter)
+        return signature_of(body[2:], target_letter)
     except ValueError as exc:
         raise ValueError(f"not a task signature: {text!r}") from exc
-    return signature_of(grounding, target)
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,23 +311,23 @@ class Provenance:
 class ParseMemo:
     """The values parsed so far from the rows of one file, each held once.
 
-    TaskInstance.from_dict parses a signature string, a grounding, cot or
-    target item, or a source_tasks list only the first time a memo meets it,
-    and hands every later row the same object; task names, instructions,
-    datasets, dialog ids, splits and styles share one string per value. A
-    value is looked up only after _checked has passed each of its fields,
-    so a key never holds ``true`` or ``1.0`` where a row had ``1``: a row
-    that would not parse on its own fails as it would without the memo.
+    TaskInstance.from_dict parses a grounding, cot or target item, or a
+    source_tasks list only the first time a memo meets it, and hands every
+    later row the same object; task names, instructions, datasets, dialog
+    ids, splits and styles share one string per value (and signature_of
+    each signature, module-wide). A value is looked up only after _checked
+    has passed each of its fields, so a key never holds ``true`` or ``1.0``
+    where a row had ``1``: a row that would not parse on its own fails as
+    it would without the memo. An item's component must be S, E or A.
     The memo also holds the turns of every dialog whose ``dialog_turns`` it
     has read, and one context tuple per (dialog, prefix length), for the
     rows that refer to them by ``context_turns``. A memo grows with the
     distinct values it meets, so keep one per file read.
     """
 
-    __slots__ = ("signatures", "items", "targets", "tasks", "strings", "dialogs")
+    __slots__ = ("items", "targets", "tasks", "strings", "dialogs")
 
     def __init__(self) -> None:
-        self.signatures: Dict[str, TaskSignature] = {}
         self.items: Dict[Tuple[str, str, str, int], DialogItem] = {}
         self.targets: Dict[Tuple[str, str, str], TargetItem] = {}
         self.tasks: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
@@ -353,13 +339,6 @@ class ParseMemo:
         value = _checked(value, str, path)
         return self.strings.setdefault(value, value)
 
-    def signature(self, text: Any) -> TaskSignature:
-        text = _checked(text, str, "signature")
-        signature = self.signatures.get(text)
-        if signature is None:
-            signature = self.signatures[text] = parse_signature(text)
-        return signature
-
     def item(self, data: Any) -> DialogItem:
         data = _checked(data, dict, "item")
         key = (
@@ -370,6 +349,8 @@ class ParseMemo:
         )
         item = self.items.get(key)
         if item is None:
+            if key[0] not in GROUNDING_ORDER:  # as turns_from_dicts refuses it in a turn
+                raise SchemaError("component")
             item = self.items[key] = DialogItem(ComponentKind(key[0]), *key[1:])
         return item
 
@@ -498,7 +479,7 @@ class TaskInstance:
         # One try for the whole row; ``field`` names the field being parsed.
         field = "signature"
         try:
-            signature = memo.signature(data.get("signature"))
+            signature = parse_signature(_checked(data.get("signature"), str, field))
             field = "task_name"
             task_name = memo.string(data.get("task_name"), field)
             field = "instruction"
@@ -538,18 +519,15 @@ def validate_instance(inst: TaskInstance) -> List[str]:
     """
     violations: List[str] = []
 
-    expected = tuple(sorted(inst.signature.grounding, key=GROUNDING_ORDER.__getitem__))
-    actual_components = [item.component for item in inst.grounding_items]
-    try:
-        actual = tuple(sorted(actual_components, key=GROUNDING_ORDER.__getitem__))
-    except KeyError:
-        actual = None
+    # A component outside S, E, A sorts first; no signature holds one.
+    actual = tuple(sorted((item.component for item in inst.grounding_items),
+                          key=lambda c: GROUNDING_ORDER.get(c, -1)))
     for item in inst.grounding_items:
         if item.component not in GROUNDING_ORDER:
             violations.append("grounding item component must be S, E, or A")
         if not item.value:
             violations.append("empty grounding item value")
-    if actual is None or actual != expected:
+    if actual != inst.signature.grounding:
         violations.append("grounding/signature mismatch")
     if inst.target_item.component != inst.signature.target:
         violations.append("target/signature mismatch")
@@ -566,13 +544,8 @@ def validate_instance(inst: TaskInstance) -> List[str]:
             violations.append("self-leak")
             break
 
-    seen = set()
-    for item in inst.grounding_items:
-        key = (item.component, item.kind, item.value, item.turn_index)
-        if key in seen:
-            violations.append("duplicate grounding item")
-            break
-        seen.add(key)
+    if len(set(inst.grounding_items)) != len(inst.grounding_items):
+        violations.append("duplicate grounding item")
 
     return violations
 

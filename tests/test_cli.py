@@ -281,6 +281,19 @@ def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, ca
     code, _, err = _run(capsys, "stats", "--in", str(broken))
     assert code == cli.EXIT_IO
     assert err.startswith("error: line 1: missing or invalid field dialog_turns")
+    # An instance row's grounding and cot items are held to the same rule.
+    derived = next(i for i in read_instances(instances_path) if i.task_name == "act_generation")
+    for field in ("grounding_items", "cot_items"):
+        record = derived.to_dict()
+        record[field] = [dict(record["grounding_items"][0], component="R")]
+        broken.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        for command in ("stats", "validate", "render", "export"):
+            out_dir = tmp_path / f"{field}-{command}"
+            argv = [command, "--in", str(broken)] + (["--out", str(out_dir)] if command in ("render", "export") else [])
+            code, out, err = _run(capsys, *argv)
+            assert code == cli.EXIT_IO, (field, command)
+            assert err.startswith(f"error: line 1: missing or invalid field {field}"), (field, command)
+            assert out == "" and not out_dir.exists(), (field, command)
 
 
 @pytest.mark.parametrize(
@@ -294,6 +307,8 @@ def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, ca
         ('{"atomic_quota": "5"}', "missing or invalid field atomic_quota"),
         ('{"atomic_quota": 5, "composite_quota": true}', "missing or invalid field composite_quota"),
         ('{"atomic_quota": 2.9}', "missing or invalid field atomic_quota"),
+        # A misspelled quota is refused, not left at its default.
+        ('{"atomic_qouta": 1}', "unknown field 'atomic_qouta'"),
     ],
 )
 def test_export_plan_file_must_be_an_object(tmp_path, instances_path, capsys, plan, message):

@@ -262,7 +262,7 @@ def test_adapter_split_falls_back_only_when_absent_null_or_empty(tmp_path, adapt
 
 @pytest.mark.parametrize("adapter", ["canonical", "act_emotion", "persona_list"])
 def test_repeated_dialog_id_of_a_dataset_is_schema_error(tmp_path, capsys, adapter):
-    # Two dialogs with one (dataset, dialog_id) would share every export id.
+    # Two dialogs with one "dataset/dialog_id" prefix would share every export id.
     dialog = {
         "dialog_id": "d", "dataset": "a", "split": "train",
         "turns": [{"speaker": "s", "text": "hi .", "items": []}],
@@ -280,6 +280,17 @@ def test_repeated_dialog_id_of_a_dataset_is_schema_error(tmp_path, capsys, adapt
     assert not (tmp_path / "o").exists()
     path.write_text("".join(json.dumps(r) + "\n" for r in rows[:3]), encoding="utf-8")
     assert len(load_corpus(path, adapter)[0]) == 3
+    # Dataset "a/b" with dialog "c" and dataset "a" with dialog "b/c" spell one id prefix.
+    rows += [{**dialog, "dataset": "a/b", "dialog_id": "c"}, {**dialog, "dataset": "a", "dialog_id": "b/c"}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows[:3] + rows[4:]), encoding="utf-8")
+    with pytest.raises(SchemaError) as err:
+        load_corpus(path, adapter)
+    assert (err.value.field_path, err.value.line_number) == ("dialog_id", 5)
+    assert "'a/b/c', which is already on line 4" in str(err.value)
+    code = cli.main(["ingest", "--input", str(path), "--adapter", adapter, "--out", str(tmp_path / "o")])
+    assert code == cli.EXIT_IO
+    assert "line 5: dialog_id" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_adapters_registry_shape():

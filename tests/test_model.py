@@ -21,6 +21,7 @@ from dialogtasks.model import (
     SchemaError,
     TargetItem,
     TaskInstance,
+    TaskSignature,
     Turn,
     item_sort_key,
     parse_signature,
@@ -111,6 +112,10 @@ def test_invalid_target_and_grounding():
         signature_of([R], R)
     with pytest.raises(InvalidGroundingComponent):
         signature_of([C], R)
+    # The grounding is checked before the target, however the signature is built.
+    for build in (signature_of, TaskSignature):
+        with pytest.raises(InvalidGroundingComponent):
+            build((R,), C)
 
 
 def test_invalid_input_raises_after_a_valid_shape_is_shared():
@@ -176,6 +181,11 @@ def test_signature_string_matches_sorted_letters(grounding, target):
     letters = "".join(sorted((c.value for c in grounding), key=order.__getitem__))
     assert sig.canonical_string() == f"IC{letters}-{target.value}"
     assert parse_signature(sig.canonical_string()) == sig
+    # Built directly, from members, letters or an iterator in the drawn order, it is the same signature.
+    assert TaskSignature(tuple(grounding), target) == sig
+    assert TaskSignature(iter(grounding), target) == sig
+    assert TaskSignature(tuple(c.value for c in grounding), target.value) == sig
+    assert TaskSignature(tuple(grounding), target).grounding == tuple(ComponentKind(c) for c in letters)
 
 
 def test_instance_round_trip():
