@@ -26,7 +26,6 @@ from .model import (
     instance_sort_key,
     item_sort_key,
     parse_signature,
-    signature_of,
     validate_instance,
 )
 from .prompts import build_instruction
@@ -204,11 +203,9 @@ def compose(
         return Rejection(rule)
     items = tuple(sorted(a.grounding_items + b.grounding_items, key=item_sort_key))
     components = tuple(item.component for item in items)
-    signature = signature_of(components, rule.target)
     sources = tuple(sorted(set(a.provenance.source_tasks) | set(b.provenance.source_tasks)))
     pa, pb = a.provenance, b.provenance
     composed = TaskInstance(
-        signature=signature,
         task_name=" + ".join(sources),
         instruction=build_instruction(rule.target, components),
         context=a.context,
@@ -410,10 +407,8 @@ def naive_compose(a: TaskInstance, b: TaskInstance) -> TaskInstance:
     each grounding item with its bare family name.
     """
     items = a.grounding_items + b.grounding_items
-    components = tuple(item.component for item in items)
     pa, pb = a.provenance, b.provenance
     return TaskInstance(
-        signature=signature_of(components, a.target_item.component),
         task_name=f"{a.task_name} + {b.task_name}",
         instruction=f"{a.instruction} and {_lower_first(b.instruction)}",
         context=a.context,

@@ -152,14 +152,14 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
 def constraint_records(instances: Iterable[TaskInstance]) -> List[Dict[str, Any]]:
     """One row per instance: id, task, signature, checkable constraints.
 
-    extract_constraints reads only an instance's grounding items, target
-    item and target component, so within one call the rows that hold the
-    same three share one constraint list, built and sorted once.
+    extract_constraints reads only an instance's grounding items and target
+    item, so within one call the rows that hold the same two share one
+    constraint list, built and sorted once.
     """
     bodies: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
     rows = []
     for inst in instances:
-        key = (inst.grounding_items, inst.target_item, inst.signature.target)
+        key = (inst.grounding_items, inst.target_item)
         body = bodies.get(key)
         if body is None:
             body = bodies[key] = extract_constraints(inst).to_dicts()

@@ -45,8 +45,10 @@ FIELD_NAMES = {
     ComponentKind.RESPONSE: "response",
 }
 
-# The splits of dialogs and instances; export writes one file per split.
+# The splits of dialogs and instances (export writes one file per split),
+# and the styles of instances.
 SPLITS = ("train", "dev", "test")
+STYLES = ("standard", "naive")
 
 
 class InvalidTarget(ValueError):
@@ -92,8 +94,8 @@ def _checked(value: Any, kind: type, path: str) -> Any:
 class DialogItem:
     """One unit of dialog information mapped to a component.
 
-    component: S, E, or A (checked by validate_instance, not the constructor,
-    so malformed items can be built and then reported as violations).
+    component: S, E, or A in a task (a TaskInstance holding any other
+    component raises InvalidGroundingComponent when it is built).
     kind: item family label, e.g. "keyword", "persona", "emotion", "begins_with".
     value: text payload.
     turn_index: 0-based index of the turn this item annotates.
@@ -318,7 +320,7 @@ class ParseMemo:
     each signature, module-wide). A value is looked up only after _checked
     has passed each of its fields, so a key never holds ``true`` or ``1.0``
     where a row had ``1``: a row that would not parse on its own fails as
-    it would without the memo. An item's component must be S, E or A.
+    it would without the memo. An item is S, E or A, a target S, E, A or R.
     The memo also holds the turns of every dialog whose ``dialog_turns`` it
     has read, and one context tuple per (dialog, prefix length), for the
     rows that refer to them by ``context_turns``. A memo grows with the
@@ -363,6 +365,8 @@ class ParseMemo:
         )
         target = self.targets.get(key)
         if target is None:
+            if key[0] not in TARGET_COMPONENTS:  # as item refuses a grounding component
+                raise SchemaError("component")
             target = self.targets[key] = TargetItem(ComponentKind(key[0]), *key[1:])
         return target
 
@@ -427,15 +431,14 @@ def example_id(provenance: Provenance, style: str) -> str:
 
 @dataclass(frozen=True, slots=True)
 class TaskInstance:
-    """One concrete task: signature, instruction, context, grounding, target.
+    """One concrete task: instruction, context, grounding, target, and their signature.
 
-    style is "standard" for template-rendered instances and "naive" for
-    baseline instances built by plain instruction concatenation.
-    cot_items holds grounding items that have been shifted into the output
-    as reasoning text; they are rendered before the target value.
+    signature is the shape of grounding_items and target_item, set when the
+    instance is built. style is "standard", or "naive" for a baseline built
+    by plain instruction concatenation. cot_items holds grounding items
+    shifted into the output as reasoning text, rendered before the target.
     """
 
-    signature: TaskSignature
     task_name: str
     instruction: str
     context: Tuple[Turn, ...]
@@ -444,6 +447,11 @@ class TaskInstance:
     provenance: Provenance
     cot_items: Tuple[DialogItem, ...] = ()
     style: str = "standard"
+    signature: TaskSignature = field(init=False, compare=False)
+
+    def __post_init__(self) -> None:  # raises InvalidGroundingComponent or InvalidTarget
+        components = [item.component for item in self.grounding_items]
+        object.__setattr__(self, "signature", signature_of(components, self.target_item.component))
 
     def to_dict(self, context: bool = True) -> Dict[str, Any]:
         """The row of this instance; ``context=False`` leaves the context out,
@@ -472,7 +480,7 @@ class TaskInstance:
         row or an earlier one; a row with an inline ``context`` parses it.
         Rows parsed with one ``memo`` share every value it holds (see
         ParseMemo); read_instances keeps one per file.
-        A missing or mistyped field raises SchemaError naming the field.
+        A missing or mistyped field, or a signature unlike the items' shape, raises SchemaError naming it.
         """
         memo = ParseMemo() if memo is None else memo
         context = memo.context(data) if "context_turns" in data else None
@@ -497,10 +505,11 @@ class TaskInstance:
             cot_items = tuple(map(memo.item, _checked(data.get("cot_items", []), list, field)))
             field = "style"
             style = memo.string(data.get("style", "standard"), field)
+            if style not in STYLES:
+                raise SchemaError(field)
         except ValueError as exc:
             raise SchemaError(field) from exc
-        return cls(
-            signature=signature,
+        inst = cls(
             task_name=task_name,
             instruction=instruction,
             context=context,
@@ -510,6 +519,10 @@ class TaskInstance:
             cot_items=cot_items,
             style=style,
         )
+        if inst.signature is not signature:
+            raise SchemaError("signature", problem=f"signature {signature.canonical_string()} is not "
+                              f"the shape of the row's items, {inst.signature.canonical_string()}")
+        return inst
 
 
 def validate_instance(inst: TaskInstance) -> List[str]:
@@ -517,36 +530,19 @@ def validate_instance(inst: TaskInstance) -> List[str]:
 
     Violations are data, not exceptions, so corpora can be audited in bulk.
     """
-    violations: List[str] = []
-
-    # A component outside S, E, A sorts first; no signature holds one.
-    actual = tuple(sorted((item.component for item in inst.grounding_items),
-                          key=lambda c: GROUNDING_ORDER.get(c, -1)))
-    for item in inst.grounding_items:
-        if item.component not in GROUNDING_ORDER:
-            violations.append("grounding item component must be S, E, or A")
-        if not item.value:
-            violations.append("empty grounding item value")
-    if actual != inst.signature.grounding:
-        violations.append("grounding/signature mismatch")
-    if inst.target_item.component != inst.signature.target:
-        violations.append("target/signature mismatch")
+    violations = ["empty grounding item value" for item in inst.grounding_items if not item.value]
     if not inst.target_item.value:
         violations.append("empty target value")
     if not inst.instruction:
         violations.append("empty instruction")
 
-    # Self-leak: a grounding item that IS the answer. Only fires when the
-    # item lives in the same component as the target; an action phrase that
-    # happens to equal the whole response (ends-with at the boundary) is legal.
-    for item in inst.grounding_items:
-        if item.component == inst.target_item.component and item.value == inst.target_item.value:
-            violations.append("self-leak")
-            break
-
+    # Self-leak: a grounding item that IS the answer, in the target's component;
+    # an action phrase equal to the whole response (ends-with at the boundary) is legal.
+    target = inst.target_item
+    if any(item.component == target.component and item.value == target.value for item in inst.grounding_items):
+        violations.append("self-leak")
     if len(set(inst.grounding_items)) != len(inst.grounding_items):
         violations.append("duplicate grounding item")
-
     return violations
 
 

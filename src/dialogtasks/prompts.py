@@ -27,7 +27,6 @@ from .model import (
     Turn,
     example_id,
     item_sort_key,
-    signature_of,
 )
 from .seeding import subseed
 from .textutil import join_natural, split_keyword_list
@@ -232,11 +231,9 @@ def cot_transform(inst: TaskInstance, shift: Iterable[DialogItem]) -> TaskInstan
         except ValueError:
             raise ShiftNotSubset(f"item not in grounding: {item!r}") from None
     ordered_shift = sorted(shifted, key=item_sort_key)
-    new_signature = signature_of((i.component for i in remaining), inst.signature.target)
     return TaskInstance(
-        signature=new_signature,
         task_name=inst.task_name,
-        instruction=build_instruction(new_signature.target, new_signature.grounding),
+        instruction=build_instruction(inst.target_item.component, (i.component for i in remaining)),
         context=inst.context,
         grounding_items=tuple(remaining),
         target_item=inst.target_item,

@@ -289,7 +289,6 @@ class AtomicTaskDef:
             raise DerivationError(f"target turn {turn_index} out of range")
         components = tuple(item.component for item in grounding)
         inst = TaskInstance(
-            signature=signature_of(components, component),
             task_name=self.name,
             instruction=build_instruction(component, components),
             context=pos.tagging_context if self.tagging else pos.context,

@@ -40,7 +40,6 @@ from dialogtasks.model import (
     TargetItem,
     TaskInstance,
     Turn,
-    signature_of,
 )
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.prompts import (
@@ -270,7 +269,6 @@ def _fuzz_instance(index, rng, n_items=None, value_prefix="v"):
         Turn(f"Speaker {k % 2 + 1}", f"turn {index} {k} text") for k in range(rng.randint(1, 3))
     )
     return TaskInstance(
-        signature=signature_of((i.component for i in items), target_component),
         task_name=f"fuzz_{index}",
         instruction=build_instruction(target_component, (i.component for i in items)),
         context=context,
@@ -416,7 +414,6 @@ def _quota_instance(task_name, dataset, index, composite):
     )
     sources = tuple(task_name.split(" + "))
     return TaskInstance(
-        signature=signature_of((i.component for i in items), R),
         task_name=task_name,
         instruction=build_instruction(R, (i.component for i in items)),
         context=(Turn("Speaker 1", f"context {index}"),),

@@ -297,6 +297,35 @@ def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, ca
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("target_item", "A", "signature ICA-R is not the shape of the row's items, ICA-A"),
+        ("target_item", "C", "missing or invalid field target_item"),
+        ("style", "Naive", "missing or invalid field style"),
+    ],
+)
+def test_instance_target_or_style_the_format_does_not_allow_exits_two(
+    tmp_path, instances_path, capsys, field, value, message
+):
+    """A row validate would refuse is not rendered or exported either."""
+    record = next(i for i in read_instances(instances_path) if i.task_name == "act_generation").to_dict()
+    assert record["signature"] == "ICA-R"
+    if field == "target_item":
+        record[field]["component"] = value
+    else:
+        record[field] = value
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    for command in ("stats", "validate", "render", "export"):
+        out_dir = tmp_path / command
+        argv = [command, "--in", str(broken)] + (["--out", str(out_dir)] if command in ("render", "export") else [])
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_IO, command
+        assert err == f"error: line 1: {message}\n", command
+        assert out == "" and not out_dir.exists(), command
+
+
+@pytest.mark.parametrize(
     "plan, message",
     [
         ("[1]", "does not hold a JSON object"),

@@ -98,7 +98,6 @@ def test_find_rule_is_order_insensitive():
 def _hand_derived(name, item, target):
     """A one-item task at DIALOG's turn 1, for shapes no registered task has."""
     return TaskInstance(
-        signature=signature_of((item.component,), target.component),
         task_name=name,
         instruction=build_instruction(target.component, (item.component,)),
         context=DIALOG.turns[:1],
@@ -420,7 +419,6 @@ def _members(draw):
     )
     name = draw(st.sampled_from(("t0", "t1", "t2", "t3", "t4", "t5", "t6", "t7")))
     return TaskInstance(
-        signature=signature_of((i.component for i in items), target.component),
         task_name=name,
         instruction=build_instruction(target.component, (i.component for i in items)),
         context=context,

@@ -236,6 +236,7 @@ def test_row_repeating_a_parsed_item_but_mistyped_exits_two(tmp_path, capsys, fi
     item = {"component": "A", "kind": "emotion", "value": "5", "turn_index": 1}
     good.update(grounding_items=[item], cot_items=[{**item, "kind": "dialog_act"}])
     good["target_item"] = {**good["target_item"], "value": "5"}
+    good["signature"] = f"ICA-{good['target_item']['component']}"  # the shape of the new items
     bad = json.loads(json.dumps(good))
     if field == "target_item":
         bad[field] = {**bad[field], **change}

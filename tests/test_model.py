@@ -47,7 +47,6 @@ def _provenance(tasks=("task",)):
 
 def _instance(grounding, target, task_name="task"):
     return TaskInstance(
-        signature=signature_of([i.component for i in grounding], target.component),
         task_name=task_name,
         instruction="Provide the correct value.",
         context=(Turn("Speaker 1", "hello there ."),),
@@ -201,7 +200,6 @@ def test_round_trip_restores_context_item_turn_index():
         Turn("Speaker 2", "hello .", (DialogItem(S, "emotion", "surprise", 1),)),
     )
     inst = TaskInstance(
-        signature=signature_of([], R),
         task_name="task",
         instruction="x",
         context=turns,
@@ -246,37 +244,26 @@ def test_validate_clean_instance():
     assert validate_instance(inst) == []
 
 
-def test_validate_reports_bad_component_and_empty_values():
-    # A malformed item can be constructed; validate_instance reports it.
-    bad = TaskInstance(
-        signature=signature_of([A], R),
-        task_name="task",
-        instruction="",
-        context=(Turn("Speaker 1", "hello there ."),),
-        grounding_items=(DialogItem(C, "keywords", "", 1),),
-        target_item=TargetItem(R, "response", ""),
-        provenance=_provenance(),
+def test_validate_reports_empty_values():
+    bad = dataclasses.replace(
+        _instance([DialogItem(A, "keywords", "", 1)], TargetItem(R, "response", "")), instruction=""
     )
-    problems = validate_instance(bad)
-    assert "grounding item component must be S, E, or A" in problems
-    assert "empty grounding item value" in problems
-    assert "grounding/signature mismatch" in problems
-    assert "empty target value" in problems
-    assert "empty instruction" in problems
+    assert validate_instance(bad) == ["empty grounding item value", "empty target value", "empty instruction"]
 
 
-def test_validate_reports_target_mismatch():
-    inst = _instance([], TargetItem(R, "response", "x"))
-    broken = TaskInstance(
-        signature=signature_of([], ComponentKind.ACTION),
-        task_name="task",
-        instruction="i",
-        context=inst.context,
-        grounding_items=(),
-        target_item=inst.target_item,
-        provenance=inst.provenance,
-    )
-    assert "target/signature mismatch" in validate_instance(broken)
+def test_instance_signature_is_derived_from_its_items_when_built():
+    items = (DialogItem(A, "begins_with", "hello", 1), DialogItem(S, "emotion", "happiness", 1))
+    inst = _instance(items[:1], TargetItem(R, "response", "hello there ."))
+    assert inst.signature is signature_of([A], R)
+    with pytest.raises(InvalidGroundingComponent):
+        _instance([DialogItem(C, "keywords", "hello", 1)], TargetItem(R, "response", "x"))
+    with pytest.raises(InvalidTarget):
+        _instance(items[:1], TargetItem(C, "response", "x"))
+    # replace builds a new instance, so its signature follows the new items.
+    both = dataclasses.replace(inst, grounding_items=items)
+    assert both.signature is signature_of([S, A], R)
+    assert both.signature.canonical_string() == "ICSA-R"
+    assert both != inst and both.target_item is inst.target_item
 
 
 def test_self_leak_requires_component_match():

@@ -18,7 +18,6 @@ from dialogtasks.model import (
     TargetItem,
     TaskInstance,
     Turn,
-    signature_of,
 )
 from dialogtasks.prompts import (
     NAIVE_LABELS,
@@ -64,10 +63,8 @@ DIALOG = Dialog(
 
 
 def _instance(items, target, name="hand_task", instruction=None):
-    signature = signature_of((i.component for i in items), target.component)
     return TaskInstance(
         task_name=name,
-        signature=signature,
         instruction=instruction
         or build_instruction(target.component, (i.component for i in items)),
         context=DIALOG.turns[:1],
