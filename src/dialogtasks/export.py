@@ -12,14 +12,19 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
+from json import JSONEncoder
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .evaluate import extract_constraints
 from .ingest import SchemaError, read_jsonl, write_jsonl
-from .model import SPLITS, ParseMemo, TaskInstance, Turn, example_id, instance_sort_key
+from .model import SPLITS, DialogItem, ParseMemo, Provenance, TaskInstance, Turn, example_id, instance_sort_key
 from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
+
+# The encoding of write_jsonl, for the values of a text row that are encoded whole.
+_encode = JSONEncoder(sort_keys=True, ensure_ascii=True).encode
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,6 +88,29 @@ def _dialog_key(inst: TaskInstance) -> Tuple[str, str]:
     return (inst.provenance.dataset, inst.provenance.dialog_id)
 
 
+class _Texts(dict):
+    """The JSON text of each value that rows of one file share, encoded the first time it is looked up.
+
+    A string is quoted as ``ensure_ascii`` quotes it, a source_tasks tuple
+    encoded as a list and an item as its to_dict. A text row holds its keys
+    in sorted order with json's separators and integers written with str(),
+    so it is the line write_jsonl writes for the row's dict. It holds every
+    value it met: keep one no longer than the write of one file.
+    """
+
+    def __missing__(self, value: Any) -> str:
+        text = self[value] = _encode(value if isinstance(value, (str, tuple)) else value.to_dict())
+        return text
+
+    def items_text(self, items: Tuple[DialogItem, ...]) -> str:
+        return f"[{', '.join(map(self.__getitem__, items))}]"
+
+    def provenance_text(self, p: Provenance) -> str:
+        return (f'{{"dataset": {self[p.dataset]}, "dialog_id": {self[p.dialog_id]}, "seed": {p.seed}, '
+                f'"source_tasks": {self[p.source_tasks]}, "split": {self[p.split]}, '
+                f'"target_turn_index": {p.target_turn_index}}}')
+
+
 def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> Dict[str, Any]:
     """Write one instance per line, serializing each dialog's turns once.
 
@@ -103,8 +131,10 @@ def write_instances(instances: Sequence[TaskInstance], path: str | Path) -> Dict
 
 def _instance_rows(
     instances: Iterable[TaskInstance], turns: Dict[Tuple[str, str], Tuple[Turn, ...]]
-) -> Iterator[Dict[str, Any]]:
+) -> Iterator[Union[str, Dict[str, Any]]]:
+    """The rows of write_instances: JSON text for a row with ``context_turns``, to_dict for an inline one."""
     written = set()
+    texts = _Texts()
     for inst in instances:
         key = _dialog_key(inst)
         dialog = turns.get(key, ())
@@ -112,12 +142,17 @@ def _instance_rows(
         if inst.context != dialog[:n]:
             yield inst.to_dict()
             continue
-        row = inst.to_dict(context=False)
-        row["context_turns"] = n
+        cot = f'"cot_items": {texts.items_text(inst.cot_items)}, ' if inst.cot_items else ""
+        dialog_turns = ""
         if key not in written:
             written.add(key)
-            row["dialog_turns"] = [turn.to_dict() for turn in dialog]
-        yield row
+            dialog_turns = f'"dialog_turns": {_encode([turn.to_dict() for turn in dialog])}, '
+        yield (
+            f'{{"context_turns": {n}, {cot}{dialog_turns}"grounding_items": {texts.items_text(inst.grounding_items)}, '
+            f'"instruction": {texts[inst.instruction]}, "provenance": {texts.provenance_text(inst.provenance)}, '
+            f'"signature": {texts[inst.signature.canonical_string()]}, "style": {texts[inst.style]}, '
+            f'"target_item": {texts[inst.target_item]}, "task_name": {texts[inst.task_name]}}}'
+        )
 
 
 def read_instances(path: str | Path) -> List[TaskInstance]:
@@ -149,26 +184,25 @@ def read_instances(path: str | Path) -> List[TaskInstance]:
     return instances
 
 
-def constraint_records(instances: Iterable[TaskInstance]) -> List[Dict[str, Any]]:
-    """One row per instance: id, task, signature, checkable constraints.
+def constraint_records(instances: Iterable[TaskInstance]) -> List[str]:
+    """One row per instance, as the JSON text of its line: id, task, signature, checkable constraints.
 
     extract_constraints reads only an instance's grounding items and target
     item, so within one call the rows that hold the same two share one
-    constraint list, built and sorted once.
+    constraint list, built, sorted and encoded once.
     """
-    bodies: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
+    bodies: Dict[Tuple[Any, ...], str] = {}
+    texts = _Texts()
     rows = []
     for inst in instances:
         key = (inst.grounding_items, inst.target_item)
         body = bodies.get(key)
         if body is None:
-            body = bodies[key] = extract_constraints(inst).to_dicts()
-        rows.append({
-            "id": example_id(inst.provenance, inst.style),
-            "task": inst.task_name,
-            "signature": inst.signature.canonical_string(),
-            "constraints": body,
-        })
+            body = bodies[key] = _encode(extract_constraints(inst).to_dicts())
+        rows.append(
+            f'{{"constraints": {body}, "id": {_quote(example_id(inst.provenance, inst.style))}, '
+            f'"signature": {texts[inst.signature.canonical_string()]}, "task": {texts[inst.task_name]}}}'
+        )
     return rows
 
 
@@ -215,15 +249,30 @@ def write_rendered(
     Returns the file's manifest and render_corpus's error records.
     """
     errors: List[Dict[str, Any]] = []
+    return write_jsonl(_rendered_rows(instances, seed, options, errors, set()), path), errors
 
-    def records() -> Iterator[Dict[str, Any]]:
-        for group in _by_dialog(instances):
-            rendered, group_errors = render_corpus(group, seed, options)
+
+def _rendered_rows(instances: Iterable[TaskInstance], seed: int, options: Optional[RenderOptions],
+                   errors: List[Dict[str, Any]], failed: Set[int]) -> Iterator[str]:
+    """The JSON text of each example's to_record, rendering one dialog at a time.
+
+    Extends ``errors`` with render_corpus's error records and ``failed`` with their instances' id().
+    """
+    texts = _Texts()
+    for group in _by_dialog(instances):
+        rendered, group_errors = render_corpus(group, seed, options)
+        if group_errors:
             errors.extend(group_errors)
-            for example in rendered:
-                yield example.to_record()
-
-    return write_jsonl(records(), path), errors
+            kept = {example_id(example.provenance, example.style) for example in rendered}
+            failed.update(id(inst) for inst in group if example_id(inst.provenance, inst.style) not in kept)
+        for example in rendered:
+            p = example.provenance
+            yield (
+                f'{{"dataset": {texts[p.dataset]}, "id": {_quote(example_id(p, example.style))}, '
+                f'"input": {_quote(example.input_text)}, "output": {_quote(example.output_text)}, '
+                f'"provenance": {texts.provenance_text(p)}, "signature": {texts[example.signature]}, '
+                f'"split": {texts[p.split]}, "task": {texts[example.task_name]}}}'
+            )
 
 
 def export_corpus(
@@ -237,8 +286,10 @@ def export_corpus(
     """Sample, split, render, and write a corpus; returns the export manifest.
 
     Writes <split>.jsonl for train/dev/test (plus constraints-<split>.jsonl
-    when requested) and stats.json into out_dir. The manifest holds per-file
-    counts and checksums and any render errors; the caller persists it.
+    when requested) and stats.json into out_dir. An instance that fails to
+    render is left out of both split files; stats.json counts every sampled
+    instance. The manifest holds per-file counts and checksums and any
+    render errors; the caller persists it.
     """
     plan = plan or SamplingPlan()
     sampled = sample(instances, plan, seed)
@@ -249,10 +300,12 @@ def export_corpus(
     all_errors: List[Dict[str, Any]] = []
     for split in sorted(by_split):
         members = by_split[split]
-        manifest, errors = write_rendered(members, out_dir / f"{split}.jsonl", seed, options)
-        all_errors.extend(errors)
+        failed: Set[int] = set()
+        manifest = write_jsonl(_rendered_rows(members, seed, options, all_errors, failed), out_dir / f"{split}.jsonl")
         files[manifest["name"]] = manifest
         if emit_constraints:
+            if failed:
+                members = [inst for inst in members if id(inst) not in failed]
             rows = (row for group in _by_dialog(members) for row in constraint_records(group))
             manifest = write_jsonl(rows, out_dir / f"constraints-{split}.jsonl")
             files[manifest["name"]] = manifest

@@ -16,7 +16,7 @@ import random
 import stat
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .model import SPLITS, ComponentKind, Dialog, DialogItem, SchemaError, Turn, _checked
 from .seeding import stable_hash, subseed
@@ -68,8 +68,8 @@ def _hashed(lines: Iterable[bytes], digest: Any) -> Iterator[bytes]:
         yield raw
 
 
-def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> Dict[str, Any]:
-    """Write records one JSON object per line, sorted keys, ASCII only.
+def write_jsonl(records: Iterable[Union[str, Dict[str, Any]]], path: str | Path) -> Dict[str, Any]:
+    """Write records one JSON object per line, sorted keys, ASCII only; a str record is that line's text.
 
     Returns the file's manifest: its ``name``, record ``count`` and ``sha256``.
 
@@ -88,7 +88,7 @@ def write_jsonl(records: Iterable[Dict[str, Any]], path: str | Path) -> Dict[str
     def write_to(handle: BinaryIO) -> None:
         nonlocal count
         for record in records:
-            line = (encode(record) + "\n").encode("utf-8")
+            line = ((record if isinstance(record, str) else encode(record)) + "\n").encode("utf-8")
             digest.update(line)
             handle.write(line)
             count += 1

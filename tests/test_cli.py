@@ -541,6 +541,30 @@ def test_run_requires_config(capsys):
     assert "dialogtasks run: error: run requires --config (or --print-config)" in err
 
 
+def test_staged_commands_write_the_export_of_run_at_cot_none(tmp_path, capsys):
+    """tasks --derive, compose and export on the concatenated instances write run's corpus bytes."""
+    corpus, atomic, composite = tmp_path / "dialogs.jsonl", tmp_path / "atomic.jsonl", tmp_path / "composite.jsonl"
+    assert _run(capsys, "ingest", "--synth", "30", "--seed", "7", "--out", str(corpus))[0] == cli.EXIT_OK
+    _run(capsys, "tasks", "--derive", "--corpus", str(corpus), "--seed", "7", "--out", str(atomic))
+    assert _run(capsys, "compose", "--in", str(atomic), "--out", str(composite))[0] == cli.EXIT_OK
+    both = tmp_path / "both.jsonl"
+    both.write_bytes(atomic.read_bytes() + composite.read_bytes())
+    staged, whole = tmp_path / "staged", tmp_path / "run"
+    code, _, _ = _run(capsys, "export", "--in", str(both), "--seed", "7", "--emit-constraints", "--out", str(staged))
+    assert code == cli.EXIT_OK
+    config = tmp_path / "pipeline.ini"
+    config.write_text(
+        f"[run]\nseed = 7\n\n[corpus]\ninput = {corpus}\n\n[render]\ncot = none\n\n[output]\ndir = {whole}\n",
+        encoding="utf-8",
+    )
+    assert _run(capsys, "run", "--config", str(config))[0] == cli.EXIT_OK
+    for split in ("train", "dev", "test"):
+        for name in (f"{split}.jsonl", f"constraints-{split}.jsonl"):
+            assert (staged / name).stat().st_size > 0, name
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+    assert (staged / "stats.json").read_bytes() == (whole / "stats.json").read_bytes()
+
+
 def test_run_full_pipeline_from_config(tmp_path, capsys):
     out_dir = tmp_path / "run-out"
     config = tmp_path / "pipeline.ini"

@@ -7,6 +7,8 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dialogtasks import cli, pipeline
 from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
@@ -22,10 +24,21 @@ from dialogtasks.export import (
     write_jsonl,
     write_rendered,
 )
+from dialogtasks.evaluate import extract_constraints
 from dialogtasks.ingest import ParseError, SchemaError, SynthConfig, synth_corpus, write_corpus
-from dialogtasks.model import TaskInstance, example_id
+from dialogtasks.model import (
+    SPLITS,
+    STYLES,
+    ComponentKind,
+    DialogItem,
+    Provenance,
+    TargetItem,
+    TaskInstance,
+    Turn,
+    example_id,
+)
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
-from dialogtasks.prompts import apply_cot, render_corpus
+from dialogtasks.prompts import PHRASES, apply_cot, render_corpus
 from dialogtasks.registry import derive_corpus
 
 
@@ -420,7 +433,7 @@ def test_instance_ids_unique_within_derived_corpus():
 
 def test_constraint_records_shape():
     instances = _corpus(3, seed=12)[:8]
-    records = constraint_records(instances)
+    records = [json.loads(line) for line in constraint_records(instances)]
     assert len(records) == 8
     for record, inst in zip(records, instances):
         assert record["id"] == example_id(inst.provenance, inst.style)
@@ -429,6 +442,114 @@ def test_constraint_records_shape():
         assert isinstance(record["constraints"], list) and record["constraints"]
         for c in record["constraints"]:
             assert "type" in c
+
+
+def test_export_writes_constraint_rows_only_for_rendered_instances(tmp_path, capsys):
+    """An instance that fails to render is in neither split file; stats.json still counts it."""
+    instances = derive_corpus(synth_corpus(7, 2), 7)
+    failing = "synth/synth-00000/t1/act_generation"
+    at = next(i for i, inst in enumerate(instances) if example_id(inst.provenance, inst.style) == failing)
+    mood = dataclasses.replace(instances[at].grounding_items[0], kind="mood")
+    instances[at] = dataclasses.replace(instances[at], grounding_items=(mood, *instances[at].grounding_items[1:]))
+    path, out = tmp_path / "instances.jsonl", tmp_path / "export"
+    write_instances(instances, path)
+    argv = ["export", "--in", str(path), "--seed", "7", "--emit-constraints", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_OK
+    manifest = json.loads(capsys.readouterr().out)
+    assert [error["task_name"] for error in manifest["render_errors"]] == ["act_generation"]
+    rendered = []
+    for split in SPLITS:
+        ids = [json.loads(line)["id"] for line in (out / f"{split}.jsonl").open(encoding="utf-8")]
+        constrained = (out / f"constraints-{split}.jsonl").open(encoding="utf-8")
+        assert [json.loads(line)["id"] for line in constrained] == ids, split
+        rendered.extend(ids)
+    assert failing not in rendered and len(rendered) == len(instances) - 1
+    assert json.loads((out / "stats.json").read_text(encoding="utf-8"))["n_instances"] == len(instances)
+
+
+# Strings that json escapes, and some it need not: quote, backslash, control
+# characters, U+2028, lone surrogates, non-BMP and non-ASCII characters.
+_SPECIAL = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028", "\ud800", "\udfff", "\U0001f600", "\xe9"]
+_TEXT = st.lists(st.one_of(st.sampled_from(_SPECIAL), st.characters(exclude_categories=())), max_size=6).map("".join)
+# The render seed hashes an id's parts and the task name as UTF-8, which has no lone surrogates.
+_NAME = _TEXT.map(lambda text: text.encode("utf-8", "replace").decode("utf-8"))
+# Grounding items of a kind the phrase table lacks fail to render; no other kind is rendered.
+_PHRASE_KIND = st.sampled_from(sorted(PHRASES))
+_KIND = st.one_of(_PHRASE_KIND, _TEXT)
+
+
+def _items(kind, max_size):
+    item = st.builds(DialogItem, st.sampled_from("SEA").map(ComponentKind), kind, _TEXT, st.integers(0, 2**63))
+    return st.lists(item, max_size=max_size).map(tuple)
+
+
+@st.composite
+def _dialog_instances(draw, index):
+    """The instances of one dialog, each with a prefix of its turns as context."""
+    dataset, dialog_id = draw(_NAME), f"{draw(_NAME)}/{index}"
+    turns = []
+    for t in range(draw(st.integers(0, 3))):
+        components = draw(st.lists(st.sampled_from("SEA"), max_size=2))
+        items = tuple(DialogItem(ComponentKind(c), draw(_KIND), draw(_TEXT), t) for c in components)
+        turns.append(Turn(draw(_TEXT), draw(_TEXT), items))
+    turns = tuple(turns)
+    instances = []
+    for _ in range(draw(st.integers(1, 3))):
+        provenance = Provenance(
+            dataset=dataset,
+            dialog_id=dialog_id,
+            split=draw(st.one_of(st.sampled_from(SPLITS), _TEXT)),
+            target_turn_index=draw(st.integers(0, 2**63)),
+            source_tasks=tuple(draw(st.lists(_NAME, max_size=3))),
+            seed=draw(st.integers(0, 2**64 - 1)),
+        )
+        instances.append(TaskInstance(
+            task_name=draw(_NAME),
+            instruction=draw(_TEXT),
+            context=turns[:draw(st.integers(0, len(turns)))],
+            grounding_items=draw(_items(_PHRASE_KIND, 3)),
+            target_item=TargetItem(ComponentKind(draw(st.sampled_from("SEAR"))), draw(_KIND), draw(_TEXT)),
+            provenance=provenance,
+            cot_items=draw(_items(_KIND, 2)),
+            style=draw(st.sampled_from(STYLES)),
+        ))
+    return instances
+
+
+def _lines(rows):
+    return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows).encode("ascii")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dialogs=st.integers(1, 2).flatmap(lambda n: st.tuples(*(_dialog_instances(i) for i in range(n)))),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_text_rows_are_the_json_of_their_dict_forms(tmp_path_factory, dialogs, seed):
+    """Every row written as text is json.dumps of its dict form, byte for byte."""
+    tmp = tmp_path_factory.mktemp("rows")
+    instances = [inst for dialog in dialogs for inst in dialog]
+    write_rendered(instances, tmp / "rendered.jsonl", seed)
+    assert (tmp / "rendered.jsonl").read_bytes() == _lines(e.to_record() for e in render_corpus(instances, seed)[0])
+    assert "".join(line + "\n" for line in constraint_records(instances)).encode("ascii") == _lines(
+        {
+            "id": example_id(inst.provenance, inst.style),
+            "task": inst.task_name,
+            "signature": inst.signature.canonical_string(),
+            "constraints": extract_constraints(inst).to_dicts(),
+        }
+        for inst in instances
+    )
+    expected = []
+    for dialog in dialogs:
+        turns = max((inst.context for inst in dialog), key=len)
+        for at, inst in enumerate(dialog):
+            row = {**inst.to_dict(context=False), "context_turns": len(inst.context)}
+            if at == 0:
+                row["dialog_turns"] = [turn.to_dict() for turn in turns]
+            expected.append(row)
+    write_instances(instances, tmp / "instances.jsonl")
+    assert (tmp / "instances.jsonl").read_bytes() == _lines(expected)
 
 
 def test_corpus_stats_counts():
