@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .model import SPLITS, ComponentKind, Dialog, DialogItem, SchemaError, Turn, _checked
+from .model import SPLITS, ComponentKind, Dialog, DialogItem, SchemaError, Turn, _checked, _checked_name
 from .seeding import stable_hash, subseed
 
 
@@ -197,8 +197,8 @@ def _parse_act_emotion(record: Dict[str, Any]) -> Dialog:
     Acts become Action items (kind "dialog_act"); emotions become State items
     (kind "emotion").
     """
-    dialog_id = _checked(record.get("dialog_id"), str, "dialog_id")
-    dataset = _checked(record.get("dataset", "act_emotion"), str, "dataset")
+    dialog_id = _checked_name(record.get("dialog_id"), "dialog_id")
+    dataset = _checked_name(record.get("dataset", "act_emotion"), "dataset")
     turns: List[Turn] = []
     for t_index, raw_turn in enumerate(_require_turns(record)):
         path = f"turns[{t_index}]"
@@ -221,8 +221,8 @@ def _parse_persona_list(record: Dict[str, Any]) -> Dialog:
     Persona lines become Evidence items (kind "persona") attached to the first
     turn of the speaker they describe.
     """
-    dialog_id = _checked(record.get("dialog_id"), str, "dialog_id")
-    dataset = _checked(record.get("dataset", "persona_list"), str, "dataset")
+    dialog_id = _checked_name(record.get("dialog_id"), "dialog_id")
+    dataset = _checked_name(record.get("dataset", "persona_list"), "dataset")
     personas = _checked(record.get("personas", []), list, "personas")
     for lines in personas:
         for line in _checked(lines, list, "personas"):

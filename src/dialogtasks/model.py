@@ -90,6 +90,22 @@ def _checked(value: Any, kind: type, path: str) -> Any:
     return value
 
 
+def _checked_name(value: Any, path: str) -> str:
+    """``_checked(value, str, path)`` for a string a seed hashes, which must also encode as UTF-8.
+
+    JSON's ``"\\ud800"`` decodes to a lone surrogate, which stable_hash
+    cannot encode, so a dataset, dialog id, task name or source task
+    holding one is refused where it is read, with its line and field, not
+    where a seed is drawn.
+    """
+    if not _checked(value, str, path).isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(path) from None
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class DialogItem:
     """One unit of dialog information mapped to a component.
@@ -193,8 +209,8 @@ class Dialog:
     def from_dict(cls, data: Dict[str, Any]) -> "Dialog":
         """Parse a record as to_dict writes it; SchemaError names a bad field's path."""
         return cls(
-            dialog_id=_checked(data.get("dialog_id"), str, "dialog_id"),
-            dataset=_checked(data.get("dataset"), str, "dataset"),
+            dialog_id=_checked_name(data.get("dialog_id"), "dialog_id"),
+            dataset=_checked_name(data.get("dataset"), "dataset"),
             split=_checked(data.get("split"), str, "split"),
             turns=turns_from_dicts(data.get("turns")),
         )
@@ -341,6 +357,11 @@ class ParseMemo:
         value = _checked(value, str, path)
         return self.strings.setdefault(value, value)
 
+    def name(self, value: Any, path: str) -> str:
+        """string() for a value a seed hashes; see _checked_name."""
+        value = _checked_name(value, path)
+        return self.strings.setdefault(value, value)
+
     def item(self, data: Any) -> DialogItem:
         data = _checked(data, dict, "item")
         key = (
@@ -371,7 +392,7 @@ class ParseMemo:
         return target
 
     def source_tasks(self, names: Any) -> Tuple[str, ...]:
-        key = tuple(_checked(name, str, "source_tasks") for name in _checked(names, list, "source_tasks"))
+        key = tuple(_checked_name(name, "source_tasks") for name in _checked(names, list, "source_tasks"))
         return self.tasks.setdefault(key, key)
 
     def provenance(self, data: Any) -> Provenance:
@@ -381,8 +402,8 @@ class ParseMemo:
         if split not in SPLITS:
             raise SchemaError("split")
         return Provenance(
-            dataset=self.string(data.get("dataset"), "dataset"),
-            dialog_id=self.string(data.get("dialog_id"), "dialog_id"),
+            dataset=self.name(data.get("dataset"), "dataset"),
+            dialog_id=self.name(data.get("dialog_id"), "dialog_id"),
             split=split,
             target_turn_index=_checked(data.get("target_turn_index"), int, "target_turn_index"),
             source_tasks=self.source_tasks(data.get("source_tasks")),
@@ -489,7 +510,7 @@ class TaskInstance:
         try:
             signature = parse_signature(_checked(data.get("signature"), str, field))
             field = "task_name"
-            task_name = memo.string(data.get("task_name"), field)
+            task_name = memo.name(data.get("task_name"), field)
             field = "instruction"
             instruction = memo.string(data.get("instruction"), field)
             field = "context"

@@ -134,6 +134,13 @@ def test_compose_and_stats_round_trip(tmp_path, instances_path, capsys):
     assert stats["n_instances"] == summary["composites"]
     assert stats["n_atomic"] == 0
 
+    assert _run(capsys, "validate", "--in", str(out_path))[0] == cli.EXIT_OK
+    rendered = tmp_path / "rendered.jsonl"
+    code, out, _ = _run(capsys, "render", "--in", str(out_path), "--cot", "random-1", "--out", str(rendered))
+    assert code == cli.EXIT_OK
+    report = json.loads(out)
+    assert report["errors"] == [] and report["file"]["count"] == summary["composites"]
+
 
 def test_compose_naive_baseline(tmp_path, instances_path, capsys):
     out_path = tmp_path / "naive.jsonl"
@@ -143,6 +150,17 @@ def test_compose_naive_baseline(tmp_path, instances_path, capsys):
     assert code == cli.EXIT_OK
     assert json.loads(out)["style"] == "naive"
     assert all(inst.style == "naive" for inst in read_instances(out_path))
+    assert _run(capsys, "validate", "--in", str(out_path))[0] == cli.EXIT_OK
+    # The naive layout is unshuffled, so two render seeds write the same bytes.
+    rendered = []
+    for seed in ("7", "8"):
+        path = tmp_path / f"naive-{seed}.jsonl"
+        code, out, _ = _run(capsys, "render", "--in", str(out_path), "--seed", seed, "--out", str(path))
+        assert code == cli.EXIT_OK
+        report = json.loads(out)
+        assert report["file"]["count"] > 0 and report["errors"] == []
+        rendered.append(path.read_bytes())
+    assert rendered[0] == rendered[1]
 
 
 @pytest.mark.parametrize("max_dim", ["1", "2", "5"])
@@ -170,8 +188,9 @@ def test_compose_max_dim_below_two_is_a_usage_error(tmp_path, instances_path, ca
 
 
 def test_standard_and_naive_composites_export_and_score_together(tmp_path, capsys):
+    # Eleven dialogs at seed 7 put some in each split.
     corpus, atomic = tmp_path / "dialogs.jsonl", tmp_path / "atomic.jsonl"
-    assert _run(capsys, "ingest", "--synth", "5", "--seed", "7", "--out", str(corpus))[0] == cli.EXIT_OK
+    assert _run(capsys, "ingest", "--synth", "11", "--seed", "7", "--out", str(corpus))[0] == cli.EXIT_OK
     _run(capsys, "tasks", "--derive", "--corpus", str(corpus), "--seed", "7", "--out", str(atomic))
     both = tmp_path / "both.jsonl"
     for extra in ((), ("--naive",)):
@@ -186,7 +205,7 @@ def test_standard_and_naive_composites_export_and_score_together(tmp_path, capsy
     assert code == cli.EXIT_OK
     for name in ("train", "dev", "test", "constraints-train", "constraints-dev", "constraints-test"):
         ids = [json.loads(line)["id"] for line in (out_dir / f"{name}.jsonl").open(encoding="utf-8")]
-        assert len(ids) == len(set(ids)), name
+        assert ids and len(ids) == len(set(ids)), name
     train = [json.loads(line) for line in (out_dir / "train.jsonl").open(encoding="utf-8")]
     naive = [row for row in train if row["id"].endswith("#naive")]
     assert 0 < len(naive) < len(train)
@@ -197,7 +216,9 @@ def test_standard_and_naive_composites_export_and_score_together(tmp_path, capsy
         capsys, "eval", "--constraints", str(out_dir / "constraints-train.jsonl"), "--outputs", str(outputs)
     )
     assert code == cli.EXIT_OK
-    assert json.loads(out)["compositional_accuracy"] == 1.0
+    # Gold outputs meet every constraint and overlap their references in full.
+    report = json.loads(out)
+    assert report["compositional_accuracy"] == report["bleu2"] == report["rouge_l"] == 1.0
 
 
 def test_render_writes_prompt_records(tmp_path, instances_path, capsys):
@@ -296,6 +317,25 @@ def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, ca
             assert out == "" and not out_dir.exists(), (field, command)
 
 
+def _act_generation_row(instances_path):
+    record = next(i for i in read_instances(instances_path) if i.task_name == "act_generation").to_dict()
+    assert record["signature"] == "ICA-R"
+    return record
+
+
+def _assert_every_instance_reader_refuses(tmp_path, capsys, record, message):
+    """stats, validate, compose, render and export each exit 2 on the one-row file, naming its line, and write nothing."""
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    for command in ("stats", "validate", "compose", "render", "export"):
+        out_path = tmp_path / command
+        argv = [command, "--in", str(broken)] + (["--out", str(out_path)] if command in ("compose", "render", "export") else [])
+        code, out, err = _run(capsys, *argv)
+        assert code == cli.EXIT_IO, command
+        assert err == f"error: line 1: {message}\n", command
+        assert out == "" and not out_path.exists(), command
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -307,22 +347,28 @@ def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, ca
 def test_instance_target_or_style_the_format_does_not_allow_exits_two(
     tmp_path, instances_path, capsys, field, value, message
 ):
-    """A row validate would refuse is not rendered or exported either."""
-    record = next(i for i in read_instances(instances_path) if i.task_name == "act_generation").to_dict()
-    assert record["signature"] == "ICA-R"
+    """A row validate would refuse is not composed, rendered or exported either."""
+    record = _act_generation_row(instances_path)
     if field == "target_item":
         record[field]["component"] = value
     else:
         record[field] = value
-    broken = tmp_path / "broken.jsonl"
-    broken.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    for command in ("stats", "validate", "render", "export"):
-        out_dir = tmp_path / command
-        argv = [command, "--in", str(broken)] + (["--out", str(out_dir)] if command in ("render", "export") else [])
-        code, out, err = _run(capsys, *argv)
-        assert code == cli.EXIT_IO, command
-        assert err == f"error: line 1: {message}\n", command
-        assert out == "" and not out_dir.exists(), command
+    _assert_every_instance_reader_refuses(tmp_path, capsys, record, message)
+
+
+@pytest.mark.parametrize("field", ["task_name", "dataset", "dialog_id", "source_tasks"])
+def test_instance_name_holding_a_lone_surrogate_exits_two(tmp_path, instances_path, capsys, field):
+    # JSON's "\ud800" decodes to a lone surrogate, which the render and
+    # sample seeds, hashing these strings as UTF-8, cannot encode.
+    record = _act_generation_row(instances_path)
+    if field == "task_name":
+        record[field] += "\ud800"
+        message = "missing or invalid field task_name"
+    else:
+        provenance = record["provenance"]
+        provenance[field] = ["act_generation\ud800"] if field == "source_tasks" else provenance[field] + "\ud800"
+        message = "missing or invalid field provenance"
+    _assert_every_instance_reader_refuses(tmp_path, capsys, record, message)
 
 
 @pytest.mark.parametrize(
@@ -440,6 +486,26 @@ def test_repeated_dialog_id_stops_tasks(tmp_path, corpus_path, capsys):
     assert err.startswith(f"error: line {len(lines) + 1}: dialog_id ")
     assert "already on line 1" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("adapter", ["canonical", "act_emotion", "persona_list"])
+@pytest.mark.parametrize("field", ["dataset", "dialog_id"])
+def test_corpus_name_holding_a_lone_surrogate_exits_two(tmp_path, corpus_path, capsys, adapter, field):
+    # Dialog ids and datasets key the seeds of derive, render and sample.
+    lines = corpus_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    record[field] += "\ud800"
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n", encoding="utf-8")
+    commands = [("ingest", "--input", str(broken), "--adapter", adapter)]
+    if adapter == "canonical":
+        commands.append(("tasks", "--derive", "--corpus", str(broken)))
+    for argv in commands:
+        out_path = tmp_path / f"{argv[0]}.jsonl"
+        code, out, err = _run(capsys, *argv, "--out", str(out_path))
+        assert code == cli.EXIT_IO, argv
+        assert err == f"error: line 2: missing or invalid field {field}\n", argv
+        assert out == "" and not out_path.exists(), argv
 
 
 _REQUIRED_ARGS = {

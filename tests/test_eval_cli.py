@@ -15,15 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialogtasks import cli
-from dialogtasks.evaluate import ConstraintSpec, score_corpus
+from dialogtasks.evaluate import BOOLEAN_KINDS, ConstraintSpec, score_corpus
 from dialogtasks.ingest import ParseError, SchemaError
 
+# Every constraint kind, each met by its row's output up to case and the
+# space before a full stop, and a row with two references.
 CONSTRAINT_ROWS = [
     {
         "id": "a",
         "constraints": [
-            {"type": "begins_with", "phrase": "the flat"},
+            {"type": "begins_with", "phrase": "The flat"},
             {"type": "reference_overlap", "reference": "the flat came furnished ."},
+            {"type": "reference_overlap", "reference": "the rent includes heating ."},
         ],
     },
     {
@@ -31,6 +34,7 @@ CONSTRAINT_ROWS = [
         "constraints": [
             {"type": "contains_keywords", "keywords": ["garden"]},
             {"type": "length_class", "label": "short"},
+            {"type": "ends_with", "phrase": "Garden ."},
         ],
     },
     {"id": "c", "constraints": [{"type": "exact_match", "value": "inform"}]},
@@ -38,8 +42,8 @@ CONSTRAINT_ROWS = [
 
 OUTPUT_ROWS = [
     {"id": "a", "output": "the flat came with a garden"},
-    {"id": "b", "output": "a garden"},
-    {"id": "c", "output": "inform"},
+    {"id": "b", "output": "a garden."},
+    {"id": "c", "output": "Inform"},
 ]
 
 
@@ -65,6 +69,8 @@ def test_eval_reports_join_counts(tmp_path):
     assert code == cli.EXIT_OK
     clean = json.loads(out)
     assert clean["n_duplicate_outputs"] == clean["n_unknown_outputs"] == clean["n_missing_outputs"] == 0
+    assert clean["n_examples"] == 3 and clean["compositional_accuracy"] == 1.0
+    assert list(clean["per_constraint_accuracy"]) == sorted(BOOLEAN_KINDS)
 
     noisy_outputs = [
         OUTPUT_ROWS[0],

@@ -35,6 +35,10 @@ def test_canonical_round_trip(tmp_path):
     loaded, loaded_manifest = load_corpus(path)
     assert [d.to_dict() for d in loaded] == [d.to_dict() for d in dialogs]
     assert loaded_manifest["checksum"] == manifest["checksum"]
+    # ingest --input of a canonical corpus writes it again byte for byte.
+    again = tmp_path / "again.jsonl"
+    assert cli.main(["ingest", "--input", str(path), "--out", str(again)]) == cli.EXIT_OK
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_corpus_checksum_is_the_file_bytes(tmp_path):
@@ -289,7 +293,8 @@ def test_repeated_dialog_id_of_a_dataset_is_schema_error(tmp_path, capsys, adapt
     assert "'a/b/c', which is already on line 4" in str(err.value)
     code = cli.main(["ingest", "--input", str(path), "--adapter", adapter, "--out", str(tmp_path / "o")])
     assert code == cli.EXIT_IO
-    assert "line 5: dialog_id" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "line 5: dialog_id" in captured.err
     assert not (tmp_path / "o").exists()
 
 
