@@ -29,7 +29,7 @@ from .ingest import (
     write_corpus,
     write_json,
 )
-from .model import _checked, example_id, validate_instance
+from .model import _checked, _checked_name, example_id, validate_instance
 from .pipeline import CONFIG_TEMPLATE, PipelineConfig, run_pipeline
 from .prompts import RenderOptions, apply_cot
 from .registry import derive_corpus, list_tasks
@@ -42,6 +42,14 @@ EXIT_IO = 2
 
 def _print_json(data: Any) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
+
+
+def _utf8(value: str) -> str:
+    """An option value a seed hashes, which must encode as UTF-8 (see model._checked_name)."""
+    try:
+        return _checked_name(value, "option")
+    except SchemaError:
+        raise argparse.ArgumentTypeError(f"not UTF-8: {value!r}") from None
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -98,42 +106,13 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_plan(path: str) -> SamplingPlan:
-    """A sampling plan from a JSON object of the two quotas; absent ones keep their defaults, others must be JSON integers."""
-    raw = Path(path).read_bytes()
-    try:
-        data = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        # A JSON error knows its line and a decoding error its byte; too deep a nesting knows neither.
-        line = getattr(exc, "lineno", None) or raw.count(b"\n", 0, getattr(exc, "start", 0)) + 1
-        problem = "is not UTF-8 JSON, or nests deeper than the JSON reader allows"
-        raise ParseError(line, f"plan file {path} {problem}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("(plan)", problem=f"plan file {path} does not hold a JSON object")
-    quotas = SamplingPlan().to_dict()
-    for key in data:
-        if key not in quotas:
-            raise SchemaError(key, problem=f"unknown field {key!r} in plan file {path}")
-    for key in quotas:
-        try:
-            quotas[key] = _checked(data.get(key, quotas[key]), int, key)
-        except SchemaError as exc:
-            raise SchemaError(key, problem=f"missing or invalid field {key} in plan file {path}") from exc
-    return SamplingPlan(**quotas)
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     instances = read_instances(args.infile)
-    plan = _read_plan(args.plan) if args.plan else SamplingPlan()
-    if args.atomic_quota is not None:
-        plan = SamplingPlan(args.atomic_quota, plan.composite_quota)
-    if args.composite_quota is not None:
-        plan = SamplingPlan(plan.atomic_quota, args.composite_quota)
     manifest = export_corpus(
         instances,
         args.out,
         args.seed,
-        plan=plan,
+        plan=SamplingPlan(args.atomic_quota, args.composite_quota),
         emit_constraints=args.emit_constraints,
     )
     write_json(manifest, Path(args.out) / "manifest.json")
@@ -282,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--input", help="source corpus file (JSONL)")
     source.add_argument("--synth", type=int, metavar="N", help="generate N synthetic dialogs")
     p.add_argument("--adapter", default="canonical", choices=sorted(ADAPTERS))
-    p.add_argument("--dataset", default="synth", help="dataset name for synthetic dialogs")
+    p.add_argument("--dataset", type=_utf8, default="synth", help="dataset name for synthetic dialogs")
     p.add_argument("--out", required=True, help="canonical corpus output path")
     p.set_defaults(func=cmd_ingest)
 
@@ -314,9 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", parents=[seeded], help="sample, render, and write split corpora")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
-    p.add_argument("--plan", help="sampling plan JSON file")
-    p.add_argument("--atomic-quota", type=int, default=None)
-    p.add_argument("--composite-quota", type=int, default=None)
+    quotas = SamplingPlan()
+    p.add_argument("--atomic-quota", type=int, default=quotas.atomic_quota,
+                   help="instances kept per atomic task (default %(default)s; 0 keeps all)")
+    p.add_argument("--composite-quota", type=int, default=quotas.composite_quota,
+                   help="instances kept per composite task and dataset (default %(default)s; 0 keeps all)")
     p.add_argument("--emit-constraints", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_export)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from .ingest import ParseError, read_utf8
 from .model import (
     ComponentKind,
     Provenance,
@@ -39,12 +40,8 @@ REASON_NO_RULE = "no matching rule"
 REASON_DUPLICATE_ITEM = "duplicate grounding item"
 
 
-class RuleFormatError(ValueError):
+class RuleFormatError(ParseError):
     """A rule file row that does not parse; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 def _pair_key(a: TaskSignature, b: TaskSignature) -> Tuple[str, str]:
@@ -95,12 +92,12 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
 
     Rows are id,first,second,composed,common,target; "#" lines and blanks are
     skipped. Each common token is "dc" or the row's target letter. Raises
-    RuleFormatError on malformed rows.
+    RuleFormatError on malformed rows and ParseError on a line that is not UTF-8.
     """
     if path is None:
         text = (importlib.resources.files("dialogtasks.data") / "rules.csv").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        text = read_utf8(path)
     rules: List[CompositionRule] = []
     for line_number, row in enumerate(csv.reader(text.splitlines()), start=1):
         if not row or row[0].lstrip().startswith("#") or not "".join(row).strip():

@@ -23,11 +23,25 @@ from .seeding import stable_hash, subseed
 
 
 class ParseError(ValueError):
-    """A line that is not valid JSON; carries the 1-based line number."""
+    """A line that is not UTF-8 or does not parse; carries the 1-based line number."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
+
+
+def read_utf8(path: str | Path) -> str:
+    """A UTF-8 text file's contents, each "\r\n" or "\r" read as "\n" as in text mode.
+
+    A byte that does not decode raises ParseError naming its line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class EmptyCorpus(ValueError):

@@ -16,7 +16,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .composer import compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
-from .ingest import SynthConfig, get_adapter, load_corpus, synth_corpus, write_corpus, write_json
+from .ingest import ParseError, SynthConfig, get_adapter, load_corpus, read_utf8, synth_corpus, write_corpus, write_json
 from .prompts import apply_cot, parse_cot_mode
 from .registry import derive_corpus, task_names
 from .textutil import split_keyword_list
@@ -49,10 +49,10 @@ class PipelineConfig:
                                      "custom_rules.csv")
     max_dim: int = _key("compose", 2)
     cot: str = _key("render", "none", note="none or random-K")
-    block_shuffle: bool = _key("render", True)
-    generic_fallback: bool = _key("render", False)
-    atomic_quota: int = _key("sample", 5000)
-    composite_quota: int = _key("sample", 1000)
+    block_shuffle: bool = _key("render", RenderOptions().block_shuffle)
+    generic_fallback: bool = _key("render", RenderOptions().generic_fallback)
+    atomic_quota: int = _key("sample", SamplingPlan().atomic_quota)
+    composite_quota: int = _key("sample", SamplingPlan().composite_quota)
     out_dir: str = _key("output", "out", "dir")
     emit_constraints: bool = _key("output", True)
 
@@ -67,8 +67,8 @@ class PipelineConfig:
         parser = configparser.ConfigParser(interpolation=None, default_section="",
                                            inline_comment_prefixes=(";", "#"))
         try:
-            parser.read_string(Path(path).read_text(encoding="utf-8"), source=str(path))
-        except configparser.Error as exc:
+            parser.read_string(read_utf8(path), source=str(path))
+        except (configparser.Error, ParseError) as exc:
             raise ValueError(f"config {path}: {exc}") from exc
         values = {}
         for field, section, key in _ini_keys():

@@ -69,6 +69,19 @@ def test_ingest_synth_below_one_exits_two_naming_the_option(tmp_path, capsys, co
     assert not path.exists()
 
 
+def test_ingest_dataset_not_utf8_exits_two_naming_the_option(tmp_path, capsys):
+    # A byte that is not UTF-8 reaches argv as a lone surrogate, which the
+    # synthetic dialogs' seeds, hashing the dataset as UTF-8, cannot encode.
+    path = tmp_path / "c.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ingest", "--synth", "2", "--dataset", "s\udcff", "--out", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: dialogtasks ingest ")
+    assert "dialogtasks ingest: error: argument --dataset: " in err
+    assert not path.exists()
+
+
 def test_ingest_missing_input_is_io_error(tmp_path, capsys):
     code, _, err = _run(
         capsys, "ingest", "--input", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o")
@@ -371,79 +384,13 @@ def test_instance_name_holding_a_lone_surrogate_exits_two(tmp_path, instances_pa
     _assert_every_instance_reader_refuses(tmp_path, capsys, record, message)
 
 
-@pytest.mark.parametrize(
-    "plan, message",
-    [
-        ("[1]", "does not hold a JSON object"),
-        ('"atomic_quota"', "does not hold a JSON object"),
-        ('{"atomic_quota": [1]}', "missing or invalid field atomic_quota"),
-        ('{"composite_quota": null}', "missing or invalid field composite_quota"),
-        # A quota is a JSON integer, not a value int() would convert.
-        ('{"atomic_quota": "5"}', "missing or invalid field atomic_quota"),
-        ('{"atomic_quota": 5, "composite_quota": true}', "missing or invalid field composite_quota"),
-        ('{"atomic_quota": 2.9}', "missing or invalid field atomic_quota"),
-        # A misspelled quota is refused, not left at its default.
-        ('{"atomic_qouta": 1}', "unknown field 'atomic_qouta'"),
-    ],
-)
-def test_export_plan_file_must_be_an_object(tmp_path, instances_path, capsys, plan, message):
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text(plan, encoding="utf-8")
-    code, out, err = _run(
-        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
-        "--out", str(tmp_path / "export"),
-    )
-    assert code == cli.EXIT_IO
-    assert out == ""
-    assert err.startswith("error: ") and message in err and str(plan_path) in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "export").exists()
-
-
-@pytest.mark.parametrize(
-    "plan, line",
-    [
-        (b"{bad", 1),
-        (b"\xff\xfe", 1),
-        (b'{\n  "atomic_quota": 3,\n  "composite_quota": \xff\n}', 3),
-        (b'{\n  "atomic_quota": 3,\n  "composite_quota": x\n}', 3),
-    ],
-)
-def test_export_plan_file_not_utf8_json_names_the_file_and_line(tmp_path, instances_path, capsys, plan, line):
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_bytes(plan)
-    code, out, err = _run(
-        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
-        "--out", str(tmp_path / "export"),
-    )
-    assert code == cli.EXIT_IO
-    assert out == ""
-    assert err.startswith(f"error: line {line}: plan file {plan_path} is not UTF-8 JSON")
-    assert not (tmp_path / "export").exists()
-
-
-def test_export_plan_file_sets_quotas(tmp_path, instances_path, capsys):
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text('{"atomic_quota": 3}', encoding="utf-8")
+def test_export_quota_flags_set_the_plan(tmp_path, instances_path, capsys):
     code, out, _ = _run(
-        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
+        capsys, "export", "--in", str(instances_path), "--atomic-quota", "3", "--composite-quota", "2",
         "--out", str(tmp_path / "export"),
     )
     assert code == cli.EXIT_OK
-    assert json.loads(out)["plan"] == {"atomic_quota": 3, "composite_quota": 1000}
-
-
-def test_export_plan_file_nested_too_deeply_exits_two(tmp_path, instances_path, capsys):
-    plan_path = tmp_path / "plan.json"
-    plan_path.write_text("[" * 100_000, encoding="utf-8")
-    code, out, err = _run(
-        capsys, "export", "--in", str(instances_path), "--plan", str(plan_path),
-        "--out", str(tmp_path / "export"),
-    )
-    assert code == cli.EXIT_IO
-    assert out == ""
-    assert err.startswith("error: line 1: ") and "nests deeper" in err and str(plan_path) in err
-    assert not (tmp_path / "export").exists()
+    assert json.loads(out)["plan"] == {"atomic_quota": 3, "composite_quota": 2}
 
 
 @pytest.mark.parametrize("command", ["validate", "eval"])
@@ -700,12 +647,14 @@ def test_run_config_error_exits_two_before_any_stage_writes(tmp_path, capsys, se
         ("[DEFAULT]\nseed = 3\n", "unknown section [DEFAULT]"),
         ("[run]\nseed = x\n", "[run] seed: invalid literal for int()"),
         ("[render]\nblock_shuffle = maybe\n", "[render] block_shuffle: Not a boolean: maybe"),
+        # Written through surrogateescape, "\udce9" is the byte 0xe9, which is not UTF-8.
+        ("[corpus]\nsynth_dialogs = 5\nsynth_dataset = caf\udce9\n", "line 3: byte 0xe9 is not UTF-8"),
     ],
 )
 def test_run_config_malformed_or_unknown_exits_two_before_any_stage_writes(tmp_path, capsys, text, problem):
     out_dir = tmp_path / "out"
     config = tmp_path / "pipeline.ini"
-    config.write_text(f"{text}\n[output]\ndir = {out_dir}\n", encoding="utf-8")
+    config.write_text(f"{text}\n[output]\ndir = {out_dir}\n", encoding="utf-8", errors="surrogateescape")
     code, out, err = _run(capsys, "run", "--config", str(config))
     assert code == cli.EXIT_IO
     assert out == ""

@@ -28,7 +28,7 @@ from dialogtasks.composer import (
     naive_corpus,
 )
 from dialogtasks.evaluate import extract_constraints
-from dialogtasks.ingest import synth_corpus
+from dialogtasks.ingest import ParseError, synth_corpus
 from dialogtasks.model import (
     ComponentKind,
     Dialog,
@@ -139,6 +139,14 @@ def test_load_rules_rejects_malformed_rows(tmp_path):
     empty.write_text("# nothing here\n", encoding="utf-8")
     with pytest.raises(RuleFormatError):
         load_rules(empty)
+
+
+def test_load_rules_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    table = tmp_path / "rules.csv"
+    table.write_bytes(b"# header\n1,ICA-R,ICA-R,ICAA-R,dc,r\n2,ICE-R,ICE-R,ICE\xe9-R,dc,r\n")
+    with pytest.raises(ParseError, match=r"^line 3: byte 0xe9 is not UTF-8") as err:
+        load_rules(table)
+    assert err.value.line_number == 3
 
 
 def test_compose_merges_two_action_groundings():
