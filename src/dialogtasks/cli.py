@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # as parse_args reports them, but under the subcommand's usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "tasks" and args.derive and not (args.corpus and args.out):
         args.parser.error("tasks --derive requires --corpus and --out")
     if args.command == "ingest" and args.synth is not None and args.synth < 1:

@@ -9,8 +9,8 @@ symmetric: compose(a, b) and compose(b, a) build the identical instance.
 from __future__ import annotations
 
 import csv
-import importlib.resources
 import itertools
+import pkgutil
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,7 +95,7 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
     RuleFormatError on malformed rows and ParseError on a line that is not UTF-8.
     """
     if path is None:
-        text = (importlib.resources.files("dialogtasks.data") / "rules.csv").read_text("utf-8")
+        text = pkgutil.get_data("dialogtasks", "data/rules.csv").decode("utf-8")
     else:
         text = read_utf8(path)
     rules: List[CompositionRule] = []

@@ -404,6 +404,11 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, An
         if not failed_kinds:
             all_pass += 1
 
+    # Added in order: from Python 3.12 on, sum() compensates float sums and
+    # so gives other last digits.
+    rouge_total = 0.0
+    for score in rouge_scores:
+        rouge_total += score
     return {
         "n_examples": n,
         "per_constraint_accuracy": {
@@ -412,5 +417,5 @@ def score_corpus(examples: Sequence[Tuple[ConstraintSpec, str]]) -> Dict[str, An
         "constraint_counts": dict(sorted(kind_present.items())),
         "compositional_accuracy": (all_pass / n) if n else 1.0,
         "bleu2": _bleu2_from_counts(*bleu_totals) if rouge_scores else None,
-        "rouge_l": (sum(rouge_scores) / len(rouge_scores)) if rouge_scores else None,
+        "rouge_l": (rouge_total / len(rouge_scores)) if rouge_scores else None,
     }

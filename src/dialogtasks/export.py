@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 from .evaluate import extract_constraints
 from .ingest import SchemaError, read_jsonl, write_jsonl
 from .model import SPLITS, DialogItem, ParseMemo, Provenance, TaskInstance, Turn, example_id, instance_sort_key
-from .prompts import RenderOptions, render_corpus
+from .prompts import RenderOptions, render_corpus, with_texts
 from .seeding import stable_hash
 
 # The encoding of write_jsonl, for the values of a text row that are encoded whole.
@@ -56,19 +56,20 @@ def sample(instances: Iterable[TaskInstance], plan: SamplingPlan, seed: int) -> 
     over a canonically sorted population, so neither input order nor the
     presence of other groups changes what a group keeps.
     """
+    # One sort, one sort key per instance: each group's members keep the
+    # sorted order, and so do the kept instances.
+    ordered = sorted(instances, key=instance_sort_key)
     groups: Dict[Tuple[str, ...], List[TaskInstance]] = {}
-    for inst in instances:
+    for inst in ordered:
         groups.setdefault(_group_key(inst), []).append(inst)
-    kept: List[TaskInstance] = []
-    for key in sorted(groups):
-        population = sorted(groups[key], key=instance_sort_key)
+    dropped: Set[int] = set()
+    for key, population in groups.items():
         quota = plan.atomic_quota if key[0] == "atomic" else plan.composite_quota
         if quota > 0 and len(population) > quota:
             rng = random.Random(stable_hash(seed, "sample", *key))
-            population = rng.sample(population, quota)
-        kept.extend(population)
-    kept.sort(key=instance_sort_key)
-    return kept
+            kept = set(map(id, rng.sample(population, quota)))
+            dropped.update(id(inst) for inst in population if id(inst) not in kept)
+    return [inst for inst in ordered if id(inst) not in dropped] if dropped else ordered
 
 
 def assign_splits(instances: Iterable[TaskInstance]) -> Dict[str, List[TaskInstance]]:
@@ -256,22 +257,26 @@ def _rendered_rows(instances: Iterable[TaskInstance], seed: int, options: Option
                    errors: List[Dict[str, Any]], failed: Set[int]) -> Iterator[str]:
     """The JSON text of each example's to_record, rendering one dialog at a time.
 
-    Extends ``errors`` with render_corpus's error records and ``failed`` with their instances' id().
+    render_corpus, with prompts.with_texts as its maker, hands back each
+    instance with its input and output text, and each row is built from
+    these, with no RenderedExample in between. Extends
+    ``errors`` with render_corpus's error records and ``failed`` with their
+    instances' id().
     """
     texts = _Texts()
     for group in _by_dialog(instances):
-        rendered, group_errors = render_corpus(group, seed, options)
+        rendered, group_errors = render_corpus(group, seed, options, with_texts)
         if group_errors:
             errors.extend(group_errors)
-            kept = {example_id(example.provenance, example.style) for example in rendered}
-            failed.update(id(inst) for inst in group if example_id(inst.provenance, inst.style) not in kept)
-        for example in rendered:
-            p = example.provenance
+            kept = {id(inst) for inst, _, _ in rendered}
+            failed.update(id(inst) for inst in group if id(inst) not in kept)
+        for inst, input_text, output_text in rendered:
+            p = inst.provenance
             yield (
-                f'{{"dataset": {texts[p.dataset]}, "id": {_quote(example_id(p, example.style))}, '
-                f'"input": {_quote(example.input_text)}, "output": {_quote(example.output_text)}, '
-                f'"provenance": {texts.provenance_text(p)}, "signature": {texts[example.signature]}, '
-                f'"split": {texts[p.split]}, "task": {texts[example.task_name]}}}'
+                f'{{"dataset": {texts[p.dataset]}, "id": {_quote(example_id(p, inst.style))}, '
+                f'"input": {_quote(input_text)}, "output": {_quote(output_text)}, '
+                f'"provenance": {texts.provenance_text(p)}, "signature": {texts[inst.signature.canonical_string()]}, '
+                f'"split": {texts[p.split]}, "task": {texts[inst.task_name]}}}'
             )
 
 

@@ -82,30 +82,54 @@ def _hashed(lines: Iterable[bytes], digest: Any) -> Iterator[bytes]:
         yield raw
 
 
+# Characters of JSONL text gathered before write_jsonl encodes, hashes and
+# writes them as one block.
+_BLOCK = 1 << 16
+
+
 def write_jsonl(records: Iterable[Union[str, Dict[str, Any]]], path: str | Path) -> Dict[str, Any]:
     """Write records one JSON object per line, sorted keys, ASCII only; a str record is that line's text.
 
     Returns the file's manifest: its ``name``, record ``count`` and ``sha256``.
 
-    Each record is encoded, written and hashed as it arrives, so a generator
-    is never held in memory as a whole. A regular file (or a new one) is
-    written to a new, uniquely named temporary file beside it that replaces it
-    once the last record is written: if a record fails, the file keeps what it
-    held before and the temporary file is removed. A symlink is followed, not
-    replaced. A pipe or device, such as /dev/stdout, is written in place.
+    Lines are gathered into blocks of about 64 KiB, and each block is
+    encoded, hashed and written as one, so a generator is never held in
+    memory as a whole. A regular file (or a new one) is written to a new,
+    uniquely named temporary file beside it that replaces it once the last
+    record is written: if a record fails, even after blocks were written,
+    the file keeps what it held before and the temporary file is removed. A
+    symlink is followed, not replaced. A pipe or device, such as
+    /dev/stdout, is written in place, a block at a time; if a record fails,
+    every line before it is still written.
     """
     path = Path(path)
     encode = json.JSONEncoder(sort_keys=True, ensure_ascii=True).encode
     digest = hashlib.sha256()
     count = 0
 
+    def write_block(handle: BinaryIO, lines: List[str]) -> None:
+        lines.append("")  # so that the join ends the last line too
+        data = "\n".join(lines).encode("utf-8")
+        digest.update(data)
+        handle.write(data)
+
     def write_to(handle: BinaryIO) -> None:
         nonlocal count
-        for record in records:
-            line = ((record if isinstance(record, str) else encode(record)) + "\n").encode("utf-8")
-            digest.update(line)
-            handle.write(line)
-            count += 1
+        block: List[str] = []
+        size = 0
+        try:
+            for record in records:
+                line = record if isinstance(record, str) else encode(record)
+                block.append(line)
+                size += len(line) + 1
+                count += 1
+                if size >= _BLOCK:
+                    full, block, size = block, [], 0
+                    write_block(handle, full)
+        finally:
+            # After a failing record too, so that a pipe gets every row before it.
+            if block:
+                write_block(handle, block)
 
     _write_whole(path, write_to)
     return {"name": path.name, "count": count, "sha256": digest.hexdigest()}

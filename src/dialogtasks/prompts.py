@@ -11,11 +11,11 @@ A naive prompt keeps that layout unshuffled: the dialog context, then one
 from __future__ import annotations
 
 import json
+import pkgutil
 import random
 import re
 from dataclasses import dataclass
-from importlib import resources
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, TypeVar
 
 from .model import (
     ComponentKind,
@@ -30,6 +30,8 @@ from .model import (
 )
 from .seeding import subseed
 from .textutil import join_natural, split_keyword_list
+
+T = TypeVar("T")
 
 SECTION_INSTRUCTION = "Instruction:"
 SECTION_CONTEXT = "Dialog Context:"
@@ -53,8 +55,7 @@ class ShiftNotSubset(ValueError):
 
 
 def _load_phrase_table() -> Dict[str, Dict[str, str]]:
-    text = resources.files("dialogtasks.data").joinpath("phrases.json").read_text("utf-8")
-    return json.loads(text)
+    return json.loads(pkgutil.get_data("dialogtasks", "data/phrases.json"))
 
 
 _PHRASE_TABLE = _load_phrase_table()
@@ -155,7 +156,7 @@ def _grounding_blocks(
         by_component.setdefault(item.component, []).append(item)
     blocks: List[Tuple[str, str]] = []
     for component in sorted(by_component, key=GROUNDING_ORDER.__getitem__):
-        items = list(by_component[component])
+        items = by_component[component]
         if options.block_shuffle and len(items) > 1:
             rng.shuffle(items)
         lines = [phrase_for_item(item, options.generic_fallback) for item in items]
@@ -188,21 +189,29 @@ def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = Non
     blocks) ++ [target header]. Naive style: fixed order with each item on its
     own natively labeled line.
     """
-    return _render(inst, seed, options or RenderOptions(), _context_body(inst))
+    return _example(inst, _sections(inst, random.Random(seed), options or RenderOptions(), _context_body(inst)))
 
 
-def _render(inst: TaskInstance, seed: int, options: RenderOptions, context_body: str) -> RenderedExample:
-    """render, given the instance's context already joined into its section body."""
+def _sections(
+    inst: TaskInstance, rng: random.Random, options: RenderOptions, context_body: str
+) -> List[Tuple[str, str]]:
+    """An instance's (label, body) sections in prompt order, given its context joined into its body.
+
+    rng must be seeded with the instance's seed; only a standard instance
+    with grounding items draws from it.
+    """
     middle: List[Tuple[str, str]] = [(SECTION_CONTEXT, context_body)]
     if inst.style == "naive":  # one natively labeled line per item, in the instance's order
         for item in inst.grounding_items:
             label = NAIVE_LABELS.get(item.kind, item.kind.replace("_", " ").title())
             middle.append((f"{label}: {item.value}" if item.value else f"{label}:", ""))
     elif inst.grounding_items:  # a middle of the context alone draws nothing
-        rng = random.Random(seed)
         middle.extend(_grounding_blocks(inst, rng, options))
         rng.shuffle(middle)
-    sections = [(SECTION_INSTRUCTION, inst.instruction), *middle, (SECTION_HEADERS[inst.signature.target], "")]
+    return [(SECTION_INSTRUCTION, inst.instruction), *middle, (SECTION_HEADERS[inst.signature.target], "")]
+
+
+def _example(inst: TaskInstance, sections: List[Tuple[str, str]]) -> RenderedExample:
     return RenderedExample(
         input_text=_assemble(sections),
         output_text=_output_text(inst),
@@ -212,6 +221,11 @@ def _render(inst: TaskInstance, seed: int, options: RenderOptions, context_body:
         provenance=inst.provenance,
         style=inst.style,
     )
+
+
+def with_texts(inst: TaskInstance, sections: List[Tuple[str, str]]) -> Tuple[TaskInstance, str, str]:
+    """render_corpus's maker for export rows: the instance with its input and output text."""
+    return inst, _assemble(sections), _output_text(inst)
 
 
 def cot_transform(inst: TaskInstance, shift: Iterable[DialogItem]) -> TaskInstance:
@@ -261,16 +275,19 @@ def apply_cot(instances: List[TaskInstance], mode: str, seed: int) -> List[TaskI
     """Bulk reasoning-shift helper for the CLI: mode is "none" or "random-K".
 
     Each instance shifts K of its grounding items, drawn with a seed derived
-    from its identity, or all of them when it has no more than K.
+    from its identity, or all of them when it has no more than K. One Random
+    serves the call, re-seeded per drawing instance, which leaves it in the
+    state a new Random of that seed has.
     """
     k = parse_cot_mode(mode)
     if k is None:
         return list(instances)
+    rng = random.Random()
     out = []
     for inst in instances:
         items = inst.grounding_items
         if 0 < k < len(items):
-            rng = random.Random(subseed(seed, "cot", inst.provenance.key(), inst.task_name))
+            rng.seed(subseed(seed, "cot", inst.provenance.key(), inst.task_name))
             shift = rng.sample(items, k)
         else:
             # Shifting nothing or everything draws nothing that reaches the
@@ -284,27 +301,33 @@ def render_corpus(
     instances: Iterable[TaskInstance],
     seed: int,
     options: Optional[RenderOptions] = None,
-) -> Tuple[List[RenderedExample], List[Dict[str, Any]]]:
+    make: Callable[[TaskInstance, List[Tuple[str, str]]], T] = _example,
+) -> Tuple[List[T], List[Dict[str, Any]]]:
     """Render every instance with a per-instance derived seed.
 
     Deterministic and order-preserving; per-instance failures are collected as
-    error records with provenance instead of aborting the batch. Each
-    distinct context tuple is joined into its section body once per call:
-    instances of one position share one tuple, as derive, compose and
-    read_instances hand it out.
+    error records with provenance instead of aborting the batch. Each result
+    is make(instance, sections): a RenderedExample by default, or with
+    with_texts the instance with its input and output text, from which
+    export builds its JSONL rows. Each distinct context tuple
+    is joined into its section body once per call: instances of one position
+    share one tuple, as derive, compose and read_instances hand it out. One
+    Random serves the call, re-seeded for each instance that draws from it.
     """
     options = options or RenderOptions()
-    rendered: List[RenderedExample] = []
+    rendered: List[T] = []
     errors: List[Dict[str, Any]] = []
     # id(context) -> (context, body); holding the context keeps its id unused.
     bodies: Dict[int, Tuple[Tuple[Turn, ...], str]] = {}
+    rng = random.Random()
     for inst in instances:
-        inst_seed = subseed(seed, "render", inst.provenance.key(), inst.task_name)
+        if inst.style != "naive" and inst.grounding_items:  # the instances _sections draws for
+            rng.seed(subseed(seed, "render", inst.provenance.key(), inst.task_name))
         known = bodies.get(id(inst.context))
         if known is None:
             known = bodies[id(inst.context)] = (inst.context, _context_body(inst))
         try:
-            rendered.append(_render(inst, inst_seed, options, known[1]))
+            rendered.append(make(inst, _sections(inst, rng, options, known[1])))
         except (UnknownKind, ValueError) as exc:
             errors.append(
                 {

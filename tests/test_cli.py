@@ -384,6 +384,18 @@ def test_instance_name_holding_a_lone_surrogate_exits_two(tmp_path, instances_pa
     _assert_every_instance_reader_refuses(tmp_path, capsys, record, message)
 
 
+@pytest.mark.parametrize("command", ["export", "compose"])
+def test_unknown_option_is_reported_under_its_subcommand(tmp_path, capsys, command):
+    out = tmp_path / "e"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--in", "i.jsonl", "--plan", "p.json", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: dialogtasks {command} ")
+    assert f"dialogtasks {command}: error: unrecognized arguments: --plan p.json" in err
+    assert not out.exists()
+
+
 def test_export_quota_flags_set_the_plan(tmp_path, instances_path, capsys):
     code, out, _ = _run(
         capsys, "export", "--in", str(instances_path), "--atomic-quota", "3", "--composite-quota", "2",

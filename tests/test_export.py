@@ -36,10 +36,12 @@ from dialogtasks.model import (
     TaskInstance,
     Turn,
     example_id,
+    instance_sort_key,
 )
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.prompts import PHRASES, apply_cot, render_corpus
 from dialogtasks.registry import derive_corpus
+from dialogtasks.seeding import stable_hash
 
 
 def _corpus(n_dialogs=12, seed=3):
@@ -102,6 +104,34 @@ def test_sample_composite_quota_is_per_dataset():
         assert count <= 3, (name, dataset)
     datasets = {dataset for _, dataset in per_group}
     assert datasets == {"synth", "other"}
+
+
+def _sorting_each_group_sample(instances, plan, seed):
+    """sample as it was: sort each group, then sort all kept instances again."""
+    groups = {}
+    for inst in instances:
+        key = ("atomic", inst.task_name) if inst.signature.is_atomic else ("composite", inst.task_name, inst.provenance.dataset)
+        groups.setdefault(key, []).append(inst)
+    kept = []
+    for key in sorted(groups):
+        population = sorted(groups[key], key=instance_sort_key)
+        quota = plan.atomic_quota if key[0] == "atomic" else plan.composite_quota
+        if quota > 0 and len(population) > quota:
+            population = random.Random(stable_hash(seed, "sample", *key)).sample(population, quota)
+        kept.extend(population)
+    kept.sort(key=instance_sort_key)
+    return kept
+
+
+@pytest.mark.parametrize("cot", ["none", "random-1"])
+@pytest.mark.parametrize("quotas", [(4, 2), (1, 1), (0, 3), (50, 0)])
+def test_sample_keeps_what_sorting_each_group_kept(quotas, cot):
+    atoms = _corpus(8, seed=5)
+    instances = apply_cot(atoms + compose_corpus(atoms, load_rules())[0], cot, 5)
+    random.Random(1).shuffle(instances)
+    plan = SamplingPlan(*quotas)
+    for seed in (0, 7):
+        assert sample(instances, plan, seed) == _sorting_each_group_sample(instances, plan, seed)
 
 
 def test_write_and_read_instances_round_trip(tmp_path):

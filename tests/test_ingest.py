@@ -11,6 +11,7 @@ import pytest
 
 from dialogtasks import cli
 from dialogtasks.ingest import (
+    _BLOCK,
     ADAPTERS,
     EmptyCorpus,
     ParseError,
@@ -373,6 +374,51 @@ def test_write_jsonl_streams_the_joined_bytes(tmp_path, name, as_generator):
     assert os.listdir(tmp_path) == ["out.jsonl"]
 
 
+def _str_records(total):
+    """str records whose lines, each with its newline, hold ``total`` bytes in all."""
+    records = []
+    while total:
+        size = min(total, 101)
+        records.append(str(len(records) % 10) * (size - 1))
+        total -= size
+    return records
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        _str_records(_BLOCK - 1),
+        _str_records(_BLOCK),
+        _str_records(_BLOCK + 1),
+        ["a", "b" * (2 * _BLOCK + 3), "c"],
+    ],
+    ids=["one byte under a block", "a block", "one byte over a block", "a line longer than a block"],
+)
+def test_write_jsonl_writes_the_joined_lines_across_blocks(tmp_path, records):
+    data = "".join(record + "\n" for record in records).encode("utf-8")
+    path = tmp_path / "out.jsonl"
+    manifest = write_jsonl(iter(records), path)
+    assert path.read_bytes() == data
+    assert (manifest["count"], manifest["sha256"]) == (len(records), hashlib.sha256(data).hexdigest())
+
+
+def _failing_after_two_blocks():
+    yield from _str_records(2 * _BLOCK + 1)
+    yield {"b": object()}
+
+
+@pytest.mark.parametrize("before", [None, b'{"old": true}\n'], ids=["no file", "old file"])
+def test_write_jsonl_failing_after_a_written_block_leaves_the_path_as_it_was(tmp_path, before):
+    path = tmp_path / "out.jsonl"
+    if before is not None:
+        path.write_bytes(before)
+    with pytest.raises(TypeError):
+        write_jsonl(_failing_after_two_blocks(), path)
+    assert os.listdir(tmp_path) == ([] if before is None else ["out.jsonl"])
+    if before is not None:
+        assert path.read_bytes() == before
+
+
 def _failing_midway():
     yield {"a": 1}
     yield {"b": object()}
@@ -403,9 +449,12 @@ def test_write_jsonl_follows_a_symlink_to_a_file(tmp_path):
     assert sorted(os.listdir(tmp_path)) == ["link.jsonl", "target.jsonl"]
 
 
-def test_write_jsonl_writes_a_pipe_in_place(tmp_path):
-    # As with --out /dev/stdout: a symlink to a pipe is written through,
-    # neither it nor the pipe is replaced by a regular file.
+def _write_through_a_pipe(tmp_path, records):
+    """write_jsonl(records) to a symlink to a pipe: its manifest and the bytes read from the pipe.
+
+    The manifest is None where write_jsonl raised; the error is kept in
+    place of the manifest.
+    """
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     link = tmp_path / "stdout"
@@ -414,18 +463,44 @@ def test_write_jsonl_writes_a_pipe_in_place(tmp_path):
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
     reader.start()
     try:
-        manifest = write_jsonl(_RECORD_SETS["many"], link)
+        manifest = write_jsonl(records, link)
+    except Exception as exc:
+        manifest = exc
     finally:
         reader.join(timeout=10)
         if reader.is_alive():
             fifo.write_bytes(b"")  # the writer never opened the pipe: release the reader
             reader.join(timeout=10)
     assert not reader.is_alive()
+    assert link.is_symlink() and stat.S_ISFIFO(os.stat(fifo).st_mode)
+    return manifest, received
+
+
+def test_write_jsonl_writes_a_pipe_in_place(tmp_path):
+    # As with --out /dev/stdout: a symlink to a pipe is written through,
+    # neither it nor the pipe is replaced by a regular file.
+    manifest, received = _write_through_a_pipe(tmp_path, _RECORD_SETS["many"])
     data, count = _joined(_RECORD_SETS["many"])
     assert received == [data]
     assert (manifest["count"], manifest["sha256"]) == (count, hashlib.sha256(data).hexdigest())
-    assert link.is_symlink() and stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["fifo", "stdout"]
+
+
+@pytest.mark.parametrize(
+    "records, written",
+    [
+        (_failing_midway, [{"a": 1}]),
+        (_failing_after_two_blocks, _str_records(2 * _BLOCK + 1)),
+    ],
+    ids=["within the first block", "after two written blocks"],
+)
+def test_write_jsonl_failing_on_a_pipe_still_writes_every_line_before(tmp_path, records, written):
+    # A pipe cannot be put back as it was, so it gets what the program
+    # wrote before the failure, as if each line were written as it came.
+    error, received = _write_through_a_pipe(tmp_path, records())
+    assert isinstance(error, TypeError)
+    lines = [line if isinstance(line, str) else json.dumps(line, sort_keys=True) for line in written]
+    assert received == ["".join(line + "\n" for line in lines).encode("utf-8")]
 
 
 def test_write_jsonl_memory_does_not_grow_with_the_file(tmp_path):

@@ -1,5 +1,7 @@
 """The package's public names, and the data files it ships."""
 
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path, PurePosixPath
 
@@ -38,3 +40,22 @@ def test_every_data_file_is_package_data():
     # Run against an installed package, this finds the files the wheel holds.
     installed = resources.files("dialogtasks")
     assert [path for path in data if not installed.joinpath(*path.parts).is_file()] == []
+
+
+def test_start_up_leaves_importlib_resources_unloaded():
+    # importlib.resources imports tempfile, shutil, zipfile, bz2 and lzma;
+    # the packaged data is read with pkgutil instead. -S leaves out site,
+    # whose .pth files may import it for packages of their own.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import dialogtasks.cli; "
+        "from dialogtasks.composer import load_rules; load_rules(); "
+        "print(dialogtasks.__file__); print('importlib.resources' in sys.modules)"
+    )
+    package_root = Path(dialogtasks.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code, str(package_root)], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    imported_from, loaded = done.stdout.splitlines()
+    assert Path(imported_from).resolve().parent.parent == package_root
+    assert loaded == "False"

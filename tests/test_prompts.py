@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dialogtasks import prompts, registry
-from dialogtasks.composer import compose, load_rules
+from dialogtasks.composer import compose, compose_corpus, load_rules
+from dialogtasks.ingest import synth_corpus
 from dialogtasks.model import (
     ComponentKind,
     Dialog,
@@ -438,6 +439,35 @@ def test_render_corpus_matches_always_seeding(n_items, k):
             rendered, errors = render_corpus(instances, seed, options)
             assert errors == []
             assert rendered == _always_seeding_render_corpus(instances, seed, options)
+
+
+def _synth_instances():
+    """The atoms and composites of a small synthetic corpus, as the pipeline hands them to cot."""
+    atoms = registry.derive_corpus(synth_corpus(3, 6), seed=3)
+    return atoms + compose_corpus(atoms, load_rules())[0]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_apply_cot_draws_as_a_fresh_random_per_instance(k):
+    # apply_cot re-seeds one Random per instance; over a whole corpus it must
+    # draw what a new Random of each instance's seed draws.
+    instances = _synth_instances()
+    for seed in (0, 7):
+        assert apply_cot(instances, f"random-{k}", seed) == _always_seeding_apply_cot(instances, k, seed)
+
+
+def test_render_corpus_draws_as_a_fresh_random_per_instance():
+    instances = apply_cot(_synth_instances(), "random-1", 7)
+    rendered, errors = render_corpus(instances, 7)
+    assert errors == []
+    assert rendered == _always_seeding_render_corpus(instances, 7, RenderOptions())
+
+
+def test_render_corpus_hands_make_each_instance_and_its_sections():
+    instances = apply_cot(_synth_instances(), "random-1", 7)
+    made, errors = render_corpus(instances, 7, make=lambda inst, sections: (inst, tuple(sections)))
+    assert errors == []
+    assert made == [(inst, example.sections) for inst, example in zip(instances, render_corpus(instances, 7)[0])]
 
 
 @pytest.mark.parametrize("mode", ["random--1", "random-", "random-x", "random-1.5", "Random-1", "none ", ""])

@@ -7,6 +7,8 @@ string-level scorer on the same corpus.
 """
 
 import dataclasses
+import functools
+import operator
 import random
 from collections import Counter
 
@@ -245,7 +247,7 @@ def _oracle_report(examples):
         "constraint_counts": dict(sorted(present.items())),
         "compositional_accuracy": all_pass / n if n else 1.0,
         "bleu2": _bleu2_from_counts(*totals) if rouges else None,
-        "rouge_l": sum(rouges) / len(rouges) if rouges else None,
+        "rouge_l": functools.reduce(operator.add, rouges, 0.0) / len(rouges) if rouges else None,
     }
 
 
