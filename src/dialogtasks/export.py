@@ -20,7 +20,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set,
 from .evaluate import extract_constraints
 from .ingest import SchemaError, read_jsonl, write_jsonl
 from .model import SPLITS, DialogItem, ParseMemo, Provenance, TaskInstance, Turn, example_id, instance_sort_key
-from .prompts import RenderOptions, render_corpus, with_texts
+from .prompts import RenderOptions, render_corpus
 from .seeding import stable_hash
 
 # The encoding of write_jsonl, for the values of a text row that are encoded whole.
@@ -255,26 +255,25 @@ def write_rendered(
 
 def _rendered_rows(instances: Iterable[TaskInstance], seed: int, options: Optional[RenderOptions],
                    errors: List[Dict[str, Any]], failed: Set[int]) -> Iterator[str]:
-    """The JSON text of each example's to_record, rendering one dialog at a time.
+    """The JSON text of each example's row, rendering one dialog at a time.
 
-    render_corpus, with prompts.with_texts as its maker, hands back each
-    instance with its input and output text, and each row is built from
-    these, with no RenderedExample in between. Extends
-    ``errors`` with render_corpus's error records and ``failed`` with their
-    instances' id().
+    A row holds the example's instance's id, task, signature, dataset, split
+    and provenance with its input and output text. Extends ``errors`` with
+    render_corpus's error records and ``failed`` with their instances' id().
     """
     texts = _Texts()
     for group in _by_dialog(instances):
-        rendered, group_errors = render_corpus(group, seed, options, with_texts)
+        rendered, group_errors = render_corpus(group, seed, options)
         if group_errors:
             errors.extend(group_errors)
-            kept = {id(inst) for inst, _, _ in rendered}
+            kept = {id(example.instance) for example in rendered}
             failed.update(id(inst) for inst in group if id(inst) not in kept)
-        for inst, input_text, output_text in rendered:
+        for example in rendered:
+            inst = example.instance
             p = inst.provenance
             yield (
                 f'{{"dataset": {texts[p.dataset]}, "id": {_quote(example_id(p, inst.style))}, '
-                f'"input": {_quote(input_text)}, "output": {_quote(output_text)}, '
+                f'"input": {_quote(example.input_text)}, "output": {_quote(example.output_text)}, '
                 f'"provenance": {texts.provenance_text(p)}, "signature": {texts[inst.signature.canonical_string()]}, '
                 f'"split": {texts[p.split]}, "task": {texts[inst.task_name]}}}'
             )

@@ -474,20 +474,18 @@ class TaskInstance:
         components = [item.component for item in self.grounding_items]
         object.__setattr__(self, "signature", signature_of(components, self.target_item.component))
 
-    def to_dict(self, context: bool = True) -> Dict[str, Any]:
-        """The row of this instance; ``context=False`` leaves the context out,
-        for a writer that stores it elsewhere in the file."""
+    def to_dict(self) -> Dict[str, Any]:
+        """The row of this instance, with its context inline."""
         data: Dict[str, Any] = {
             "signature": self.signature.canonical_string(),
             "task_name": self.task_name,
             "instruction": self.instruction,
+            "context": [t.to_dict() for t in self.context],
             "grounding_items": [i.to_dict() for i in self.grounding_items],
             "target_item": self.target_item.to_dict(),
             "provenance": self.provenance.to_dict(),
             "style": self.style,
         }
-        if context:
-            data["context"] = [t.to_dict() for t in self.context]
         if self.cot_items:
             data["cot_items"] = [i.to_dict() for i in self.cot_items]
         return data

@@ -121,7 +121,7 @@ CONFIG_TEMPLATE = _template()
 def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     """Run every stage and write the corpus plus manifest.json into out_dir."""
     # A bad config or corpus raises here, before anything is written.
-    cot_k = parse_cot_mode(config.cot)
+    parse_cot_mode(config.cot)
     task_names(config.tasks)
     get_adapter(config.adapter)
     rules = load_rules(config.rules_path) if config.compose_enabled else []
@@ -146,8 +146,7 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
         composites, rejections = compose_corpus(instances, rules, max_dim=config.max_dim)
         instances = instances + composites
         del composites  # nothing reads the composites from before cot
-    if cot_k is not None:
-        instances = apply_cot(instances, config.cot, config.seed)
+    instances = apply_cot(instances, config.cot, config.seed)
 
     export_manifest = export_corpus(
         instances,

@@ -15,23 +15,19 @@ import pkgutil
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, TypeVar
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .model import (
     ComponentKind,
     GROUNDING_ORDER,
     FIELD_NAMES,
     DialogItem,
-    Provenance,
     TaskInstance,
     Turn,
-    example_id,
     item_sort_key,
 )
 from .seeding import subseed
 from .textutil import join_natural, split_keyword_list
-
-T = TypeVar("T")
 
 SECTION_INSTRUCTION = "Instruction:"
 SECTION_CONTEXT = "Dialog Context:"
@@ -73,27 +69,12 @@ class RenderOptions:
 
 @dataclass(frozen=True, slots=True)
 class RenderedExample:
-    """The final (input text, output text) pair plus everything needed to trace it."""
+    """The final (input text, output text) pair of an instance, with the sections it was assembled from."""
 
+    instance: TaskInstance
     input_text: str
     output_text: str
     sections: Tuple[Tuple[str, str], ...]
-    task_name: str
-    signature: str
-    provenance: Provenance
-    style: str = "standard"
-
-    def to_record(self) -> Dict[str, Any]:
-        return {
-            "id": example_id(self.provenance, self.style),
-            "input": self.input_text,
-            "output": self.output_text,
-            "task": self.task_name,
-            "signature": self.signature,
-            "dataset": self.provenance.dataset,
-            "split": self.provenance.split,
-            "provenance": self.provenance.to_dict(),
-        }
 
 
 # One shared instruction string per (target, set of grounding components).
@@ -212,20 +193,7 @@ def _sections(
 
 
 def _example(inst: TaskInstance, sections: List[Tuple[str, str]]) -> RenderedExample:
-    return RenderedExample(
-        input_text=_assemble(sections),
-        output_text=_output_text(inst),
-        sections=tuple(sections),
-        task_name=inst.task_name,
-        signature=inst.signature.canonical_string(),
-        provenance=inst.provenance,
-        style=inst.style,
-    )
-
-
-def with_texts(inst: TaskInstance, sections: List[Tuple[str, str]]) -> Tuple[TaskInstance, str, str]:
-    """render_corpus's maker for export rows: the instance with its input and output text."""
-    return inst, _assemble(sections), _output_text(inst)
+    return RenderedExample(inst, _assemble(sections), _output_text(inst), tuple(sections))
 
 
 def cot_transform(inst: TaskInstance, shift: Iterable[DialogItem]) -> TaskInstance:
@@ -301,21 +269,18 @@ def render_corpus(
     instances: Iterable[TaskInstance],
     seed: int,
     options: Optional[RenderOptions] = None,
-    make: Callable[[TaskInstance, List[Tuple[str, str]]], T] = _example,
-) -> Tuple[List[T], List[Dict[str, Any]]]:
+) -> Tuple[List[RenderedExample], List[Dict[str, Any]]]:
     """Render every instance with a per-instance derived seed.
 
-    Deterministic and order-preserving; per-instance failures are collected as
-    error records with provenance instead of aborting the batch. Each result
-    is make(instance, sections): a RenderedExample by default, or with
-    with_texts the instance with its input and output text, from which
-    export builds its JSONL rows. Each distinct context tuple
+    Deterministic and order-preserving, and each example holds the instance
+    it renders; per-instance failures are collected as error records with
+    provenance instead of aborting the batch. Each distinct context tuple
     is joined into its section body once per call: instances of one position
     share one tuple, as derive, compose and read_instances hand it out. One
     Random serves the call, re-seeded for each instance that draws from it.
     """
     options = options or RenderOptions()
-    rendered: List[T] = []
+    rendered: List[RenderedExample] = []
     errors: List[Dict[str, Any]] = []
     # id(context) -> (context, body); holding the context keeps its id unused.
     bodies: Dict[int, Tuple[Tuple[Turn, ...], str]] = {}
@@ -327,7 +292,7 @@ def render_corpus(
         if known is None:
             known = bodies[id(inst.context)] = (inst.context, _context_body(inst))
         try:
-            rendered.append(make(inst, _sections(inst, rng, options, known[1])))
+            rendered.append(_example(inst, _sections(inst, rng, options, known[1])))
         except (UnknownKind, ValueError) as exc:
             errors.append(
                 {

@@ -97,9 +97,8 @@ def rank_keywords(text: Union[str, List[str]]) -> List[str]:
     return [surface[folded] for folded in ranked]
 
 
-def select_keywords(tokens: List[str], rng: random.Random) -> List[str]:
-    """Pick 1-3 keywords from a token list, preserving rank order."""
-    ranked = rank_keywords(tokens)
+def select_keywords(ranked: List[str], rng: random.Random) -> List[str]:
+    """Pick 1-3 keywords from rank_keywords' list, preserving rank order."""
     if not ranked:
         raise NoContentTokens("no keyword candidates")
     count = rng.randint(1, min(MAX_KEYWORDS, len(ranked)))
@@ -131,7 +130,7 @@ def _corrupt_tokens(tokens: Sequence[str], rng: random.Random) -> List[str]:
 # ---------------------------------------------------------------------------
 
 class _Position:
-    """Target turn t of a dialog, tokenized at most once however many tasks read it.
+    """Target turn t of a dialog, tokenized and its keywords ranked at most once however many tasks read it.
 
     Every task at the position takes its context from here, so all of them
     share one tuple (turns[:t], or turns[:t+1] for tagging tasks): compose
@@ -146,6 +145,10 @@ class _Position:
     @cached_property
     def tokens(self) -> List[str]:
         return tokenize(self.turn.text)
+
+    @cached_property
+    def ranked_keywords(self) -> List[str]:
+        return rank_keywords(self.tokens)
 
     @cached_property
     def context(self) -> Tuple[Turn, ...]:
@@ -184,7 +187,7 @@ def _phrase_span(at_start: bool) -> Source:
 
 
 def _keywords(pos: _Position, seed: int) -> Tuple[str, int]:
-    return ", ".join(select_keywords(pos.tokens, random.Random(seed))), pos.t
+    return ", ".join(select_keywords(pos.ranked_keywords, random.Random(seed))), pos.t
 
 
 def _length_class(pos: _Position, seed: int) -> Tuple[str, int]:

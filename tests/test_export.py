@@ -411,6 +411,21 @@ def test_write_jsonl_is_byte_stable(tmp_path):
     assert (tmp_path / "empty.jsonl").read_text(encoding="utf-8") == ""
 
 
+def _rendered_row(example):
+    """The dict form of a <split>.jsonl row, built from the example's instance."""
+    inst = example.instance
+    return {
+        "id": example_id(inst.provenance, inst.style),
+        "input": example.input_text,
+        "output": example.output_text,
+        "task": inst.task_name,
+        "signature": inst.signature.canonical_string(),
+        "dataset": inst.provenance.dataset,
+        "split": inst.provenance.split,
+        "provenance": inst.provenance.to_dict(),
+    }
+
+
 def test_write_rendered_equals_rendering_the_whole_list(tmp_path):
     # Rendering one dialog at a time must not change the bytes or the error
     # records, also for instances that are not sorted by dialog.
@@ -421,7 +436,7 @@ def test_write_rendered_equals_rendering_the_whole_list(tmp_path):
     shuffled = random.Random(0).sample(instances, len(instances))
     for name, members in (("sorted", instances), ("shuffled", shuffled)):
         rendered, errors = render_corpus(members, 4)
-        whole = write_jsonl((example.to_record() for example in rendered), tmp_path / "whole.jsonl")
+        whole = write_jsonl(map(_rendered_row, rendered), tmp_path / "whole.jsonl")
         streamed, streamed_errors = write_rendered(members, tmp_path / f"{name}.jsonl", 4)
         assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
         assert streamed["sha256"] == whole["sha256"]
@@ -560,7 +575,7 @@ def test_text_rows_are_the_json_of_their_dict_forms(tmp_path_factory, dialogs, s
     tmp = tmp_path_factory.mktemp("rows")
     instances = [inst for dialog in dialogs for inst in dialog]
     write_rendered(instances, tmp / "rendered.jsonl", seed)
-    assert (tmp / "rendered.jsonl").read_bytes() == _lines(e.to_record() for e in render_corpus(instances, seed)[0])
+    assert (tmp / "rendered.jsonl").read_bytes() == _lines(map(_rendered_row, render_corpus(instances, seed)[0]))
     assert "".join(line + "\n" for line in constraint_records(instances)).encode("ascii") == _lines(
         {
             "id": example_id(inst.provenance, inst.style),
@@ -574,7 +589,8 @@ def test_text_rows_are_the_json_of_their_dict_forms(tmp_path_factory, dialogs, s
     for dialog in dialogs:
         turns = max((inst.context for inst in dialog), key=len)
         for at, inst in enumerate(dialog):
-            row = {**inst.to_dict(context=False), "context_turns": len(inst.context)}
+            row = {**inst.to_dict(), "context_turns": len(inst.context)}
+            del row["context"]
             if at == 0:
                 row["dialog_turns"] = [turn.to_dict() for turn in turns]
             expected.append(row)

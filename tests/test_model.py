@@ -218,8 +218,9 @@ def test_from_dict_with_one_memo_reads_a_rows_context_from_an_earlier_rows_dialo
     )
     whole = dataclasses.replace(_instance([], TargetItem(R, "response", "y")), context=turns)
     prefix = dataclasses.replace(whole, task_name="other", context=turns[:1])
-    carrier = {**whole.to_dict(context=False), "context_turns": 2, "dialog_turns": [t.to_dict() for t in turns]}
-    referring = {**prefix.to_dict(context=False), "context_turns": 1}
+    carrier = {**whole.to_dict(), "context_turns": 2, "dialog_turns": [t.to_dict() for t in turns]}
+    referring = {**prefix.to_dict(), "context_turns": 1}
+    del carrier["context"], referring["context"]
     memo = ParseMemo()
     assert TaskInstance.from_dict(carrier, memo) == whole
     first, again = TaskInstance.from_dict(referring, memo), TaskInstance.from_dict(referring, memo)

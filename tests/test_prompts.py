@@ -329,7 +329,7 @@ def test_render_corpus_collects_errors_and_keeps_going():
         [DialogItem(S, "mystery_kind", "x", 1)], RESPONSE_TARGET, name="broken_task"
     )
     rendered, errors = render_corpus([bad, good], seed=0)
-    assert [r.task_name for r in rendered] == ["hand_task"]
+    assert [r.instance.task_name for r in rendered] == ["hand_task"]
     assert len(errors) == 1
     assert errors[0]["task_name"] == "broken_task"
     assert errors[0]["error"].startswith("UnknownKind")
@@ -346,7 +346,7 @@ def test_render_corpus_deterministic():
     first, _ = render_corpus(insts, seed=11)
     second, _ = render_corpus(insts, seed=11)
     assert first == second
-    assert all(r.to_record()["input"] for r in first)
+    assert all(r.input_text for r in first)
 
 
 @settings(max_examples=60, deadline=None)
@@ -390,12 +390,10 @@ def _always_seeding_render_corpus(instances, seed, options):
         sections = [(SECTION_INSTRUCTION, inst.instruction), *middle, header]
         rendered.append(
             RenderedExample(
+                instance=inst,
                 input_text=prompts._assemble(sections),
                 output_text=prompts._output_text(inst),
                 sections=tuple(sections),
-                task_name=inst.task_name,
-                signature=inst.signature.canonical_string(),
-                provenance=inst.provenance,
             )
         )
     return rendered
@@ -463,11 +461,12 @@ def test_render_corpus_draws_as_a_fresh_random_per_instance():
     assert rendered == _always_seeding_render_corpus(instances, 7, RenderOptions())
 
 
-def test_render_corpus_hands_make_each_instance_and_its_sections():
+def test_render_corpus_examples_hold_their_input_instances_in_order():
     instances = apply_cot(_synth_instances(), "random-1", 7)
-    made, errors = render_corpus(instances, 7, make=lambda inst, sections: (inst, tuple(sections)))
+    rendered, errors = render_corpus(instances, 7)
     assert errors == []
-    assert made == [(inst, example.sections) for inst, example in zip(instances, render_corpus(instances, 7)[0])]
+    assert len(rendered) == len(instances)
+    assert all(example.instance is inst for example, inst in zip(rendered, instances))
 
 
 @pytest.mark.parametrize("mode", ["random--1", "random-", "random-x", "random-1.5", "Random-1", "none ", ""])

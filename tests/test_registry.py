@@ -305,6 +305,22 @@ def test_derive_corpus_tokenizes_each_target_turn_once(monkeypatch):
     assert calls == []
 
 
+def test_derive_corpus_ranks_each_target_turns_keywords_once(monkeypatch):
+    # keyword_controlled_generation and keyword_prediction both read the
+    # keywords of a position; they share one ranking.
+    calls = []
+
+    def counting_rank_keywords(tokens):
+        calls.append(list(tokens))
+        return rank_keywords(tokens)
+
+    monkeypatch.setattr(registry, "rank_keywords", counting_rank_keywords)
+    dialogs = synth_corpus(7, 30)
+    instances = derive_corpus(dialogs, seed=7)
+    assert {"keyword_controlled_generation", "keyword_prediction"} <= {i.task_name for i in instances}
+    assert calls == [tokenize(turn.text) for d in dialogs for turn in d.turns[1:]]
+
+
 def test_derive_corpus_shares_signatures_and_instructions():
     instances = derive_corpus(synth_corpus(7, 10), seed=7)
     assert len({id(i.signature) for i in instances}) == len({i.signature for i in instances})
