@@ -91,7 +91,8 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
     """Load a rule table; the packaged default when no path is given.
 
     Rows are id,first,second,composed,common,target; "#" lines and blanks are
-    skipped. Each common token is "dc" or the row's target letter. Raises
+    skipped. Each common token is "dc" or the row's target letter, and no two
+    rows share a rule id or a signature pair in either order. Raises
     RuleFormatError on malformed rows and ParseError on a line that is not UTF-8.
     """
     if path is None:
@@ -99,6 +100,7 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
     else:
         text = read_utf8(path)
     rules: List[CompositionRule] = []
+    first_lines: Dict[str, int] = {}  # each rule id and signature pair, by its first line
     for line_number, row in enumerate(csv.reader(text.splitlines()), start=1):
         if not row or row[0].lstrip().startswith("#") or not "".join(row).strip():
             continue
@@ -122,6 +124,10 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
         for token in rule.common:
             if token.lower() not in ("dc", rule.target.value.lower()):
                 raise RuleFormatError(line_number, f"common {token!r} is neither dc nor the target letter")
+        for what in (f"rule id {rule.rule_id}", "signature pair {} and {}".format(*rule._key)):
+            first = first_lines.setdefault(what, line_number)
+            if first != line_number:
+                raise RuleFormatError(line_number, f"{what} repeats line {first}")
         rules.append(rule)
     if not rules:
         raise RuleFormatError(0, "rule table has no rows")
@@ -335,10 +341,10 @@ def compose_corpus(
     Pairs are enumerated within each dialog position. compose runs on the
     pairs that share a context and a target, in itertools.combinations
     order; every other pair is refused without a call and counted by
-    _Join. With max_dim > 2, composites are re-paired with atomic instances
-    for another round; the packaged rule table only covers atomic pairs, so
-    higher rounds need a custom table. Output is deduplicated and
-    canonically sorted.
+    _Join. With max_dim > 2, the last round's composites are re-paired with
+    atomic instances for another round, until a round composes nothing; the
+    packaged rule table only covers atomic pairs, so higher rounds need a
+    custom table. Output is deduplicated and canonically sorted.
     """
     if max_dim < 2:
         raise ValueError("max_dim must be >= 2")
@@ -365,6 +371,8 @@ def compose_corpus(
         frontier = accepted(join.pairs(), seen)
         composites.extend(frontier)
         for _ in range(3, max_dim + 1):
+            if not frontier:  # a round that composed nothing leaves nothing to extend
+                break
             frontier = accepted(
                 ((composite, atom) for composite in frontier for atom in join.atoms_for(composite, reasons)),
                 seen,

@@ -56,20 +56,18 @@ def sample(instances: Iterable[TaskInstance], plan: SamplingPlan, seed: int) -> 
     over a canonically sorted population, so neither input order nor the
     presence of other groups changes what a group keeps.
     """
-    # One sort, one sort key per instance: each group's members keep the
-    # sorted order, and so do the kept instances.
-    ordered = sorted(instances, key=instance_sort_key)
     groups: Dict[Tuple[str, ...], List[TaskInstance]] = {}
-    for inst in ordered:
+    for inst in instances:
         groups.setdefault(_group_key(inst), []).append(inst)
-    dropped: Set[int] = set()
+    kept: List[TaskInstance] = []
     for key, population in groups.items():
         quota = plan.atomic_quota if key[0] == "atomic" else plan.composite_quota
         if quota > 0 and len(population) > quota:
-            rng = random.Random(stable_hash(seed, "sample", *key))
-            kept = set(map(id, rng.sample(population, quota)))
-            dropped.update(id(inst) for inst in population if id(inst) not in kept)
-    return [inst for inst in ordered if id(inst) not in dropped] if dropped else ordered
+            population.sort(key=instance_sort_key)
+            population = random.Random(stable_hash(seed, "sample", *key)).sample(population, quota)
+        kept += population
+    kept.sort(key=instance_sort_key)
+    return kept
 
 
 def assign_splits(instances: Iterable[TaskInstance]) -> Dict[str, List[TaskInstance]]:

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from .composer import compose_corpus, load_rules
+from .composer import CompositionRule, compose_corpus, load_rules
 from .export import RenderOptions, SamplingPlan, export_corpus
 from .ingest import ParseError, SynthConfig, get_adapter, load_corpus, read_utf8, synth_corpus, write_corpus, write_json
+from .model import Dialog, TaskInstance
 from .prompts import apply_cot, parse_cot_mode
 from .registry import derive_corpus, task_names
 from .textutil import split_keyword_list
@@ -118,6 +119,16 @@ def _template() -> str:
 CONFIG_TEMPLATE = _template()
 
 
+def _build(dialog: Dialog, config: PipelineConfig, rules: List[CompositionRule], rejections: Counter) -> List[TaskInstance]:
+    """One dialog's instances after cot; adds its compose refusals to ``rejections``."""
+    instances = derive_corpus([dialog], config.seed, tasks=config.tasks)
+    if config.compose_enabled:
+        composites, reasons = compose_corpus(instances, rules, max_dim=config.max_dim)
+        instances += composites
+        rejections.update(reasons)
+    return apply_cot(instances, config.cot, config.seed)
+
+
 def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     """Run every stage and write the corpus plus manifest.json into out_dir."""
     # A bad config or corpus raises here, before anything is written.
@@ -140,14 +151,8 @@ def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     if not config.input_path:
         corpus_manifest = write_corpus(dialogs, out_dir / "dialogs.jsonl")
 
-    instances = derive_corpus(dialogs, config.seed, tasks=config.tasks)
     rejections: Counter = Counter()
-    if config.compose_enabled:
-        composites, rejections = compose_corpus(instances, rules, max_dim=config.max_dim)
-        instances = instances + composites
-        del composites  # nothing reads the composites from before cot
-    instances = apply_cot(instances, config.cot, config.seed)
-
+    instances = [inst for dialog in dialogs for inst in _build(dialog, config, rules, rejections)]
     export_manifest = export_corpus(
         instances,
         out_dir,

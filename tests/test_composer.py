@@ -2,7 +2,10 @@
 
 import dataclasses
 import itertools
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -139,6 +142,26 @@ def test_load_rules_rejects_malformed_rows(tmp_path):
     empty.write_text("# nothing here\n", encoding="utf-8")
     with pytest.raises(RuleFormatError):
         load_rules(empty)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # Both rows read id 1, and row 3 could never match: find_rule returns row 1.
+        (["1,ICA-R,ICA-R,ICAA-R,dc;r,r", "1,ICA-R,ICE-R,ICAE-R,dc;r,r", "2,ICA-R,ICA-R,ICAA-R,dc;r,r"],
+         r"^line 3: rule id 1 repeats line 2$"),
+        (["7,ICA-R,ICA-R,ICAA-R,dc;r,r", "8,ICA-R,ICE-R,ICAE-R,dc;r,r", "9,ICA-R,ICA-R,ICAA-R,dc;r,r"],
+         r"^line 4: signature pair ICA-R and ICA-R repeats line 2$"),
+        (["7,ICE-R,ICA-R,ICEA-R,dc;r,r", "# a comment", "", "8,ICA-R,ICE-R,ICAE-R,dc;r,r"],
+         r"^line 5: signature pair ICA-R and ICE-R repeats line 2$"),
+        (["7,ICA-R,ICA-R,ICAA-R,dc;r,r", "07,ICE-R,ICE-R,ICEE-R,dc;r,r"], r"^line 3: rule id 7 repeats line 2$"),
+    ],
+)
+def test_load_rules_refuses_a_repeated_rule_id_or_signature_pair(tmp_path, rows, message):
+    table = tmp_path / "rules.csv"
+    table.write_text("\n".join(["# header", *rows]) + "\n", encoding="utf-8")
+    with pytest.raises(RuleFormatError, match=message):
+        load_rules(table)
 
 
 def test_load_rules_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
@@ -294,6 +317,23 @@ def test_compose_corpus_is_input_order_invariant():
 def test_compose_corpus_max_dim_validation():
     with pytest.raises(ValueError):
         compose_corpus([], RULES, max_dim=1)
+
+
+def test_compose_corpus_stops_at_the_first_round_that_composes_nothing():
+    # Rounds past the last composite compose nothing, however many max_dim allows.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from dialogtasks.composer import compose_corpus, load_rules; "
+        "from dialogtasks.ingest import synth_corpus; from dialogtasks.registry import derive_corpus; "
+        "atoms = derive_corpus(synth_corpus(7, 6), seed=7); "
+        "got = compose_corpus(atoms, load_rules(), max_dim=10**9); "
+        "assert got == compose_corpus(atoms, load_rules(), max_dim=3) and got[0]; print('same')"
+    )
+    package_root = Path(composer.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(package_root)], capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "same\n"), done.stderr
 
 
 def test_naive_compose_concatenates_instructions():
@@ -457,12 +497,20 @@ def _rules_up_to_three_items():
 @settings(max_examples=150, deadline=None)
 @given(instances=st.lists(_members(), min_size=6, max_size=30))
 def test_compose_corpus_matches_the_all_pairs_enumerator(instances):
+    dialogs = {}
+    for inst in instances:
+        dialogs.setdefault(inst.provenance.dialog_id, []).append(inst)
     for rules, max_dim in ((RULES, 2), (_rules_up_to_three_items(), 3)):
         got, got_reasons = compose_corpus(instances, rules, max_dim=max_dim)
         want, want_reasons = _all_pairs_corpus(instances, rules, max_dim=max_dim)
         assert [i.to_dict() for i in got] == [i.to_dict() for i in want]
         # dict, not Counter: a reason counted 0 would show in the manifest.
         assert dict(got_reasons) == dict(want_reasons)
+        # Each dialog's members composed alone, as run composes them.
+        alone = [compose_corpus(members, rules, max_dim=max_dim) for members in dialogs.values()]
+        joined = sorted((i for composites, _ in alone for i in composites), key=instance_sort_key)
+        assert [i.to_dict() for i in joined] == [i.to_dict() for i in got]
+        assert dict(sum((reasons for _, reasons in alone), Counter())) == dict(got_reasons)
     naive = naive_corpus(instances, RULES)
     assert [i.to_dict() for i in naive] == [i.to_dict() for i in _all_pairs_naive(instances, RULES)]
 

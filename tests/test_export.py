@@ -696,3 +696,58 @@ def test_run_pipeline_exports_with_no_other_instance_alive(tmp_path, monkeypatch
     run_pipeline(PipelineConfig(seed=7, synth_dialogs=8, cot="random-1", out_dir=str(tmp_path / "out")))
     [(alive, exported)] = counts
     assert alive == exported > 0
+
+
+def test_run_pipeline_builds_one_dialog_per_stage_call(tmp_path, monkeypatch):
+    seen = {"derive_corpus": [], "compose_corpus": [], "apply_cot": []}
+
+    def recording(name):
+        original = getattr(pipeline, name)
+
+        def stage(instances, *args, **kwargs):
+            instances = list(instances)
+            seen[name].append({(i.dataset, i.dialog_id) if name == "derive_corpus" else
+                               (i.provenance.dataset, i.provenance.dialog_id) for i in instances})
+            return original(instances, *args, **kwargs)
+
+        return stage
+
+    for name in seen:
+        monkeypatch.setattr(pipeline, name, recording(name))
+    run_pipeline(PipelineConfig(seed=7, synth_dialogs=8, cot="random-1", out_dir=str(tmp_path / "out")))
+    dialogs = {(d.dataset, d.dialog_id) for d in synth_corpus(7, 8)}
+    for name, calls in seen.items():
+        assert all(len(call) == 1 for call in calls), name
+        assert set().union(*calls) == dialogs and len(calls) == len(dialogs), name
+
+
+# Three-item composites: a two-item composite of the packaged table with one more atom.
+_THREE_ITEM_RULES = """11,ICAA-R,ICA-R,ICAAA-R,dc;r,r
+12,ICEA-R,ICA-R,ICEAA-R,dc;r,r
+13,ICEA-R,ICE-R,ICEEA-R,dc;r,r
+14,ICAA-R,ICE-R,ICAAE-R,dc;r,r
+15,ICEE-R,ICA-R,ICEEA-R,dc;r,r
+"""
+
+
+@pytest.mark.parametrize("cot", ["none", "random-1"])
+@pytest.mark.parametrize("quotas", [(5000, 1000), (6, 2)])
+def test_run_exports_what_the_corpus_wide_chain_exports(tmp_path, cot, quotas):
+    packaged = (resources.files("dialogtasks") / "data" / "rules.csv").read_text(encoding="utf-8")
+    (tmp_path / "rules.csv").write_text(packaged + _THREE_ITEM_RULES, encoding="utf-8")
+    (tmp_path / "run.ini").write_text(
+        f"[run]\nseed = 7\n[corpus]\nsynth_dialogs = 8\n[compose]\nrules = {tmp_path / 'rules.csv'}\n"
+        f"max_dim = 3\n[render]\ncot = {cot}\n[sample]\natomic_quota = {quotas[0]}\n"
+        f"composite_quota = {quotas[1]}\n[output]\ndir = {tmp_path / 'run'}\n",
+        encoding="utf-8",
+    )
+    assert cli.main(["run", "--config", str(tmp_path / "run.ini")]) == 0
+    atoms = derive_corpus(synth_corpus(7, 8), 7)
+    composites, reasons = compose_corpus(atoms, load_rules(tmp_path / "rules.csv"), max_dim=3)
+    assert any(len(inst.provenance.source_tasks) == 3 for inst in composites)
+    manifest = export_corpus(apply_cot(atoms + composites, cot, 7), tmp_path / "chain", 7,
+                             plan=SamplingPlan(*quotas), emit_constraints=True)
+    run_manifest = json.loads((tmp_path / "run" / "manifest.json").read_bytes())
+    assert (run_manifest["export"], run_manifest["rejections"]) == (manifest, dict(sorted(reasons.items())))
+    for name in manifest["files"]:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "chain" / name).read_bytes(), name

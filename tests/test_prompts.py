@@ -454,6 +454,24 @@ def test_apply_cot_draws_as_a_fresh_random_per_instance(k):
         assert apply_cot(instances, f"random-{k}", seed) == _always_seeding_apply_cot(instances, k, seed)
 
 
+def _by_dialog(instances):
+    groups = {}
+    for inst in instances:
+        groups.setdefault((inst.provenance.dataset, inst.provenance.dialog_id), []).append(inst)
+    return groups
+
+
+@pytest.mark.parametrize("mode", ["none", "random-1", "random-2"])
+def test_apply_cot_per_dialog_equals_apply_cot_over_the_corpus(mode):
+    # run builds one dialog at a time, so each apply_cot call sees one dialog.
+    groups = _by_dialog(_synth_instances())
+    assert len(groups) == 6
+    whole = apply_cot([inst for group in groups.values() for inst in group], mode, 7)
+    per_dialog = {key: apply_cot(group, mode, 7) for key, group in groups.items()}
+    assert per_dialog == _by_dialog(whole)
+    assert (mode == "none") != any(inst.cot_items for inst in whole)
+
+
 def test_render_corpus_draws_as_a_fresh_random_per_instance():
     instances = apply_cot(_synth_instances(), "random-1", 7)
     rendered, errors = render_corpus(instances, 7)
