@@ -1,29 +1,29 @@
 """Command line interface.
 
-Subcommands mirror the pipeline stages: ingest, tasks, compose, render,
-export, eval, stats, validate, and run (all stages from one INI config).
+Subcommands mirror the pipeline stages: ingest, tasks, compose, export
+(cot, sample, render and write), eval, stats, validate, and run (all
+stages from one INI config).
 Exit codes: 0 success, 1 validation failure, 2 I/O or format error.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .composer import compose_corpus, load_rules, naive_corpus
 from .evaluate import ConstraintSpec, score_corpus
-from .export import SamplingPlan, corpus_stats, export_corpus, read_instances, write_instances, write_rendered
+from .export import SamplingPlan, corpus_stats, export_corpus, read_instances, write_instances
 from .ingest import (
     ADAPTERS,
-    ParseError,
     SchemaError,
     SynthConfig,
     load_corpus,
+    naming_file,
     read_jsonl,
     synth_corpus,
     write_corpus,
@@ -92,27 +92,14 @@ def cmd_compose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_render(args: argparse.Namespace) -> int:
-    instances = read_instances(args.infile)
-    instances = apply_cot(instances, args.cot, args.seed)
-    options = RenderOptions(
-        block_shuffle=args.block_shuffle == "on", generic_fallback=args.generic_fallback
-    )
-    manifest, errors = write_rendered(instances, args.out, args.seed, options)
-    _print_json({"file": manifest, "errors": errors})
-    if errors:
-        print(f"{len(errors)} instance(s) failed to render", file=sys.stderr)
-        return EXIT_INVALID
-    return EXIT_OK
-
-
 def cmd_export(args: argparse.Namespace) -> int:
-    instances = read_instances(args.infile)
+    instances = apply_cot(read_instances(args.infile), args.cot, args.seed)
     manifest = export_corpus(
         instances,
         args.out,
         args.seed,
         plan=SamplingPlan(args.atomic_quota, args.composite_quota),
+        options=RenderOptions(block_shuffle=args.block_shuffle == "on", generic_fallback=args.generic_fallback),
         emit_constraints=args.emit_constraints,
     )
     write_json(manifest, Path(args.out) / "manifest.json")
@@ -194,20 +181,10 @@ def join_constraints(
     return examples, counts
 
 
-@contextlib.contextmanager
-def _naming_file(path: str) -> Iterator[None]:
-    """Append ``(in <path>)`` to a ParseError or SchemaError raised inside."""
-    try:
-        yield
-    except (ParseError, SchemaError) as exc:
-        exc.args = (f"{exc} (in {path})",)
-        raise
-
-
 def cmd_eval(args: argparse.Namespace) -> int:
-    with _naming_file(args.outputs):
+    with naming_file(args.outputs):
         outputs, duplicates = collect_outputs(read_jsonl(args.outputs))
-    with _naming_file(args.constraints):
+    with naming_file(args.constraints):
         examples, counts = join_constraints(read_jsonl(args.constraints), outputs)
     data = {"n_duplicate_outputs": duplicates, **counts, **score_corpus(examples)}
     if args.report:
@@ -283,21 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="composite output path")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("render", parents=[seeded], help="render instances to prompts")
-    p.add_argument("--in", dest="infile", required=True, help="instance file")
-    p.add_argument("--cot", default="none", help='"none" or "random-K"')
-    p.add_argument("--block-shuffle", choices=("on", "off"), default="on")
-    p.add_argument("--generic-fallback", action="store_true")
-    p.add_argument("--out", required=True, help="rendered output path")
-    p.set_defaults(func=cmd_render)
-
-    p = sub.add_parser("export", parents=[seeded], help="sample, render, and write split corpora")
+    p = sub.add_parser("export", parents=[seeded], help="apply cot, sample, render, and write split corpora")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
     quotas = SamplingPlan()
     p.add_argument("--atomic-quota", type=int, default=quotas.atomic_quota,
                    help="instances kept per atomic task (default %(default)s; 0 keeps all)")
     p.add_argument("--composite-quota", type=int, default=quotas.composite_quota,
                    help="instances kept per composite task and dataset (default %(default)s; 0 keeps all)")
+    p.add_argument("--cot", default="none", help='"none" or "random-K"')
+    p.add_argument("--block-shuffle", choices=("on", "off"), default="on")
+    p.add_argument("--generic-fallback", action="store_true")
     p.add_argument("--emit-constraints", action="store_true")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_export)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .ingest import ParseError, read_utf8
+from .ingest import ParseError, naming_file, read_utf8
 from .model import (
     ComponentKind,
     Provenance,
@@ -93,12 +93,16 @@ def load_rules(path: Optional[str | Path] = None) -> List[CompositionRule]:
     Rows are id,first,second,composed,common,target; "#" lines and blanks are
     skipped. Each common token is "dc" or the row's target letter, and no two
     rows share a rule id or a signature pair in either order. Raises
-    RuleFormatError on malformed rows and ParseError on a line that is not UTF-8.
+    RuleFormatError on malformed rows and ParseError on a line that is not
+    UTF-8; for a table read from ``path``, the message ends in `` (in <path>)``.
     """
     if path is None:
-        text = pkgutil.get_data("dialogtasks", "data/rules.csv").decode("utf-8")
-    else:
-        text = read_utf8(path)
+        return _parse_rules(pkgutil.get_data("dialogtasks", "data/rules.csv").decode("utf-8"))
+    with naming_file(path):
+        return _parse_rules(read_utf8(path))
+
+
+def _parse_rules(text: str) -> List[CompositionRule]:
     rules: List[CompositionRule] = []
     first_lines: Dict[str, int] = {}  # each rule id and signature pair, by its first line
     for line_number, row in enumerate(csv.reader(text.splitlines()), start=1):

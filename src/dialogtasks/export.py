@@ -237,20 +237,6 @@ def _by_dialog(instances: Iterable[TaskInstance]) -> Iterator[List[TaskInstance]
         yield list(run)
 
 
-def write_rendered(
-    instances: Iterable[TaskInstance],
-    path: str | Path,
-    seed: int,
-    options: Optional[RenderOptions] = None,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Render instances one dialog at a time, streaming the examples to a JSONL file.
-
-    Returns the file's manifest and render_corpus's error records.
-    """
-    errors: List[Dict[str, Any]] = []
-    return write_jsonl(_rendered_rows(instances, seed, options, errors, set()), path), errors
-
-
 def _rendered_rows(instances: Iterable[TaskInstance], seed: int, options: Optional[RenderOptions],
                    errors: List[Dict[str, Any]], failed: Set[int]) -> Iterator[str]:
     """The JSON text of each example's row, rendering one dialog at a time.

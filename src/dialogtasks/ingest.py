@@ -9,6 +9,7 @@ Canonical record, one JSON object per line:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -42,6 +43,16 @@ def read_utf8(path: str | Path) -> str:
         line = raw.count(b"\n", 0, exc.start) + 1
         raise ParseError(line, f"byte 0x{raw[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+@contextlib.contextmanager
+def naming_file(path: str | Path) -> Iterator[None]:
+    """Append ``(in <path>)`` to a ParseError or SchemaError raised inside."""
+    try:
+        yield
+    except (ParseError, SchemaError) as exc:
+        exc.args = (f"{exc} (in {path})",)
+        raise
 
 
 class EmptyCorpus(ValueError):

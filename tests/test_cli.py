@@ -1,15 +1,18 @@
 """CLI subcommands, exit codes, and the end-to-end config-driven run."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
 from dialogtasks import cli
 from dialogtasks.export import read_instances
-from dialogtasks.model import example_id
+from dialogtasks.model import SPLITS, example_id
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import REGISTRY
 
@@ -148,11 +151,16 @@ def test_compose_and_stats_round_trip(tmp_path, instances_path, capsys):
     assert stats["n_atomic"] == 0
 
     assert _run(capsys, "validate", "--in", str(out_path))[0] == cli.EXIT_OK
-    rendered = tmp_path / "rendered.jsonl"
-    code, out, _ = _run(capsys, "render", "--in", str(out_path), "--cot", "random-1", "--out", str(rendered))
+    # Quotas of 0 keep every instance, so export renders them all.
+    code, out, _ = _run(
+        capsys, "export", "--in", str(out_path), "--cot", "random-1",
+        "--atomic-quota", "0", "--composite-quota", "0", "--out", str(tmp_path / "rendered"),
+    )
     assert code == cli.EXIT_OK
-    report = json.loads(out)
-    assert report["errors"] == [] and report["file"]["count"] == summary["composites"]
+    manifest = json.loads(out)
+    files = manifest["files"]
+    assert manifest["render_errors"] == []
+    assert sum(files[f"{split}.jsonl"]["count"] for split in SPLITS) == summary["composites"]
 
 
 def test_compose_naive_baseline(tmp_path, instances_path, capsys):
@@ -164,15 +172,19 @@ def test_compose_naive_baseline(tmp_path, instances_path, capsys):
     assert json.loads(out)["style"] == "naive"
     assert all(inst.style == "naive" for inst in read_instances(out_path))
     assert _run(capsys, "validate", "--in", str(out_path))[0] == cli.EXIT_OK
-    # The naive layout is unshuffled, so two render seeds write the same bytes.
+    # The naive layout is unshuffled, and quotas of 0 draw no sample, so
+    # two seeds write the same split files.
     rendered = []
     for seed in ("7", "8"):
-        path = tmp_path / f"naive-{seed}.jsonl"
-        code, out, _ = _run(capsys, "render", "--in", str(out_path), "--seed", seed, "--out", str(path))
+        out_dir = tmp_path / f"naive-{seed}"
+        code, out, _ = _run(
+            capsys, "export", "--in", str(out_path), "--seed", seed,
+            "--atomic-quota", "0", "--composite-quota", "0", "--out", str(out_dir),
+        )
         assert code == cli.EXIT_OK
-        report = json.loads(out)
-        assert report["file"]["count"] > 0 and report["errors"] == []
-        rendered.append(path.read_bytes())
+        manifest = json.loads(out)
+        assert manifest["files"]["train.jsonl"]["count"] > 0 and manifest["render_errors"] == []
+        rendered.append([(out_dir / f"{split}.jsonl").read_bytes() for split in SPLITS])
     assert rendered[0] == rendered[1]
 
 
@@ -234,26 +246,54 @@ def test_standard_and_naive_composites_export_and_score_together(tmp_path, capsy
     assert report["compositional_accuracy"] == report["bleu2"] == report["rouge_l"] == 1.0
 
 
-def test_render_writes_prompt_records(tmp_path, instances_path, capsys):
-    out_path = tmp_path / "rendered.jsonl"
+def test_export_cot_writes_prompt_records(tmp_path, instances_path, capsys):
+    out_dir = tmp_path / "rendered"
     code, out, _ = _run(
-        capsys, "render", "--in", str(instances_path), "--cot", "random-1",
-        "--out", str(out_path), "--seed", "3",
+        capsys, "export", "--in", str(instances_path), "--cot", "random-1",
+        "--out", str(out_dir), "--seed", "3",
     )
     assert code == cli.EXIT_OK
-    assert json.loads(out)["errors"] == []
-    first = json.loads(out_path.read_text(encoding="utf-8").splitlines()[0])
+    assert json.loads(out)["render_errors"] == []
+    first = json.loads((out_dir / "train.jsonl").read_text(encoding="utf-8").splitlines()[0])
     assert first["input"].startswith("Instruction: ")
     assert {"id", "output", "task", "signature"} <= set(first)
 
 
-def test_render_bad_cot_mode_is_error(tmp_path, instances_path, capsys):
-    code, _, err = _run(
-        capsys, "render", "--in", str(instances_path), "--cot", "always",
-        "--out", str(tmp_path / "r.jsonl"),
+def test_export_bad_cot_mode_is_error(tmp_path, instances_path, capsys):
+    out_dir = tmp_path / "r"
+    code, out, err = _run(
+        capsys, "export", "--in", str(instances_path), "--cot", "always", "--out", str(out_dir),
     )
     assert code == cli.EXIT_IO
-    assert "cot" in err
+    assert out == "" and "cot mode 'always'" in err
+    assert not out_dir.exists()
+
+
+def test_export_generic_fallback_renders_a_kind_the_phrase_table_lacks(tmp_path, instances_path, capsys):
+    record = _act_generation_row(instances_path)
+    record["grounding_items"][0]["kind"] = "mystery_kind"
+    one = tmp_path / "one.jsonl"
+    one.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    for flags in ((), ("--generic-fallback",)):
+        out_dir = tmp_path / f"export{len(flags)}"
+        code, out, _ = _run(capsys, "export", "--in", str(one), *flags, "--out", str(out_dir))
+        assert code == cli.EXIT_OK
+        errors = json.loads(out)["render_errors"]
+        rows = [json.loads(line) for split in SPLITS for line in (out_dir / f"{split}.jsonl").open(encoding="utf-8")]
+        if flags:
+            assert errors == [] and len(rows) == 1
+            assert "The mystery kind is: " in rows[0]["input"]
+        else:
+            assert len(errors) == 1 and rows == []
+
+
+def test_render_is_not_a_subcommand(tmp_path, instances_path, capsys):
+    # export renders; render's options are export's.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["render", "--in", str(instances_path), "--out", str(tmp_path / "r.jsonl")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'render'" in capsys.readouterr().err
+    assert not (tmp_path / "r.jsonl").exists()
 
 
 def test_validate_accepts_derived_instances(instances_path, capsys):
@@ -297,9 +337,9 @@ def test_malformed_instance_row_exits_two(tmp_path, instances_path, capsys, bad_
         bad_row = json.dumps({**json.loads(lines[0]), **json.loads(bad_row)})
     broken = tmp_path / "broken.jsonl"
     broken.write_text(lines[0] + "\n" + bad_row + "\n", encoding="utf-8")
-    for command in ("stats", "validate", "compose", "render", "export"):
+    for command in ("stats", "validate", "compose", "export"):
         argv = [command, "--in", str(broken)]
-        if command in ("compose", "render", "export"):
+        if command in ("compose", "export"):
             argv += ["--out", str(tmp_path / f"{command}.out")]
         code, _, err = _run(capsys, *argv)
         assert code == cli.EXIT_IO, command
@@ -321,9 +361,9 @@ def test_instance_turn_item_outside_s_e_a_exits_two(tmp_path, instances_path, ca
         record = derived.to_dict()
         record[field] = [dict(record["grounding_items"][0], component="R")]
         broken.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        for command in ("stats", "validate", "render", "export"):
+        for command in ("stats", "validate", "export"):
             out_dir = tmp_path / f"{field}-{command}"
-            argv = [command, "--in", str(broken)] + (["--out", str(out_dir)] if command in ("render", "export") else [])
+            argv = [command, "--in", str(broken)] + (["--out", str(out_dir)] if command == "export" else [])
             code, out, err = _run(capsys, *argv)
             assert code == cli.EXIT_IO, (field, command)
             assert err.startswith(f"error: line 1: missing or invalid field {field}"), (field, command)
@@ -337,12 +377,12 @@ def _act_generation_row(instances_path):
 
 
 def _assert_every_instance_reader_refuses(tmp_path, capsys, record, message):
-    """stats, validate, compose, render and export each exit 2 on the one-row file, naming its line, and write nothing."""
+    """stats, validate, compose and export each exit 2 on the one-row file, naming its line, and write nothing."""
     broken = tmp_path / "broken.jsonl"
     broken.write_text(json.dumps(record) + "\n", encoding="utf-8")
-    for command in ("stats", "validate", "compose", "render", "export"):
+    for command in ("stats", "validate", "compose", "export"):
         out_path = tmp_path / command
-        argv = [command, "--in", str(broken)] + (["--out", str(out_path)] if command in ("compose", "render", "export") else [])
+        argv = [command, "--in", str(broken)] + (["--out", str(out_path)] if command in ("compose", "export") else [])
         code, out, err = _run(capsys, *argv)
         assert code == cli.EXIT_IO, command
         assert err == f"error: line 1: {message}\n", command
@@ -360,7 +400,7 @@ def _assert_every_instance_reader_refuses(tmp_path, capsys, record, message):
 def test_instance_target_or_style_the_format_does_not_allow_exits_two(
     tmp_path, instances_path, capsys, field, value, message
 ):
-    """A row validate would refuse is not composed, rendered or exported either."""
+    """A row validate would refuse is not composed or exported either."""
     record = _act_generation_row(instances_path)
     if field == "target_item":
         record[field]["component"] = value
@@ -471,7 +511,6 @@ _REQUIRED_ARGS = {
     "ingest": ["--synth", "1", "--out", "o"],
     "tasks": ["--list"],
     "compose": ["--in", "i", "--out", "o"],
-    "render": ["--in", "i", "--out", "o"],
     "export": ["--in", "i", "--out", "o"],
     "eval": ["--constraints", "c", "--outputs", "o"],
     "stats": ["--in", "i"],
@@ -480,7 +519,65 @@ _REQUIRED_ARGS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(_REQUIRED_ARGS))
+def _subcommands():
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# Each PipelineConfig field and the option that spells it on the staged
+# subcommands. input_path and out_dir are every command's own --input, --in
+# and --out; compose_enabled has no option, as the staged chain runs compose
+# or does not.
+_STAGED_OPTIONS = {
+    "seed": (("ingest", "tasks", "export"), "--seed"),
+    "adapter": (("ingest",), "--adapter"),
+    "synth_dialogs": (("ingest",), "--synth"),
+    "synth_dataset": (("ingest",), "--dataset"),
+    "tasks": (("tasks",), "--tasks"),
+    "rules_path": (("compose",), "--rules"),
+    "max_dim": (("compose",), "--max-dim"),
+    "cot": (("export",), "--cot"),
+    "block_shuffle": (("export",), "--block-shuffle"),
+    "generic_fallback": (("export",), "--generic-fallback"),
+    "atomic_quota": (("export",), "--atomic-quota"),
+    "composite_quota": (("export",), "--composite-quota"),
+    "emit_constraints": (("export",), "--emit-constraints"),
+}
+
+
+def test_every_run_key_has_a_staged_option():
+    fields = {field.name for field in dataclasses.fields(PipelineConfig)}
+    assert fields - {"input_path", "out_dir", "compose_enabled"} == set(_STAGED_OPTIONS)
+    subcommands = _subcommands()
+    for field, (commands, option) in _STAGED_OPTIONS.items():
+        for command in commands:
+            options = {name for action in subcommands[command]._actions for name in action.option_strings}
+            assert option in options, (field, command)
+
+
+def test_readme_lists_every_subcommand():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    line = re.search(r"^Subcommands: (.*?)\.", readme, re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r"`([a-z]+)`", line) == list(_subcommands())
+
+
+@pytest.mark.parametrize("command", ["compose", "run"])
+def test_rule_table_error_names_the_file(tmp_path, instances_path, capsys, command):
+    rules = tmp_path / "dup.csv"
+    rules.write_text("1,ICA-R,ICA-R,ICAA-R,dc;r,r\n1,ICE-R,ICE-R,ICEE-R,dc;r,r\n", encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "compose":
+        argv = ["compose", "--in", str(instances_path), "--rules", str(rules), "--out", str(out)]
+    else:
+        config = tmp_path / "pipeline.ini"
+        config.write_text(f"[corpus]\nsynth_dialogs = 5\n\n[compose]\nrules = {rules}\n\n[output]\ndir = {out}\n",
+                          encoding="utf-8")
+        argv = ["run", "--config", str(config)]
+    assert _run(capsys, *argv) == (cli.EXIT_IO, "", f"error: line 2: rule id 1 repeats line 1 (in {rules})\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
 def test_seed_only_where_the_output_depends_on_it(capsys, command):
     argv = [command, *_REQUIRED_ARGS[command], "--seed", "1"]
     if command in ("compose", "eval", "stats", "validate"):
@@ -566,8 +663,12 @@ def test_run_requires_config(capsys):
     assert "dialogtasks run: error: run requires --config (or --print-config)" in err
 
 
-def test_staged_commands_write_the_export_of_run_at_cot_none(tmp_path, capsys):
-    """tasks --derive, compose and export on the concatenated instances write run's corpus bytes."""
+def _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block_shuffle):
+    """ingest, tasks --derive, compose and export on the concatenated instances write run's files.
+
+    Both build synth_corpus(7, 30); every file run writes but manifest.json
+    has the staged commands' bytes, dialogs.jsonl included.
+    """
     corpus, atomic, composite = tmp_path / "dialogs.jsonl", tmp_path / "atomic.jsonl", tmp_path / "composite.jsonl"
     assert _run(capsys, "ingest", "--synth", "30", "--seed", "7", "--out", str(corpus))[0] == cli.EXIT_OK
     _run(capsys, "tasks", "--derive", "--corpus", str(corpus), "--seed", "7", "--out", str(atomic))
@@ -575,19 +676,40 @@ def test_staged_commands_write_the_export_of_run_at_cot_none(tmp_path, capsys):
     both = tmp_path / "both.jsonl"
     both.write_bytes(atomic.read_bytes() + composite.read_bytes())
     staged, whole = tmp_path / "staged", tmp_path / "run"
-    code, _, _ = _run(capsys, "export", "--in", str(both), "--seed", "7", "--emit-constraints", "--out", str(staged))
+    code, _, _ = _run(
+        capsys, "export", "--in", str(both), "--seed", "7", "--cot", cot, "--block-shuffle", block_shuffle,
+        "--emit-constraints", "--out", str(staged),
+    )
     assert code == cli.EXIT_OK
+    (staged / "dialogs.jsonl").write_bytes(corpus.read_bytes())
     config = tmp_path / "pipeline.ini"
     config.write_text(
-        f"[run]\nseed = 7\n\n[corpus]\ninput = {corpus}\n\n[render]\ncot = none\n\n[output]\ndir = {whole}\n",
+        f"[run]\nseed = 7\n\n[corpus]\nsynth_dialogs = 30\n\n"
+        f"[render]\ncot = {cot}\nblock_shuffle = {block_shuffle == 'on'}\n\n[output]\ndir = {whole}\n",
         encoding="utf-8",
     )
     assert _run(capsys, "run", "--config", str(config))[0] == cli.EXIT_OK
-    for split in ("train", "dev", "test"):
-        for name in (f"{split}.jsonl", f"constraints-{split}.jsonl"):
-            assert (staged / name).stat().st_size > 0, name
-            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
-    assert (staged / "stats.json").read_bytes() == (whole / "stats.json").read_bytes()
+    names = sorted(path.name for path in whole.iterdir() if path.name != "manifest.json")
+    assert names == sorted(
+        ["dialogs.jsonl", "stats.json"] + [f"{prefix}{split}.jsonl" for prefix in ("", "constraints-") for split in SPLITS]
+    )
+    for name in names:
+        assert (staged / name).stat().st_size > 0, name
+        assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+def test_staged_commands_write_the_export_of_run_at_cot_none(tmp_path, capsys):
+    _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, "none", "on")
+
+
+@pytest.mark.parametrize(
+    "cot, block_shuffle",
+    [("random-1", "on"), ("random-1", "off"), ("none", "off")],
+    ids=["golden", "random-1-unshuffled", "none-unshuffled"],
+)
+def test_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block_shuffle):
+    # The golden case is test_golden's run config: seed 7, 30 synthetic dialogs, cot random-1.
+    _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block_shuffle)
 
 
 def test_run_full_pipeline_from_config(tmp_path, capsys):

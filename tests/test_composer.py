@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -160,8 +161,12 @@ def test_load_rules_rejects_malformed_rows(tmp_path):
 def test_load_rules_refuses_a_repeated_rule_id_or_signature_pair(tmp_path, rows, message):
     table = tmp_path / "rules.csv"
     table.write_text("\n".join(["# header", *rows]) + "\n", encoding="utf-8")
-    with pytest.raises(RuleFormatError, match=message):
+    with pytest.raises(RuleFormatError) as err:
         load_rules(table)
+    # The message ends by naming the table's file.
+    text = str(err.value)
+    assert text.endswith(f" (in {table})")
+    assert re.match(message, text.removesuffix(f" (in {table})"))
 
 
 def test_load_rules_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
@@ -170,6 +175,7 @@ def test_load_rules_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     with pytest.raises(ParseError, match=r"^line 3: byte 0xe9 is not UTF-8") as err:
         load_rules(table)
     assert err.value.line_number == 3
+    assert str(err.value).endswith(f" (in {table})")
 
 
 def test_compose_merges_two_action_groundings():

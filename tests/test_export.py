@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dialogtasks import cli, pipeline
+from dialogtasks import cli, export, pipeline
 from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
 from dialogtasks.export import (
     SamplingPlan,
@@ -22,7 +22,6 @@ from dialogtasks.export import (
     sample,
     write_instances,
     write_jsonl,
-    write_rendered,
 )
 from dialogtasks.evaluate import extract_constraints
 from dialogtasks.ingest import ParseError, SchemaError, SynthConfig, synth_corpus, write_corpus
@@ -437,11 +436,14 @@ def test_write_rendered_equals_rendering_the_whole_list(tmp_path):
     for name, members in (("sorted", instances), ("shuffled", shuffled)):
         rendered, errors = render_corpus(members, 4)
         whole = write_jsonl(map(_rendered_row, rendered), tmp_path / "whole.jsonl")
-        streamed, streamed_errors = write_rendered(members, tmp_path / f"{name}.jsonl", 4)
+        streamed_errors, failed = [], set()
+        streamed = write_jsonl(export._rendered_rows(members, 4, None, streamed_errors, failed),
+                               tmp_path / f"{name}.jsonl")
         assert (tmp_path / f"{name}.jsonl").read_bytes() == (tmp_path / "whole.jsonl").read_bytes()
         assert streamed["sha256"] == whole["sha256"]
         assert streamed["count"] == whole["count"] == len(members) - 1
         assert streamed_errors == errors and len(errors) == 1
+        assert failed == {id(instances[at])}
 
 
 def test_assign_splits_partitions_everything():
@@ -574,7 +576,7 @@ def test_text_rows_are_the_json_of_their_dict_forms(tmp_path_factory, dialogs, s
     """Every row written as text is json.dumps of its dict form, byte for byte."""
     tmp = tmp_path_factory.mktemp("rows")
     instances = [inst for dialog in dialogs for inst in dialog]
-    write_rendered(instances, tmp / "rendered.jsonl", seed)
+    write_jsonl(export._rendered_rows(instances, seed, None, [], set()), tmp / "rendered.jsonl")
     assert (tmp / "rendered.jsonl").read_bytes() == _lines(map(_rendered_row, render_corpus(instances, seed)[0]))
     assert "".join(line + "\n" for line in constraint_records(instances)).encode("ascii") == _lines(
         {

@@ -4,16 +4,18 @@ Determinism is otherwise only checked run-to-run, which a refactor that
 changes outputs consistently still passes. These sha256 values pin the
 files themselves: the pipeline's exports for synth_corpus(7, 30) with
 cot=random-1, and the instance files of its atomic, composite and naive
-corpora together with the instances they hold, and the rendered naive
+corpora together with the instances they hold, and the exported naive
 composites. A change that alters any of them on purpose must say so and
 re-pin them here.
 """
 
 import hashlib
+import json
 
 from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
-from dialogtasks.export import read_instances, write_instances, write_jsonl, write_rendered
+from dialogtasks.export import SamplingPlan, export_corpus, read_instances, write_instances, write_jsonl
 from dialogtasks.ingest import synth_corpus
+from dialogtasks.model import SPLITS, example_id
 from dialogtasks.pipeline import PipelineConfig, run_pipeline
 from dialogtasks.registry import derive_corpus
 
@@ -49,7 +51,8 @@ INSTANCE_FILES = {
     "naive": (4380, "8986b4554aef6b2dc14dd92f4d6701a902373fc3b9ba0c84c79d8483e8f5b89d"),
 }
 
-# The bytes write_rendered writes for the naive composites at seed 7.
+# The rendered rows of the naive composites at seed 7, one line each, in
+# naive_corpus order.
 NAIVE_RENDERED = (4380, "1d31ebedae74c0e069d06df9b88bd3ab2c43ce7591b659573bfd976a2426862e")
 
 
@@ -84,6 +87,13 @@ def test_naive_rendered_file_matches_golden_checksum(tmp_path):
     naive = naive_corpus(atomic, load_rules())
     # The naive layout is unshuffled, so the render seed changes no byte.
     for seed in (SEED, SEED + 1):
-        manifest, errors = write_rendered(naive, tmp_path / f"naive-{seed}.jsonl", seed)
-        assert errors == []
-        assert (manifest["count"], manifest["sha256"]) == NAIVE_RENDERED
+        out = tmp_path / f"naive-{seed}"
+        manifest = export_corpus(naive, out, seed, plan=SamplingPlan(0, 0))
+        assert manifest["render_errors"] == []
+        rows = {}
+        for split in SPLITS:
+            for line in (out / f"{split}.jsonl").read_bytes().splitlines(keepends=True):
+                rows[json.loads(line)["id"]] = line
+        joined = b"".join(rows.pop(example_id(inst.provenance, inst.style)) for inst in naive)
+        assert rows == {}
+        assert (len(naive), hashlib.sha256(joined).hexdigest()) == NAIVE_RENDERED
