@@ -3,7 +3,8 @@
 Determinism is otherwise only checked run-to-run, which a refactor that
 changes outputs consistently still passes. These sha256 values pin the
 files themselves: the pipeline's exports for synth_corpus(7, 30) with
-cot=random-1, and the instance files of its atomic, composite and naive
+cot=random-1, the rendered splits at cot=none with block shuffling on and
+off, and the instance files of its atomic, composite and naive
 corpora together with the instances they hold, and the exported naive
 composites. A change that alters any of them on purpose must say so and
 re-pin them here.
@@ -11,6 +12,8 @@ re-pin them here.
 
 import hashlib
 import json
+
+import pytest
 
 from dialogtasks.composer import compose_corpus, load_rules, naive_corpus
 from dialogtasks.export import SamplingPlan, export_corpus, read_instances, write_instances, write_jsonl
@@ -32,6 +35,21 @@ PIPELINE_FILES = {
     "stats.json": "e2bb6b2f344b5794bd348f20ea41d409b291d4c58abf43e6ef4826829117931a",
     "test.jsonl": "8ba345511636e0b8126b7bf8da829a49ad18ba3a0d76f8876895bb189c2c7879",
     "train.jsonl": "7c84327f4812c35204063445eefb6f2c347de9d48c729f88c121d1956d35666d",
+}
+
+# The rendered splits at cot=none, by block_shuffle. At random-1 no grounding
+# block keeps two items, so only cot=none shows what block shuffling does.
+COT_NONE_SPLITS = {
+    True: {
+        "train.jsonl": "66dcd3395ee8880502584a596a6e617f5a8b4bdcab9124b9d4eecde41c1a810d",
+        "dev.jsonl": "723fce110645de8e90f988f2f785bb971fa3f2070c7447bff49a32f18f0d9814",
+        "test.jsonl": "24af787acef2758a2a34eb1dc75e14960157f9759eda38053c32f034e63f149a",
+    },
+    False: {
+        "train.jsonl": "c6ff6a7db55034e4bed23bfc5499433a01e9bdfe957a2b4800e9f04639124134",
+        "dev.jsonl": "8fade448f6f9e6cc248c897538eda23d44552f09a51a9dac0e887103f6206eb1",
+        "test.jsonl": "2eec7eaf0fc958132ecaa896d8fd37c81cf772cd825f9a79f77fc7ee3e8911c4",
+    },
 }
 
 # Instance contents: the sha256 of every instance re-serialized inline by
@@ -64,6 +82,14 @@ def test_pipeline_exports_match_golden_checksums(tmp_path):
     out = tmp_path / "out"
     run_pipeline(PipelineConfig(seed=SEED, synth_dialogs=N_DIALOGS, cot="random-1", out_dir=str(out)))
     assert {p.name: _sha256(p) for p in out.iterdir()} == PIPELINE_FILES
+
+
+@pytest.mark.parametrize("block_shuffle", [True, False], ids=["shuffled", "unshuffled"])
+def test_cot_none_splits_match_golden_checksums(tmp_path, block_shuffle):
+    out = tmp_path / "out"
+    config = PipelineConfig(seed=SEED, synth_dialogs=N_DIALOGS, block_shuffle=block_shuffle, out_dir=str(out))
+    run_pipeline(config)
+    assert {name: _sha256(out / name) for name in COT_NONE_SPLITS[block_shuffle]} == COT_NONE_SPLITS[block_shuffle]
 
 
 def test_instance_files_match_golden_checksums(tmp_path):
