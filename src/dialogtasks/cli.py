@@ -17,23 +17,12 @@ from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .composer import compose_corpus, load_rules, naive_corpus
 from .evaluate import ConstraintSpec, score_corpus
-from .export import SamplingPlan, corpus_stats, export_corpus, read_instances, write_instances
-from .ingest import (
-    ADAPTERS,
-    SchemaError,
-    SynthConfig,
-    load_corpus,
-    naming_file,
-    read_jsonl,
-    synth_corpus,
-    write_corpus,
-    write_json,
-)
-from .model import _checked, _checked_name, example_id, validate_instance
-from .pipeline import CONFIG_TEMPLATE, PipelineConfig, run_pipeline
-from .prompts import RenderOptions, apply_cot
+from .export import corpus_stats, read_instances, write_instances
+from .ingest import SchemaError, load_corpus, naming_file, read_jsonl, write_corpus, write_json
+from .model import _checked, example_id, validate_instance
+from .pipeline import CONFIG_TEMPLATE, ConfigError, PipelineConfig, export_instances, load_dialogs, run_pipeline
+from .prompts import apply_cot
 from .registry import derive_corpus, list_tasks
-from .textutil import split_keyword_list
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -44,64 +33,67 @@ def _print_json(data: Any) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
 
-def _utf8(value: str) -> str:
-    """An option value a seed hashes, which must encode as UTF-8 (see model._checked_name)."""
+_OPTIONS = {field.name: field.metadata["option"] or "--" + field.name.replace("_", "-")
+            for field in dataclasses.fields(PipelineConfig)}
+
+
+def _option(container: Any, name: str, help: str) -> None:
+    """Add the option of PipelineConfig field ``name``, typed as its config key is read, with no
+    default of its own: _config keeps the field's value when it is left out. ``{default}`` in
+    help shows that value."""
+    field, spelling = PipelineConfig.__dataclass_fields__[name], _OPTIONS[name]
+    if isinstance(field.default, bool):
+        kind: Dict[str, Any] = {"action": argparse.BooleanOptionalAction}
+    else:
+        kind = {"type": int if isinstance(field.default, int) else field.metadata["read"],
+                "metavar": spelling[2:].upper().replace("-", "_")}
+    shown = str(field.default).lower() if isinstance(field.default, bool) else field.default
+    container.add_argument(spelling, dest=name, default=argparse.SUPPRESS, help=help.format(default=shown), **kind)
+
+
+def _config(args: argparse.Namespace, base: PipelineConfig = PipelineConfig()) -> PipelineConfig:
+    """``base`` with the run keys given as options; a value its check refuses is a usage error."""
     try:
-        return _checked_name(value, "option")
-    except SchemaError:
-        raise argparse.ArgumentTypeError(f"not UTF-8: {value!r}") from None
+        return dataclasses.replace(base, **{name: value for name, value in vars(args).items() if name in _OPTIONS})
+    except ConfigError as exc:
+        args.parser.error(f"argument {_OPTIONS[exc.field]}: {exc.problem}")
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    if args.synth is not None:
-        dialogs = synth_corpus(args.seed, args.synth, SynthConfig(dataset=args.dataset))
-    else:
-        dialogs, _ = load_corpus(args.input, args.adapter)
+    dialogs, _ = load_dialogs(_config(args))
     _print_json(write_corpus(dialogs, args.out))
     return EXIT_OK
 
 
 def cmd_tasks(args: argparse.Namespace) -> int:
+    config = _config(args)
     if args.list:
         for task in list_tasks():
             print(f"{task.name:36s} {task.signature:8s} {task.description}")
         return EXIT_OK
     dialogs, _ = load_corpus(args.corpus)
-    names = None if args.tasks is None else split_keyword_list(args.tasks)
-    instances = derive_corpus(dialogs, args.seed, tasks=names)
+    instances = derive_corpus(dialogs, config.seed, tasks=config.tasks)
     _print_json(write_instances(instances, args.out))
     return EXIT_OK
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
+    config = _config(args)
     instances = read_instances(args.infile)
-    rules = load_rules(args.rules)
+    rules = load_rules(config.rules_path)
     if args.naive:
         composites = naive_corpus(instances, rules)
         summary: Dict[str, Any] = {"composites": len(composites), "style": "naive"}
     else:
-        # --max-dim defaults to None, not 2, so that argparse refuses "--naive --max-dim 2" too.
-        max_dim = 2 if args.max_dim is None else args.max_dim
-        composites, reasons = compose_corpus(instances, rules, max_dim=max_dim)
-        summary = {
-            "composites": len(composites),
-            "style": "standard",
-            "rejections": dict(sorted(reasons.items())),
-        }
+        composites, reasons = compose_corpus(instances, rules, max_dim=config.max_dim)
+        summary = {"composites": len(composites), "style": "standard", "rejections": dict(sorted(reasons.items()))}
     _print_json({**summary, "file": write_instances(composites, args.out)})
     return EXIT_OK
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    instances = apply_cot(read_instances(args.infile), args.cot, args.seed)
-    manifest = export_corpus(
-        instances,
-        args.out,
-        args.seed,
-        plan=SamplingPlan(args.atomic_quota, args.composite_quota),
-        options=RenderOptions(block_shuffle=args.block_shuffle == "on", generic_fallback=args.generic_fallback),
-        emit_constraints=args.emit_constraints,
-    )
+    config = _config(args)
+    manifest = export_instances(apply_cot(read_instances(args.infile), config.cot, config.seed), config, args.out)
     write_json(manifest, Path(args.out) / "manifest.json")
     _print_json(manifest)
     return EXIT_OK
@@ -215,62 +207,56 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.print_config:
         print(CONFIG_TEMPLATE, end="")
         return EXIT_OK
-    config = PipelineConfig.from_ini(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
-    manifest = run_pipeline(config)
-    _print_json(manifest)
+    _print_json(run_pipeline(_config(args, PipelineConfig.from_ini(args.config))))
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=0, help="run seed (default %(default)s)")
-
     parser = argparse.ArgumentParser(
         prog="dialogtasks",
         description="Derive, compose, render, export, and score dialog task corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", parents=[seeded], help="load or generate a dialog corpus")
+    # _option adds each option that sets a PipelineConfig field.
+    p = sub.add_parser("ingest", help="load or generate a dialog corpus")
+    _option(p, "seed", "run seed (default {default})")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--input", help="source corpus file (JSONL)")
-    source.add_argument("--synth", type=int, metavar="N", help="generate N synthetic dialogs")
-    p.add_argument("--adapter", default="canonical", choices=sorted(ADAPTERS))
-    p.add_argument("--dataset", type=_utf8, default="synth", help="dataset name for synthetic dialogs")
+    _option(source, "input_path", "source corpus file (JSONL)")
+    _option(source, "synth_dialogs", "generate SYNTH synthetic dialogs")
+    _option(p, "adapter", "source corpus adapter (default {default})")
+    _option(p, "synth_dataset", "dataset name for synthetic dialogs (default {default})")
     p.add_argument("--out", required=True, help="canonical corpus output path")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("tasks", parents=[seeded], help="list task types or derive instances")
+    p = sub.add_parser("tasks", help="list task types or derive instances")
+    _option(p, "seed", "run seed (default {default})")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--list", action="store_true", help="print the task registry and exit")
     mode.add_argument("--derive", action="store_true", help="derive instances from --corpus")
     p.add_argument("--corpus", help="canonical corpus to derive from")
-    p.add_argument("--tasks", help="comma-separated task names (default: all)")
+    _option(p, "tasks", "comma-separated task names (default: all)")
     p.add_argument("--out", help="instance output path")
     p.set_defaults(func=cmd_tasks)
 
     p = sub.add_parser("compose", help="compose atomic instances")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
-    p.add_argument("--rules", help="rule table CSV (default: packaged)")
+    _option(p, "rules_path", "rule table CSV (default: packaged)")
     style = p.add_mutually_exclusive_group()
-    style.add_argument("--max-dim", type=int, help="largest composite dimension (default 2)")
+    _option(style, "max_dim", "largest composite dimension (default {default})")
     style.add_argument("--naive", action="store_true", help="naive concatenation baseline")
     p.add_argument("--out", required=True, help="composite output path")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("export", parents=[seeded], help="apply cot, sample, render, and write split corpora")
+    p = sub.add_parser("export", help="apply cot, sample, render, and write split corpora")
+    _option(p, "seed", "run seed (default {default})")
     p.add_argument("--in", dest="infile", required=True, help="instance file")
-    quotas = SamplingPlan()
-    p.add_argument("--atomic-quota", type=int, default=quotas.atomic_quota,
-                   help="instances kept per atomic task (default %(default)s; 0 keeps all)")
-    p.add_argument("--composite-quota", type=int, default=quotas.composite_quota,
-                   help="instances kept per composite task and dataset (default %(default)s; 0 keeps all)")
-    p.add_argument("--cot", default="none", help='"none" or "random-K"')
-    p.add_argument("--block-shuffle", choices=("on", "off"), default="on")
-    p.add_argument("--generic-fallback", action="store_true")
-    p.add_argument("--emit-constraints", action="store_true")
+    _option(p, "atomic_quota", "instances kept per atomic task (default {default}; 0 keeps all)")
+    _option(p, "composite_quota", "instances kept per composite task and dataset (default {default}; 0 keeps all)")
+    _option(p, "cot", '"none" or "random-K" (default {default})')
+    _option(p, "block_shuffle", "shuffle the items within each grounding block (default {default})")
+    _option(p, "generic_fallback", "render a kind the phrase table lacks with a generic phrase (default {default})")
+    _option(p, "emit_constraints", "also write constraints-<split>.jsonl (default {default})")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_export)
 
@@ -290,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the full pipeline from a config")
     p.add_argument("--config", help="pipeline INI file")
-    p.add_argument("--seed", type=int, help="run seed (default: the config's [run] seed)")
+    _option(p, "seed", "run seed (default: the config's [run] seed)")
     p.add_argument("--print-config", action="store_true", help="print a template config and exit")
     p.set_defaults(func=cmd_run)
 
@@ -308,10 +294,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "tasks" and args.derive and not (args.corpus and args.out):
         args.parser.error("tasks --derive requires --corpus and --out")
-    if args.command == "ingest" and args.synth is not None and args.synth < 1:
-        args.parser.error("argument --synth: must be >= 1")
-    if args.command == "compose" and args.max_dim is not None and args.max_dim < 2:
-        args.parser.error("argument --max-dim: must be >= 2")
     if args.command == "run" and not args.print_config and not args.config:
         args.parser.error("run requires --config (or --print-config)")
     try:

@@ -24,30 +24,39 @@ from .textutil import split_keyword_list
 
 
 def _key(section: str, default: Any, key: str = "", note: str = "", example: str = "",
-         read: Optional[Callable[[str], Any]] = None) -> Any:
+         read: Optional[Callable[[str], Any]] = None, option: str = "") -> Any:
     """A config field read from ``[section] key`` (the field's name when key is empty): with
     ``getboolean`` or ``getint`` when its default is a bool or an int, else as text passed to
     ``read`` if given. The template prints it at its default, or commented out at ``example``
-    when the default is None, followed by ``note``."""
+    when the default is None, followed by ``note``. The staged commands spell it ``option``
+    (``--`` and the field's name, hyphenated, when empty)."""
     return dataclasses.field(default=default, metadata=dict(section=section, key=key, note=note,
-                                                            example=example, read=read))
+                                                            example=example, read=read, option=option))
+
+
+class ConfigError(ValueError):
+    """A config value no stage takes; names the field and the problem."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"{field}: {problem}")
+        self.field, self.problem = field, problem
 
 
 @dataclass(frozen=True, slots=True)
 class PipelineConfig:
-    """Typed view of one pipeline INI file; each field names its own section and key."""
+    """Typed view of one pipeline INI file; each field names its own section, key and staged option."""
 
     seed: int = _key("run", 0)
     input_path: Optional[str] = _key("corpus", None, "input", "omit to generate a synthetic corpus",
-                                     "dialogs.jsonl")
+                                     "dialogs.jsonl", option="--input")
     adapter: str = _key("corpus", "canonical")
-    synth_dialogs: int = _key("corpus", 200)
-    synth_dataset: str = _key("corpus", "synth")
+    synth_dialogs: int = _key("corpus", 200, option="--synth")
+    synth_dataset: str = _key("corpus", "synth", option="--dataset")
     tasks: Optional[Tuple[str, ...]] = _key("tasks", None, "include", "omit for every task",
                                             "act_prediction, emotion_tagging", read=split_keyword_list)
     compose_enabled: bool = _key("compose", True, "enabled")
     rules_path: Optional[str] = _key("compose", None, "rules", "omit for the packaged rule table",
-                                     "custom_rules.csv")
+                                     "custom_rules.csv", option="--rules")
     max_dim: int = _key("compose", 2)
     cot: str = _key("render", "none", note="none or random-K")
     block_shuffle: bool = _key("render", RenderOptions().block_shuffle)
@@ -58,13 +67,26 @@ class PipelineConfig:
     emit_constraints: bool = _key("output", True)
 
     def __post_init__(self) -> None:
-        parse_cot_mode(self.cot)
+        self.check()
+
+    def check(self) -> None:
+        """Raise ConfigError naming the first field whose value no stage takes."""
+        for name, test in (("adapter", get_adapter), ("synth_dataset", str.encode), ("tasks", task_names),
+                           ("cot", parse_cot_mode)):
+            try:
+                test(getattr(self, name))
+            except (KeyError, ValueError) as exc:  # str() of a KeyError quotes its message
+                raise ConfigError(name, exc.args[0] if isinstance(exc, KeyError) else str(exc)) from None
+        if not self.input_path and self.synth_dialogs < 1:
+            raise ConfigError("synth_dialogs", "must be >= 1 when no input is set")
+        if self.compose_enabled and self.max_dim < 2:
+            raise ConfigError("max_dim", "must be >= 2")
 
     @classmethod
     def from_ini(cls, path: str | Path) -> "PipelineConfig":
         """Read a config: values are literal (no ``%`` interpolation), ``[DEFAULT]`` is an ordinary
         section, absent keys keep their defaults, and ValueError names the file and a value that
-        does not convert, then any section or key that no field names."""
+        does not convert, then any section or key that no field names, then a value that check refuses."""
         parser = configparser.ConfigParser(interpolation=None, default_section="",
                                            inline_comment_prefixes=(";", "#"))
         try:
@@ -88,7 +110,11 @@ class PipelineConfig:
             for key in parser[section]:
                 if (section, key) not in known:
                     raise ValueError(f"config {path}: unknown key {key!r} in [{section}]")
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            section, key = next((section, key) for field, section, key in _ini_keys() if field.name == exc.field)
+            raise ValueError(f"config {path}: [{section}] {key}: {exc.problem}") from None
 
     def to_dict(self) -> Dict[str, Any]:
         data = dataclasses.asdict(self)
@@ -129,40 +155,34 @@ def _build(dialog: Dialog, config: PipelineConfig, rules: List[CompositionRule],
     return apply_cot(instances, config.cot, config.seed)
 
 
+def load_dialogs(config: PipelineConfig) -> Tuple[List[Dialog], Optional[Dict[str, Any]]]:
+    """The run's dialogs with its input file's manifest, or synthesized with None for the manifest."""
+    if config.input_path:
+        return load_corpus(config.input_path, config.adapter)
+    return synth_corpus(config.seed, config.synth_dialogs, SynthConfig(dataset=config.synth_dataset)), None
+
+
+def export_instances(instances: List[TaskInstance], config: PipelineConfig, out_dir: str | Path) -> Dict[str, Any]:
+    """Sample, render and write instances after cot into out_dir as the config says; the export manifest."""
+    plan = SamplingPlan(config.atomic_quota, config.composite_quota)
+    options = RenderOptions(config.block_shuffle, config.generic_fallback)
+    return export_corpus(instances, out_dir, config.seed, plan, options, config.emit_constraints)
+
+
 def run_pipeline(config: PipelineConfig) -> Dict[str, Any]:
     """Run every stage and write the corpus plus manifest.json into out_dir."""
-    # A bad config or corpus raises here, before anything is written.
-    parse_cot_mode(config.cot)
-    task_names(config.tasks)
-    get_adapter(config.adapter)
+    # A bad config, rule table or corpus raises here, before anything is written.
+    config.check()
     rules = load_rules(config.rules_path) if config.compose_enabled else []
-    if config.compose_enabled and config.max_dim < 2:
-        raise ValueError("max_dim must be >= 2")
-    if not config.input_path and config.synth_dialogs < 1:
-        raise ValueError("synth_dialogs must be >= 1 when no input is set")
-    if config.input_path:
-        dialogs, corpus_manifest = load_corpus(config.input_path, config.adapter)
-    else:
-        dialogs = synth_corpus(
-            config.seed, config.synth_dialogs, SynthConfig(dataset=config.synth_dataset)
-        )
+    dialogs, corpus_manifest = load_dialogs(config)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if not config.input_path:
+    if corpus_manifest is None:
         corpus_manifest = write_corpus(dialogs, out_dir / "dialogs.jsonl")
 
     rejections: Counter = Counter()
     instances = [inst for dialog in dialogs for inst in _build(dialog, config, rules, rejections)]
-    export_manifest = export_corpus(
-        instances,
-        out_dir,
-        config.seed,
-        plan=SamplingPlan(config.atomic_quota, config.composite_quota),
-        options=RenderOptions(
-            block_shuffle=config.block_shuffle, generic_fallback=config.generic_fallback
-        ),
-        emit_constraints=config.emit_constraints,
-    )
+    export_manifest = export_instances(instances, config, out_dir)
     # The manifest names files, never paths, so its bytes do not depend on
     # where the run happens: the input and rule table by file name (the
     # input's checksum is under "corpus"), and no out_dir, which is the

@@ -168,9 +168,10 @@ def render(inst: TaskInstance, seed: int, options: Optional[RenderOptions] = Non
 
     Standard style: [Instruction] ++ shuffle(seed, [Dialog Context] ++ grounding
     blocks) ++ [target header]. Naive style: fixed order with each item on its
-    own natively labeled line.
+    own natively labeled line. The shuffle is seeded per instance, as render_corpus seeds it.
     """
-    return _example(inst, _sections(inst, random.Random(seed), options or RenderOptions(), _context_body(inst)))
+    rng = random.Random(subseed(seed, "render", inst.provenance.key(), inst.task_name))
+    return _example(inst, _sections(inst, rng, options or RenderOptions(), _context_body(inst)))
 
 
 def _sections(

@@ -270,14 +270,9 @@ class AtomicTaskDef:
         grounding = () if self.grounding is None else (self.grounding[0],)
         return signature_of(grounding, self.target[0]).canonical_string()
 
-    def derive(self, dialog: Dialog, turn_index: int, seed: int) -> TaskInstance:
-        """Build the instance for one target turn, or raise DerivationError."""
-        if not 0 <= turn_index < len(dialog.turns):
-            raise DerivationError(f"target turn {turn_index} out of range")
-        return self._derive_at(_Position(dialog, turn_index), seed)
-
-    def _derive_at(self, pos: _Position, seed: int) -> TaskInstance:
-        """derive at a position other tasks may read too; seed is this task's own."""
+    def derive(self, pos: _Position, seed: int) -> TaskInstance:
+        """Build the instance for one target turn, which other tasks may read too, or raise
+        DerivationError; seed is this task's own."""
         dialog, turn_index = pos.dialog, pos.t
         # Text sources run before item lookups, so a turn without tokens
         # fails as TooShort or NoContentTokens whatever items it carries.
@@ -382,13 +377,13 @@ def task_names(tasks: Optional[Iterable[str]] = None) -> List[str]:
     return names
 
 
-def derive_task(
-    name: str, dialog: Dialog, turn_index: int, seed: int
-) -> TaskInstance:
-    """Derive one named task at one dialog position; DerivationError if impossible."""
-    if name not in REGISTRY:
-        raise KeyError(f"unknown task: {name!r}")
-    return REGISTRY[name].derive(dialog, turn_index, subseed(seed, "derive", dialog.dialog_id, turn_index, name))
+def derive_task(name: str, dialog: Dialog, turn_index: int, seed: int) -> TaskInstance:
+    """Derive one named task at one dialog position; KeyError if unknown, DerivationError if impossible."""
+    task_names([name])
+    if not 0 <= turn_index < len(dialog.turns):
+        raise DerivationError(f"target turn {turn_index} out of range")
+    task_seed = subseed(seed, "derive", dialog.dialog_id, turn_index, name)
+    return REGISTRY[name].derive(_Position(dialog, turn_index), task_seed)
 
 
 def derive_corpus(
@@ -411,7 +406,7 @@ def derive_corpus(
             for name in names:
                 task_seed = subseed(seed, "derive", dialog.dialog_id, t, name)
                 try:
-                    instances.append(REGISTRY[name]._derive_at(pos, task_seed))
+                    instances.append(REGISTRY[name].derive(pos, task_seed))
                 except DerivationError:
                     continue
     return instances

@@ -102,36 +102,26 @@ def test_tasks_derive_requires_corpus_and_out(capsys):
     assert "dialogtasks tasks: error: tasks --derive requires --corpus and --out" in err
 
 
-def test_tasks_derive_unknown_task_is_error(tmp_path, corpus_path, capsys):
-    code, _, err = _run(
-        capsys,
-        "tasks", "--derive", "--corpus", str(corpus_path),
-        "--tasks", "no_such_task", "--out", str(tmp_path / "x.jsonl"),
-    )
-    assert code == cli.EXIT_IO
-    assert "no_such_task" in err
-
-
 @pytest.mark.parametrize("tasks", [",", " , ", ""])
 def test_tasks_derive_selection_of_no_task_exits_two(tmp_path, corpus_path, capsys, tasks):
     out_path = tmp_path / "x.jsonl"
-    code, out, err = _run(
-        capsys, "tasks", "--derive", "--corpus", str(corpus_path), "--tasks", tasks, "--out", str(out_path)
-    )
-    assert code == cli.EXIT_IO
-    assert out == "" and "names no task" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tasks", "--derive", "--corpus", str(corpus_path), "--tasks", tasks, "--out", str(out_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --tasks: the task selection names no task" in captured.err
     assert not out_path.exists()
 
 
 def test_tasks_derive_task_named_twice_exits_two(tmp_path, corpus_path, capsys):
     # Deriving the task twice would write each of its ids twice.
     out_path = tmp_path / "x.jsonl"
-    code, out, err = _run(
-        capsys, "tasks", "--derive", "--corpus", str(corpus_path),
-        "--tasks", "act_prediction,emotion_prediction,act_prediction", "--out", str(out_path),
-    )
-    assert code == cli.EXIT_IO
-    assert out == "" and "'act_prediction' more than once" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tasks", "--derive", "--corpus", str(corpus_path),
+                  "--tasks", "act_prediction,emotion_prediction,act_prediction", "--out", str(out_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --tasks: the task selection names 'act_prediction' more than once" in captured.err
     assert not out_path.exists()
 
 
@@ -257,16 +247,6 @@ def test_export_cot_writes_prompt_records(tmp_path, instances_path, capsys):
     first = json.loads((out_dir / "train.jsonl").read_text(encoding="utf-8").splitlines()[0])
     assert first["input"].startswith("Instruction: ")
     assert {"id", "output", "task", "signature"} <= set(first)
-
-
-def test_export_bad_cot_mode_is_error(tmp_path, instances_path, capsys):
-    out_dir = tmp_path / "r"
-    code, out, err = _run(
-        capsys, "export", "--in", str(instances_path), "--cot", "always", "--out", str(out_dir),
-    )
-    assert code == cli.EXIT_IO
-    assert out == "" and "cot mode 'always'" in err
-    assert not out_dir.exists()
 
 
 def test_export_generic_fallback_renders_a_kind_the_phrase_table_lacks(tmp_path, instances_path, capsys):
@@ -445,6 +425,14 @@ def test_export_quota_flags_set_the_plan(tmp_path, instances_path, capsys):
     assert json.loads(out)["plan"] == {"atomic_quota": 3, "composite_quota": 2}
 
 
+def test_export_writes_constraint_files_unless_told_not_to(tmp_path, instances_path, capsys):
+    for flags, written in (((), True), (("--no-emit-constraints",), False), (("--emit-constraints",), True)):
+        out_dir = tmp_path / f"export{len(flags)}{written}"
+        assert _run(capsys, "export", "--in", str(instances_path), *flags, "--out", str(out_dir))[0] == cli.EXIT_OK
+        assert (out_dir / "train.jsonl").exists()
+        assert [(out_dir / f"constraints-{split}.jsonl").exists() for split in SPLITS] == [written] * 3, flags
+
+
 @pytest.mark.parametrize("command", ["validate", "eval"])
 def test_row_nested_too_deeply_exits_two_naming_its_line(tmp_path, capsys, command):
     rows = tmp_path / "rows.jsonl"
@@ -549,10 +537,17 @@ def test_every_run_key_has_a_staged_option():
     fields = {field.name for field in dataclasses.fields(PipelineConfig)}
     assert fields - {"input_path", "out_dir", "compose_enabled"} == set(_STAGED_OPTIONS)
     subcommands = _subcommands()
+    # ingest's --synth sets synth_dialogs, so it reads an input instead.
+    bare = {**_REQUIRED_ARGS, "ingest": ["--input", "i", "--out", "o"]}
     for field, (commands, option) in _STAGED_OPTIONS.items():
         for command in commands:
-            options = {name for action in subcommands[command]._actions for name in action.option_strings}
-            assert option in options, (field, command)
+            actions = {name: action for action in subcommands[command]._actions for name in action.option_strings}
+            assert option in actions, (field, command)
+            # The option has no default of its own: left out, the command's
+            # config holds the field's default.
+            assert actions[option].default is argparse.SUPPRESS, (field, command)
+            config = cli._config(cli.build_parser().parse_args([command, *bare[command]]))
+            assert getattr(config, field) == getattr(PipelineConfig(), field), (field, command)
 
 
 def test_readme_lists_every_subcommand():
@@ -663,11 +658,12 @@ def test_run_requires_config(capsys):
     assert "dialogtasks run: error: run requires --config (or --print-config)" in err
 
 
-def _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block_shuffle):
+def _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, export_options, render_keys):
     """ingest, tasks --derive, compose and export on the concatenated instances write run's files.
 
-    Both build synth_corpus(7, 30); every file run writes but manifest.json
-    has the staged commands' bytes, dialogs.jsonl included.
+    Both build synth_corpus(7, 30), export with ``export_options`` and run
+    with the ``[render]`` section ``render_keys``; every file run writes but
+    manifest.json has the staged commands' bytes, dialogs.jsonl included.
     """
     corpus, atomic, composite = tmp_path / "dialogs.jsonl", tmp_path / "atomic.jsonl", tmp_path / "composite.jsonl"
     assert _run(capsys, "ingest", "--synth", "30", "--seed", "7", "--out", str(corpus))[0] == cli.EXIT_OK
@@ -676,16 +672,12 @@ def _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block
     both = tmp_path / "both.jsonl"
     both.write_bytes(atomic.read_bytes() + composite.read_bytes())
     staged, whole = tmp_path / "staged", tmp_path / "run"
-    code, _, _ = _run(
-        capsys, "export", "--in", str(both), "--seed", "7", "--cot", cot, "--block-shuffle", block_shuffle,
-        "--emit-constraints", "--out", str(staged),
-    )
+    code, _, _ = _run(capsys, "export", "--in", str(both), "--seed", "7", *export_options, "--out", str(staged))
     assert code == cli.EXIT_OK
     (staged / "dialogs.jsonl").write_bytes(corpus.read_bytes())
     config = tmp_path / "pipeline.ini"
     config.write_text(
-        f"[run]\nseed = 7\n\n[corpus]\nsynth_dialogs = 30\n\n"
-        f"[render]\ncot = {cot}\nblock_shuffle = {block_shuffle == 'on'}\n\n[output]\ndir = {whole}\n",
+        f"[run]\nseed = 7\n\n[corpus]\nsynth_dialogs = 30\n\n{render_keys}[output]\ndir = {whole}\n",
         encoding="utf-8",
     )
     assert _run(capsys, "run", "--config", str(config))[0] == cli.EXIT_OK
@@ -699,17 +691,21 @@ def _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block
 
 
 def test_staged_commands_write_the_export_of_run_at_cot_none(tmp_path, capsys):
-    _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, "none", "on")
+    # No run key is given to export or set in [render]: the defaults agree,
+    # constraint files included.
+    _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, [], "")
 
 
 @pytest.mark.parametrize(
     "cot, block_shuffle",
-    [("random-1", "on"), ("random-1", "off"), ("none", "off")],
+    [("random-1", True), ("random-1", False), ("none", False)],
     ids=["golden", "random-1-unshuffled", "none-unshuffled"],
 )
 def test_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block_shuffle):
     # The golden case is test_golden's run config: seed 7, 30 synthetic dialogs, cot random-1.
-    _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, cot, block_shuffle)
+    options = ["--cot", cot, "--block-shuffle" if block_shuffle else "--no-block-shuffle"]
+    render_keys = f"[render]\ncot = {cot}\nblock_shuffle = {block_shuffle}\n\n"
+    _assert_staged_commands_write_the_export_of_run(tmp_path, capsys, options, render_keys)
 
 
 def test_run_full_pipeline_from_config(tmp_path, capsys):
@@ -799,8 +795,6 @@ def test_run_config_malformed_or_unknown_exits_two_before_any_stage_writes(tmp_p
 @pytest.mark.parametrize(
     "corpus, problem",
     [
-        ("synth_dialogs = 0", "synth_dialogs must be >= 1"),
-        ("synth_dialogs = -3", "synth_dialogs must be >= 1"),
         ("input = {tmp}/missing.jsonl", "missing.jsonl"),
         ("input = {tmp}/bad.jsonl", "line 2"),
         ("input = {tmp}/good.jsonl\nadapter = nope", "unknown adapter: 'nope'"),
@@ -820,12 +814,48 @@ def test_run_corpus_error_exits_two_before_any_stage_writes(tmp_path, corpus_pat
     assert not out_dir.exists()
 
 
-def test_unknown_task_error_prints_its_message_unquoted(tmp_path, corpus_path, capsys):
-    derive = ("tasks", "--derive", "--corpus", str(corpus_path), "--tasks", "nope", "--out", str(tmp_path / "x.jsonl"))
-    config = tmp_path / "pipeline.ini"
-    config.write_text(f"[tasks]\ninclude = nope\n\n[output]\ndir = {tmp_path / 'out'}\n", encoding="utf-8")
-    for argv in (derive, ("run", "--config", str(config))):
-        assert _run(capsys, *argv) == (cli.EXIT_IO, "", "error: unknown task: 'nope'\n")
+# One bad value of each run key a config check refuses: the staged command
+# (corpus and instances formatted in) and its error, and the config text run
+# reads and its error after "config <path>: ". A dataset name that is not
+# UTF-8 cannot be decoded from a config file, whose line is named instead.
+_BAD_VALUES = {
+    "cot": (["export", "--in", "{instances}", "--cot", "always"], "argument --cot: unknown cot mode 'always'",
+            "[render]\ncot = always\n", "[render] cot: unknown cot mode 'always': expected none or random-K"),
+    "tasks": (["tasks", "--derive", "--corpus", "{corpus}", "--tasks", "nope"], "argument --tasks: unknown task: 'nope'\n",
+              "[tasks]\ninclude = nope\n", "[tasks] include: unknown task: 'nope'\n"),
+    "adapter": (["ingest", "--input", "{corpus}", "--adapter", "nope"], "argument --adapter: unknown adapter: 'nope' (",
+                "[corpus]\nadapter = nope\n", "[corpus] adapter: unknown adapter: 'nope' (have: "),
+    "max_dim": (["compose", "--in", "{instances}", "--max-dim", "1"], "argument --max-dim: must be >= 2\n",
+                "[compose]\nmax_dim = 1\n", "[compose] max_dim: must be >= 2\n"),
+    "synth_dialogs": (["ingest", "--synth", "0"], "argument --synth: must be >= 1 when no input is set\n",
+                      "[corpus]\nsynth_dialogs = 0\n", "[corpus] synth_dialogs: must be >= 1 when no input is set\n"),
+    # Written through surrogateescape, "\udcff" is the byte 0xff.
+    "synth_dataset": (["ingest", "--synth", "2", "--dataset", "s\udcff"], "argument --dataset: 'utf-8' codec can't encode",
+                      "[corpus]\nsynth_dataset = s\udcff\n", "line 2: byte 0xff is not UTF-8"),
+}
+
+
+@pytest.mark.parametrize("path", ["staged", "run"])
+@pytest.mark.parametrize("key", sorted(_BAD_VALUES))
+def test_bad_run_key_value_exits_two_naming_it(tmp_path, instances_path, capsys, key, path):
+    argv, staged_error, ini, run_error = _BAD_VALUES[key]
+    out = tmp_path / "out"
+    if path == "staged":
+        argv = [arg.format(corpus=tmp_path / "dialogs.jsonl", instances=instances_path) for arg in argv]
+        before = sorted(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--out", str(out)])
+        (out_text, err), code = capsys.readouterr(), exc.value.code
+        assert err.startswith(f"usage: dialogtasks {argv[0]} ")
+        assert f"dialogtasks {argv[0]}: error: {staged_error}" in err
+    else:
+        config = tmp_path / "pipeline.ini"
+        config.write_text(f"{ini}\n[output]\ndir = {out}\n", encoding="utf-8", errors="surrogateescape")
+        before = sorted(tmp_path.iterdir())
+        code, out_text, err = _run(capsys, "run", "--config", str(config))
+        assert err.startswith(f"error: config {config}: {run_error}")
+    assert code == 2 and out_text == ""
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_manifest_names_and_hashes_every_file_it_lists(tmp_path):

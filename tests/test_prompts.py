@@ -479,6 +479,17 @@ def test_render_corpus_draws_as_a_fresh_random_per_instance():
     assert rendered == _always_seeding_render_corpus(instances, 7, RenderOptions())
 
 
+def test_render_draws_as_render_corpus_does():
+    # render seeds an instance's shuffle as the export does, so one example
+    # renders as it is written.
+    atoms = registry.derive_corpus(synth_corpus(7, 30), seed=7)
+    instances = atoms + compose_corpus(atoms, load_rules())[0]
+    for seed in (7, 8):
+        rendered, errors = render_corpus(instances, seed)
+        assert errors == [] and len(rendered) == len(instances) == 6730
+        assert [render(inst, seed) for inst in instances] == rendered
+
+
 def test_render_corpus_examples_hold_their_input_instances_in_order():
     instances = apply_cot(_synth_instances(), "random-1", 7)
     rendered, errors = render_corpus(instances, 7)
