@@ -795,6 +795,8 @@ def test_run_config_malformed_or_unknown_exits_two_before_any_stage_writes(tmp_p
 @pytest.mark.parametrize(
     "corpus, problem",
     [
+        ("synth_dialogs = 0", "synth_dialogs: must be >= 1"),
+        ("synth_dialogs = -3", "synth_dialogs: must be >= 1"),
         ("input = {tmp}/missing.jsonl", "missing.jsonl"),
         ("input = {tmp}/bad.jsonl", "line 2"),
         ("input = {tmp}/good.jsonl\nadapter = nope", "unknown adapter: 'nope'"),
